@@ -3,9 +3,11 @@
 ``hungarian`` solves the rectangular linear assignment problem with a
 dense shortest-augmenting-path solver that maintains dual potentials,
 then refines ties so the returned pair list is the lexicographically
-smallest one among all optimal assignments. ``brute_force_assign`` is
-the independent oracle: exhaustive enumeration under a factorial guard,
-with the same tie rule.
+smallest one among all optimal assignments: zero-cost dummy rows square
+the problem, and each row in turn takes the smallest column that one
+alternating path over the tight edges of the optimal duals can clear for
+it. ``brute_force_assign`` is the independent oracle: exhaustive
+enumeration under a factorial guard, with the same tie rule.
 
 ``global_instance_assignment`` matches ground truth to prediction slots
 on whole-clip costs; ``locpro_assignment`` is the local-matching baseline
@@ -99,28 +101,20 @@ def _sap_solve(cost: np.ndarray):
     return col4row, u, v
 
 
-def _augment(adjacency, owner: dict, start, blocked) -> bool:
-    """One Kuhn augmentation from `start`; `owner` maps right node -> left."""
-    visited = set(blocked)
-
-    def try_assign(left) -> bool:
-        for right in adjacency(left):
-            if right in visited:
-                continue
-            visited.add(right)
-            holder = owner.get(right)
-            if holder is None or try_assign(holder):
-                owner[right] = left
-                return True
-        return False
-
-    return try_assign(start)
-
-
 def _lexicographic_pairs(cost: np.ndarray, col4row: np.ndarray,
-                         u: np.ndarray, v: np.ndarray):
+                         u: np.ndarray, v: np.ndarray) -> list:
     """Smallest pair list (rows ascending) among optimal assignments,
-    derived from the tight-edge graph of the optimal duals."""
+    read off the tight-edge graph of the optimal duals.
+
+    The problem is squared with nc - nr zero-cost dummy rows that hold the
+    free columns at potential 0. `_sap_solve` leaves v == 0 on free columns
+    and v <= 0 elsewhere, so the extended duals stay feasible and every
+    perfect matching on tight edges is optimal. A dummy row is tight on
+    exactly the columns with v >= -tau. Each real row in turn then takes
+    its smallest tight column that one alternating path can clear: the
+    path shifts the column's owner, and the owners after it, along tight
+    edges until the row's old column is taken over.
+    """
     nr, nc = cost.shape
     scale = max(1.0, float(np.abs(cost).max()))
     tau = 64.0 * np.finfo(np.float64).eps * scale * max(nr, 4)
@@ -130,68 +124,48 @@ def _lexicographic_pairs(cost: np.ndarray, col4row: np.ndarray,
     tight[np.arange(nr), col4row] = True
     row_adj = [np.flatnonzero(tight[r]).tolist() for r in range(nr)]
     col_adj = [np.flatnonzero(tight[:, j]).tolist() for j in range(nc)]
+    dummy_tight = (v >= -tau).tolist()
 
-    # Complementary slackness: every optimal assignment uses only tight
-    # edges and covers every column whose potential is strictly negative.
-    # A candidate (r, j) is acceptable iff, after fixing it, the remaining
-    # rows can still be saturated by tight edges AND the remaining mandatory
-    # columns can still be covered by later rows (Mendelsohn-Dulmage lets
-    # the two saturations merge into one matching).
-    mandatory = set(int(j) for j in np.flatnonzero(v < -tau))
-
-    used = np.zeros(nc, dtype=bool)
-    col_owner = {int(col4row[r]): r for r in range(nr)}   # remaining rows matching
-    demand = {j: col_owner[j] for j in mandatory}         # mandatory-column matching
-
-    def row_adjacency(left):
-        return [c for c in row_adj[left] if not used[c]]
+    col4row = col4row.tolist()
+    row4col = [-1] * nc            # -1: the column is held by a dummy row
+    for r, j in enumerate(col4row):
+        row4col[j] = r
 
     pairs = []
     for r in range(nr):
-        chosen = -1
-        for j in row_adj[r]:
-            if used[j]:
-                continue
-
-            # rows side: force (r, j), re-augment any displaced row
-            trial_cols = dict(col_owner)
-            old = next((c for c, row in trial_cols.items() if row == r), None)
-            if old is not None:
-                del trial_cols[old]
-            displaced = trial_cols.pop(j, None)
-            trial_cols[j] = r
-            if displaced is not None and not _augment(
-                    row_adjacency, trial_cols, displaced, blocked={j}):
-                continue
-
-            # demand side: j is covered by r now; any mandatory column that
-            # was relying on row r must find a home among the rows after r
-            trial_demand = {c: row for c, row in demand.items() if c != j}
-            rehome = [c for c, row in trial_demand.items() if row <= r]
-            if rehome:
-                row_owner = {row: c for c, row in trial_demand.items() if row > r}
-
-                def col_adjacency(col):
-                    return [i for i in col_adj[col] if i > r]
-
-                ok = True
-                for c in rehome:
-                    del trial_demand[c]
-                    if not _augment(col_adjacency, row_owner, c, blocked=set()):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                trial_demand = {c: row for row, c in row_owner.items()}
-
-            trial_cols.pop(j, None)
-            col_owner = trial_cols
-            demand = trial_demand
-            used[j] = True
-            chosen = j
-            break
-        if chosen == -1:
-            return None
+        start = col4row[r]
+        # the smallest tight column not held by an earlier row; the search
+        # stops once it is reached, as no reachable column can beat it
+        best = next(j for j in row_adj[r] if row4col[j] == -1 or row4col[j] >= r)
+        # breadth-first search backwards from `start` over the rows after r
+        # and the dummies: came_from[j] is the column that j's owner moves to
+        # when j is cleared for row r (-1 at the root, -2 while unreached)
+        came_from = [-2] * nc
+        came_from[start] = -1
+        queue = [start]
+        dummies_reached = False
+        for c in queue:
+            if came_from[best] != -2:
+                break
+            for i in col_adj[c]:
+                if i > r and came_from[col4row[i]] == -2:
+                    came_from[col4row[i]] = c
+                    queue.append(col4row[i])
+            if dummy_tight[c] and not dummies_reached:
+                dummies_reached = True
+                for j in range(nc):
+                    if row4col[j] == -1 and came_from[j] == -2:
+                        came_from[j] = c
+                        queue.append(j)
+        chosen = next(j for j in row_adj[r] if came_from[j] != -2)
+        j = chosen
+        owner = r
+        while j != -1:
+            holder = row4col[j]
+            row4col[j] = owner
+            if owner != -1:
+                col4row[owner] = j
+            owner, j = holder, came_from[j]
         pairs.append((r, chosen))
     return pairs
 
@@ -212,7 +186,7 @@ def hungarian(cost_matrix) -> Assignment:
     best_total = _pairs_total(cost, col4row)
 
     refined = _lexicographic_pairs(cost, col4row, u, v)
-    if refined is not None and refined != incumbent:
+    if refined != incumbent:
         refined_total = _pairs_total(cost, [c for _, c in refined])
         if refined_total == best_total:
             return Assignment(pairs=tuple(refined), total_cost=best_total)

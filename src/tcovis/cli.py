@@ -63,13 +63,16 @@ def _pool_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _require_fields(section: str, data: dict, known: set, required: set):
+def _checked_section(name: str, data, known: set, required: set = frozenset()) -> dict:
+    if not isinstance(data, dict):
+        raise CliError(f"{name} must be an object")
     unknown = set(data) - known
     if unknown:
-        raise CliError(f"unknown field {sorted(unknown)[0]!r} in {section}")
+        raise CliError(f"unknown field {sorted(unknown)[0]!r} in {name}")
     missing = required - set(data)
     if missing:
-        raise CliError(f"missing field {sorted(missing)[0]!r} in {section}")
+        raise CliError(f"missing field {sorted(missing)[0]!r} in {name}")
+    return data
 
 
 def _load_json(path) -> dict:
@@ -82,11 +85,10 @@ def _load_json(path) -> dict:
 
 
 def _load_run_config(path) -> dict:
-    doc = _load_json(path)
-    _require_fields("config", doc,
-                    known={"version", "spec", "scene", "noise", "weights",
-                           "seed", "clips", "threads"},
-                    required={"version", "spec", "scene", "seed", "clips"})
+    doc = _checked_section("config", _load_json(path),
+                           known={"version", "spec", "scene", "noise", "weights",
+                                  "seed", "clips", "threads"},
+                           required={"version", "spec", "scene", "seed", "clips"})
     if doc["version"] != 1:
         raise CliError(f"unsupported config version {doc['version']!r}")
     try:
@@ -105,20 +107,11 @@ def _load_run_config(path) -> dict:
         weights = LossWeights(**_checked_section(
             "weights", doc.get("weights", {}),
             {"lambda_cls", "lambda_bce", "lambda_dice"}))
-    except ValueError as exc:
+        return {"spec": spec, "scene": scene, "noise": noise, "weights": weights,
+                "seed": int(doc["seed"]), "clips": int(doc["clips"]),
+                "threads": int(doc.get("threads", 1))}
+    except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from None
-    return {"spec": spec, "scene": scene, "noise": noise, "weights": weights,
-            "seed": int(doc["seed"]), "clips": int(doc["clips"]),
-            "threads": int(doc.get("threads", 1))}
-
-
-def _checked_section(name: str, data, known: set) -> dict:
-    if not isinstance(data, dict):
-        raise CliError(f"{name} must be an object")
-    unknown = set(data) - known
-    if unknown:
-        raise CliError(f"unknown field {sorted(unknown)[0]!r} in {name}")
-    return data
 
 
 def _weights_from_args(args) -> LossWeights:
@@ -185,20 +178,17 @@ def _load_predicted_corpus(path) -> Corpus:
 
 def _assign_row(corpus: Corpus, weights: LossWeights, strategy: str, ci: int) -> dict:
     clip = corpus.clips[ci]
-    row: dict = {"clip": ci}
-    if strategy in ("gia", "both"):
-        a = global_instance_assignment(clip.gt, clip.pred, weights)
-        row["gia"] = {"pairs": [list(p) for p in a.pairs], "cost": a.total_cost}
-    if strategy in ("locpro", "both"):
-        a = locpro_assignment(clip.gt, clip.pred, weights)
-        row["locpro"] = {"pairs": [list(p) for p in a.pairs], "cost": a.total_cost}
     if strategy == "both":
-        gia_pairs = {tuple(p) for p in row["gia"]["pairs"]}
-        loc_pairs = {tuple(p) for p in row["locpro"]["pairs"]}
-        n_gt = len(clip.gt)
-        row["agreement"] = (len(gia_pairs & loc_pairs) / n_gt) if n_gt else 1.0
-        row["delta"] = row["locpro"]["cost"] - row["gia"]["cost"]
-    return row
+        audit = evaluation.audit_clip(ci, clip.gt, clip.pred, weights)
+        return {"clip": ci,
+                "gia": {"pairs": [list(p) for p in audit.gia_pairs], "cost": audit.gia_cost},
+                "locpro": {"pairs": [list(p) for p in audit.locpro_pairs],
+                           "cost": audit.locpro_cost},
+                "agreement": audit.pair_agreement,
+                "delta": audit.locpro_cost - audit.gia_cost}
+    solve = global_instance_assignment if strategy == "gia" else locpro_assignment
+    a = solve(clip.gt, clip.pred, weights)
+    return {"clip": ci, strategy: {"pairs": [list(p) for p in a.pairs], "cost": a.total_cost}}
 
 
 def _cmd_assign(args) -> int:
@@ -246,21 +236,23 @@ def _cmd_assign(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_demo_config(path) -> dict:
-    doc = _load_json(path)
-    _require_fields("demo config", doc,
-                    known={"version", "spec", "n_heads", "n_fq", "seed", "threshold"},
-                    required={"version", "spec", "n_heads", "n_fq", "seed"})
+    doc = _checked_section("demo config", _load_json(path),
+                           known={"version", "spec", "n_heads", "n_fq", "seed", "threshold"},
+                           required={"version", "spec", "n_heads", "n_fq", "seed"})
     if doc["version"] != 1:
         raise CliError(f"unsupported config version {doc['version']!r}")
     try:
         spec = ClipSpec.from_dict(_checked_section("spec", doc["spec"], {
             "T", "H", "W", "S", "K", "N_v", "C"}))
-        if spec.C % int(doc["n_heads"]) != 0:
-            raise ValueError(f"n_heads {doc['n_heads']} must divide C={spec.C}")
-    except ValueError as exc:
+        n_heads, n_fq = int(doc["n_heads"]), int(doc["n_fq"])
+        if n_heads < 1 or spec.C % n_heads != 0:
+            raise ValueError(f"n_heads {doc['n_heads']} must be a positive divisor of C={spec.C}")
+        if n_fq < 1:
+            raise ValueError(f"n_fq must be >= 1, got {doc['n_fq']}")
+        return {"spec": spec, "n_heads": n_heads, "n_fq": n_fq,
+                "seed": int(doc["seed"]), "threshold": float(doc.get("threshold", 0.5))}
+    except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from None
-    return {"spec": spec, "n_heads": int(doc["n_heads"]), "n_fq": int(doc["n_fq"]),
-            "seed": int(doc["seed"]), "threshold": float(doc.get("threshold", 0.5))}
 
 
 def _demo_inputs(cfg: dict):
@@ -297,9 +289,12 @@ def _cmd_enhance(args) -> int:
     decoder, mhca, queries, frames = _demo_inputs(cfg)
     _, plain_trace = ste.run_clip(queries, frames, decoder, ste_enabled=False,
                                   collect_trace=True)
-    _, ste_trace = ste.run_clip(queries, frames, decoder, ste_params=mhca,
-                                ste_enabled=True, threshold=cfg["threshold"],
-                                collect_trace=True)
+    try:
+        _, ste_trace = ste.run_clip(queries, frames, decoder, ste_params=mhca,
+                                    ste_enabled=True, threshold=cfg["threshold"],
+                                    collect_trace=True)
+    except ValueError as exc:   # e.g. a threshold outside (0, 1)
+        raise CliError(str(exc)) from None
     doc = {"spec": cfg["spec"].to_dict(), "seed": cfg["seed"],
            "n_heads": cfg["n_heads"], "n_fq": cfg["n_fq"],
            "threshold": cfg["threshold"],

@@ -202,7 +202,9 @@ def _check_pred(spec: ClipSpec, ci: int, ti: int, track: PredictionTrack, out: l
     else:
         for t in range(spec.T):
             vec = probs[t]
-            if (vec < 0).any():
+            if not np.isfinite(vec).all():
+                out.append(Violation(ci, "pred", ti, t, "non-finite class probability"))
+            elif (vec < 0).any():
                 out.append(Violation(ci, "pred", ti, t, "negative class probability"))
             elif abs(float(vec.sum()) - 1.0) > PROB_SUM_TOL:
                 out.append(Violation(ci, "pred", ti, t,
@@ -213,7 +215,9 @@ def _check_pred(spec: ClipSpec, ci: int, ti: int, track: PredictionTrack, out: l
     else:
         for t in range(spec.T):
             frame = masks[t]
-            if (frame < 0).any() or (frame > 1).any():
+            if not np.isfinite(frame).all():
+                out.append(Violation(ci, "pred", ti, t, "non-finite mask probability"))
+            elif (frame < 0).any() or (frame > 1).any():
                 out.append(Violation(ci, "pred", ti, t, "mask probabilities outside [0, 1]"))
 
 

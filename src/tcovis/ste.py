@@ -28,16 +28,10 @@ import json
 import numpy as np
 
 from .cost import _sigmoid
-from .model import PredictionTrack, dump_json
+from .model import PredictionTrack, _frozen, dump_json
 from .rng import stream
 
 LN_EPS = 1e-5
-
-
-def _frozen(arr) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -49,7 +43,7 @@ class SpatialFeature:
     empty_flag: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", _frozen(self.vector))
+        object.__setattr__(self, "vector", _frozen(self.vector, np.float64))
         object.__setattr__(self, "empty_flag", bool(self.empty_flag))
 
 
@@ -67,7 +61,7 @@ class AttentionParams:
 
     def __post_init__(self):
         for name in ("w_q", "w_k", "w_v", "w_o", "ln_scale", "ln_shift"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
         c = self.w_q.shape[0]
         if self.n_heads < 1 or c % self.n_heads != 0:
             raise ValueError(f"n_heads={self.n_heads} must divide C={c}")
@@ -95,7 +89,7 @@ class MhcaParams:
 
     def __post_init__(self):
         for name in ("w_q", "w_k", "w_v", "w_o", "ln_scale", "ln_shift", "e_pos"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
         c = self.w_q.shape[0]
         if self.n_heads < 1 or c % self.n_heads != 0:
             raise ValueError(f"n_heads={self.n_heads} must divide C={c}")
@@ -121,7 +115,7 @@ class FeedForwardParams:
 
     def __post_init__(self):
         for name in ("w1", "b1", "w2", "b2", "ln_scale", "ln_shift"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
 
 
 @dataclass(frozen=True)
@@ -137,8 +131,9 @@ class RefDecoderParams:
     classifier: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "classifier", _frozen(self.classifier))
-        layers = tuple((_frozen(w), _frozen(b)) for w, b in self.mask_head)
+        object.__setattr__(self, "classifier", _frozen(self.classifier, np.float64))
+        layers = tuple((_frozen(w, np.float64), _frozen(b, np.float64))
+                       for w, b in self.mask_head)
         object.__setattr__(self, "mask_head", layers)
         if len(layers) != 3:
             raise ValueError("mask head must have exactly 3 layers")

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -125,6 +126,44 @@ class TestHungarian:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             hungarian([[np.nan, 1.0]])
+
+    def test_dense_tie_graph_needs_no_deep_recursion(self):
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        matrix = np.random.default_rng(0).integers(0, 2, (400, 400)).astype(float)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            a = hungarian(matrix)
+        finally:
+            sys.setrecursionlimit(limit)
+        rows, cols = linear_sum_assignment(matrix)
+        assert a.total_cost == matrix[rows, cols].sum()
+
+    @pytest.mark.parametrize("shape", [(12, 16), (30, 40)])
+    @pytest.mark.parametrize("low, high", [(0, 3), (-3, 3)])
+    def test_lexicographic_rule_above_brute_force_guard(self, shape, low, high):
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+
+        def optimum(matrix):
+            rows, cols = linear_sum_assignment(matrix)
+            return matrix[rows, cols].sum()
+
+        # integer entries keep every sum exact, so equality is the tie test
+        rng = np.random.default_rng(6)
+        nr, nc = shape
+        for _ in range(4):
+            matrix = rng.integers(low, high + 1, shape).astype(float)
+            target = optimum(matrix)
+            free, fixed, expected = list(range(nc)), 0.0, []
+            for r in range(nr):
+                for c in free:
+                    rest = matrix[r + 1:][:, [k for k in free if k != c]]
+                    if fixed + matrix[r, c] + optimum(rest) == target:
+                        break
+                expected.append((r, c))
+                fixed += matrix[r, c]
+                free.remove(c)
+            assert hungarian(matrix).pairs == tuple(expected)
 
 
 class TestBruteForce:

@@ -70,6 +70,13 @@ class TestGen:
         assert code == 1
         assert "frobnicate" in capsys.readouterr().err
 
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "five.json"
+        cfg.write_text("5")
+        code = main(["gen", str(cfg), "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        assert "config must be an object" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["gen", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.json")])
@@ -126,6 +133,17 @@ class TestAssign:
                      "--out-prefix", str(tmp_path / "x")])
         assert code == 2
 
+    def test_nan_class_probability_fails_validation(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path, clips=2)
+        doc = json.loads(corpus.read_text())
+        doc["clips"][0]["pred"][1]["class_probs"][0][0] = float("nan")
+        corpus.write_text(json.dumps(doc))
+        code = main(["assign", str(corpus), "--out-prefix", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "clip 0 pred[1] frame 0: non-finite class probability" in err
+
     def test_corpus_without_predictions_fails(self, tmp_path, capsys):
         doc = json.loads((CONFIG_DIR / "small.json").read_text())
         doc["noise"] = None
@@ -149,6 +167,17 @@ class TestEnhance:
         assert main(["enhance", "--demo", str(cfg), "--out", str(out)]) == 0
         trace = json.loads(out.read_text())
         assert trace["plain"] == trace["ste"]
+
+    @pytest.mark.parametrize("field, value", [("threshold", "abc"), ("threshold", 1.5),
+                                              ("n_heads", 0), ("n_fq", 0)])
+    def test_bad_demo_value_fails(self, tmp_path, capsys, field, value):
+        doc = json.loads((CONFIG_DIR / "enhance.json").read_text())
+        doc[field] = value
+        cfg = tmp_path / "demo.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["enhance", "--demo", str(cfg), "--out", str(tmp_path / "t.json")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_golden_byte_equality(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

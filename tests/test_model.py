@@ -91,6 +91,20 @@ class TestValidate:
         violations = validate(Corpus(spec=spec, clips=(clip,), seed=0))
         assert any("empty" in v.rule for v in violations)
 
+    @pytest.mark.parametrize("field, rule", [("class_probs", "non-finite class"),
+                                             ("mask_probs", "non-finite mask")])
+    def test_nan_probability_names_clip_track_and_frame(self, field, rule):
+        spec = small_spec()
+        pred = make_pred(spec)
+        arrays = {"class_probs": np.array(pred.class_probs),
+                  "mask_probs": np.array(pred.mask_probs)}
+        arrays[field][2].flat[0] = np.nan
+        clip = Clip(gt=(make_gt(spec),),
+                    pred=(make_pred(spec, seed=1), PredictionTrack(**arrays)))
+        violations = validate(Corpus(spec=spec, clips=(clip,), seed=0))
+        assert [(v.clip, v.kind, v.track, v.frame) for v in violations] == [(0, "pred", 1, 2)]
+        assert rule in violations[0].rule
+
     def test_validate_is_idempotent(self):
         spec = small_spec()
         clip = Clip(gt=(make_gt(spec),), pred=(make_pred(spec),))
