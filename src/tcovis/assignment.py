@@ -21,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from .cost import LossWeights, frame_matching_cost, global_matching_cost
+from .cost import LossWeights, global_matching_cost, matching_cost_matrix
 from .model import Assignment
 
 BRUTE_FORCE_MAX_ROWS = 8
@@ -234,11 +234,7 @@ def build_global_cost_matrix(gt_tracks, pred_tracks, weights: LossWeights) -> np
     n_gt, n_slots = len(gt_tracks), len(pred_tracks)
     if n_gt > n_slots:
         raise ValueError(f"{n_gt} ground-truth tracks exceed {n_slots} prediction slots")
-    matrix = np.empty((n_gt, n_slots), dtype=np.float64)
-    for g, gt in enumerate(gt_tracks):
-        for s, pred in enumerate(pred_tracks):
-            matrix[g, s] = global_matching_cost(gt, pred, weights)
-    return matrix
+    return matching_cost_matrix(gt_tracks, pred_tracks, weights)
 
 
 def global_instance_assignment(gt_tracks, pred_tracks, weights: LossWeights) -> Assignment:
@@ -253,14 +249,17 @@ def _first_frame(track) -> int:
     return int(present[0])
 
 
-def locpro_assignment(gt_tracks, pred_tracks, weights: LossWeights) -> Assignment:
+def locpro_assignment(gt_tracks, pred_tracks, weights: LossWeights,
+                      global_costs=None) -> Assignment:
     """Local match-and-propagate baseline.
 
     Objects are matched by frame-level cost at their first visible frame,
     earliest frames first; each stage only considers still-unmatched slots,
     and matched identities persist for the rest of the clip. The returned
     total is the whole-clip cost of the resulting pairs, so it is directly
-    comparable with the global strategy.
+    comparable with the global strategy. It is read from `global_costs`,
+    the clip's ``build_global_cost_matrix``, which is built here when the
+    caller does not pass it in.
     """
     n_gt, n_slots = len(gt_tracks), len(pred_tracks)
     if n_gt > n_slots:
@@ -270,10 +269,8 @@ def locpro_assignment(gt_tracks, pred_tracks, weights: LossWeights) -> Assignmen
     pairs = []
     for t in sorted(set(first)):
         rows = [g for g in range(n_gt) if first[g] == t]
-        stage = np.empty((len(rows), len(free_slots)), dtype=np.float64)
-        for ri, g in enumerate(rows):
-            for ci, s in enumerate(free_slots):
-                stage[ri, ci] = frame_matching_cost(gt_tracks[g], pred_tracks[s], t, weights)
+        stage = matching_cost_matrix([gt_tracks[g] for g in rows],
+                                     [pred_tracks[s] for s in free_slots], weights, frame=t)
         local = hungarian(stage)
         taken = [free_slots[ci] for _, ci in local.pairs]
         for ri, ci in local.pairs:
@@ -281,10 +278,13 @@ def locpro_assignment(gt_tracks, pred_tracks, weights: LossWeights) -> Assignmen
         for s in taken:
             free_slots.remove(s)
     pairs.sort()
-    total = 0.0
-    for g, s in pairs:
-        total += global_matching_cost(gt_tracks[g], pred_tracks[s], weights)
-    return Assignment(pairs=tuple(pairs), total_cost=total)
+    if global_costs is None:
+        global_costs = build_global_cost_matrix(gt_tracks, pred_tracks, weights)
+    elif np.shape(global_costs) != (n_gt, n_slots):
+        raise ValueError(f"global cost matrix has shape {np.shape(global_costs)}, "
+                         f"expected {(n_gt, n_slots)}")
+    return Assignment(pairs=tuple(pairs),
+                      total_cost=_pairs_total(global_costs, [s for _, s in pairs]))
 
 
 def assignment_total_global_cost(assignment: Assignment, gt_tracks, pred_tracks,

@@ -107,8 +107,11 @@ def _load_run_config(path) -> dict:
         weights = LossWeights(**_checked_section(
             "weights", doc.get("weights", {}),
             {"lambda_cls", "lambda_bce", "lambda_dice"}))
+        clips = int(doc["clips"])
+        if clips < 1:
+            raise ValueError(f"clips must be >= 1, got {doc['clips']}")
         return {"spec": spec, "scene": scene, "noise": noise, "weights": weights,
-                "seed": int(doc["seed"]), "clips": int(doc["clips"]),
+                "seed": int(doc["seed"]), "clips": clips,
                 "threads": int(doc.get("threads", 1))}
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from None

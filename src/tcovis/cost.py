@@ -6,6 +6,17 @@ cost uses the clip-averaged class probability and the full T-frame mask
 stacks. The overall loss sums the global cost over matched pairs and
 supervises unmatched prediction slots toward the no-object class.
 
+``matching_cost_matrix`` is the one implementation of the matching cost:
+it scores every (ground truth, prediction slot) pair of a clip at once,
+for the whole clip or for one frame. It stacks each slot's soft masks
+once, takes their logs and mass sums once, and then reduces one ground-
+truth row against all slots with the same elementwise terms and the same
+numpy per-row pairwise sums as ``bce_cost`` and ``dice_cost``, so every
+entry is bit-identical to those primitives. A matmul would sum in another
+order and move costs by a few ULPs, which can flip exactly tied pairs.
+``global_matching_cost`` and ``frame_matching_cost`` are its 1x1 views;
+``ce_cost``, ``bce_cost`` and ``dice_cost`` stay the independent primitives.
+
 All arithmetic is float64. Log arguments are clamped to [eps, 1] so every
 cost is finite and exactly nonnegative, including at perfect predictions.
 """
@@ -77,23 +88,69 @@ def dice_cost(gt_masks, pred_masks, smooth: float = DICE_SMOOTH) -> float:
     return float(1.0 - (2.0 * overlap + smooth) / (mass + smooth))
 
 
+def matching_cost_matrix(gt_tracks, pred_tracks, weights: LossWeights,
+                         frame: int | None = None) -> np.ndarray:
+    """Matching cost of every (ground truth, prediction slot) pair.
+
+    Row g, column s holds the whole-clip cost of ``gt_tracks[g]`` against
+    ``pred_tracks[s]`` (clip-averaged class term, full mask stacks), or with
+    ``frame=t`` (0-based) the cost at frame t alone. Each entry equals
+    ``lambda_cls * ce_cost + lambda_bce * bce_cost + lambda_dice * dice_cost``
+    on that pair exactly, bit for bit.
+    """
+    gt_masks = [np.asarray(gt.masks) for gt in gt_tracks]
+    pred_masks = [np.asarray(pred.mask_probs) for pred in pred_tracks]
+    n_gt, n_slots = len(gt_masks), len(pred_masks)
+    if frame is not None and (gt_masks or pred_masks):
+        T = (gt_masks or pred_masks)[0].shape[0]
+        if not 0 <= frame < T:
+            raise ValueError(f"frame index {frame} out of range for T={T}")
+    if n_gt == 0 or n_slots == 0:
+        return np.empty((n_gt, n_slots), dtype=np.float64)
+
+    if frame is None:
+        probs = np.stack([average_class_prob(pred) for pred in pred_tracks])
+    else:
+        probs = np.stack([np.asarray(pred.class_probs[frame], dtype=np.float64)
+                          for pred in pred_tracks])
+    class_ids = [gt.class_id for gt in gt_tracks]
+    for class_id in class_ids:
+        if not 0 <= class_id < probs.shape[-1]:
+            raise ValueError(f"gt_class {class_id} out of range for {probs.shape[-1]} classes")
+    ce = _neg_log(probs[:, class_ids], EPS_LOG).T
+
+    shape = gt_masks[0].shape
+    for masks in gt_masks + pred_masks:
+        if masks.shape != shape:
+            raise ValueError(f"mask shapes differ: {shape} vs {masks.shape}")
+    cells = slice(None) if frame is None else frame
+    Y = np.stack([masks[cells].ravel() for masks in gt_masks]).astype(np.float64, copy=False)
+    P = np.stack([masks[cells].ravel() for masks in pred_masks]).astype(np.float64, copy=False)
+    A = _neg_log(P, EPS_LOG)
+    B = _neg_log(1.0 - P, EPS_LOG)
+    y_mass = Y.sum(axis=1)
+    p_mass = P.sum(axis=1)
+
+    out = np.empty((n_gt, n_slots), dtype=np.float64)
+    for g, y in enumerate(Y):
+        bce = (y * A + (1.0 - y) * B).mean(axis=1)
+        overlap = (y * P).sum(axis=1)
+        dice = 1.0 - (2.0 * overlap + DICE_SMOOTH) / ((y_mass[g] + p_mass) + DICE_SMOOTH)
+        out[g] = (weights.lambda_cls * ce[g] + weights.lambda_bce * bce
+                  + weights.lambda_dice * dice)
+    return out
+
+
 def frame_matching_cost(gt_track: GroundTruthTrack, pred_track: PredictionTrack,
                         t: int, weights: LossWeights) -> float:
     """Single-frame matching cost at frame index t (0-based)."""
-    T = gt_track.masks.shape[0]
-    if not 0 <= t < T:
-        raise ValueError(f"frame index {t} out of range for T={T}")
-    return (weights.lambda_cls * ce_cost(gt_track.class_id, pred_track.class_probs[t])
-            + weights.lambda_bce * bce_cost(gt_track.masks[t], pred_track.mask_probs[t])
-            + weights.lambda_dice * dice_cost(gt_track.masks[t], pred_track.mask_probs[t]))
+    return float(matching_cost_matrix([gt_track], [pred_track], weights, frame=t)[0, 0])
 
 
 def global_matching_cost(gt_track: GroundTruthTrack, pred_track: PredictionTrack,
                          weights: LossWeights) -> float:
     """Whole-clip matching cost: clip-averaged class term + full mask stacks."""
-    return (weights.lambda_cls * ce_cost(gt_track.class_id, average_class_prob(pred_track))
-            + weights.lambda_bce * bce_cost(gt_track.masks, pred_track.mask_probs)
-            + weights.lambda_dice * dice_cost(gt_track.masks, pred_track.mask_probs))
+    return float(matching_cost_matrix([gt_track], [pred_track], weights)[0, 0])
 
 
 def overall_loss(gt_tracks, pred_tracks, assignment: Assignment,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import global_instance_assignment, locpro_assignment
+from .assignment import build_global_cost_matrix, hungarian, locpro_assignment
 from .cost import LossWeights
 from .model import Corpus, GroundTruthTrack, PredictionTrack
 
@@ -220,9 +220,11 @@ def compute_ap(corpus: Corpus) -> EvalReport:
 
 def audit_clip(clip_index: int, gt_tracks, pred_tracks,
                weights: LossWeights) -> AuditRow:
-    """Compare the two strategies on one clip."""
-    gia = global_instance_assignment(gt_tracks, pred_tracks, weights)
-    locpro = locpro_assignment(gt_tracks, pred_tracks, weights)
+    """Compare the two strategies on one clip; both totals come from one
+    whole-clip cost matrix."""
+    costs = build_global_cost_matrix(gt_tracks, pred_tracks, weights)
+    gia = hungarian(costs)
+    locpro = locpro_assignment(gt_tracks, pred_tracks, weights, global_costs=costs)
     n_gt = len(gt_tracks)
     if n_gt:
         agreement = len(set(gia.pairs) & set(locpro.pairs)) / n_gt

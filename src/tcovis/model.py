@@ -185,10 +185,9 @@ def _check_gt(spec: ClipSpec, ci: int, ti: int, track: GroundTruthTrack, out: li
         out.append(Violation(ci, "gt", ti, None,
                              f"mask shape {masks.shape[1:]} != ({spec.h}, {spec.w})"))
         return
-    for t in range(spec.T):
-        frame = masks[t]
-        if not np.isin(frame, (0, 1)).all():
-            out.append(Violation(ci, "gt", ti, t, "mask entries not in {0, 1}"))
+    binary = np.isin(masks, (0, 1)).reshape(spec.T, -1).all(axis=1)
+    for t in np.flatnonzero(~binary).tolist():
+        out.append(Violation(ci, "gt", ti, t, "mask entries not in {0, 1}"))
     if not masks.any():
         out.append(Violation(ci, "gt", ti, None, "all frames empty"))
 
@@ -200,24 +199,32 @@ def _check_pred(spec: ClipSpec, ci: int, ti: int, track: PredictionTrack, out: l
         out.append(Violation(ci, "pred", ti, None,
                              f"class_probs shape {probs.shape} != ({spec.T}, {spec.K + 1})"))
     else:
-        for t in range(spec.T):
-            vec = probs[t]
-            if not np.isfinite(vec).all():
+        # each rule once over all frames; within a frame the first rule
+        # that fails is the one reported. Only finite rows reach the sum
+        # rule, so the others are zeroed rather than summed (inf - inf).
+        finite = np.isfinite(probs).all(axis=1)
+        negative = (probs < 0).any(axis=1)
+        sums = np.where(finite[:, None], probs, 0.0).sum(axis=1)
+        off_sum = np.abs(sums - 1.0) > PROB_SUM_TOL
+        for t in np.flatnonzero(~finite | negative | off_sum).tolist():
+            if not finite[t]:
                 out.append(Violation(ci, "pred", ti, t, "non-finite class probability"))
-            elif (vec < 0).any():
+            elif negative[t]:
                 out.append(Violation(ci, "pred", ti, t, "negative class probability"))
-            elif abs(float(vec.sum()) - 1.0) > PROB_SUM_TOL:
+            else:
                 out.append(Violation(ci, "pred", ti, t,
-                                     f"class probs sum to {float(vec.sum()):.12g}, not 1"))
+                                     f"class probs sum to {float(sums[t]):.12g}, not 1"))
     if masks.shape != (spec.T, spec.h, spec.w):
         out.append(Violation(ci, "pred", ti, None,
                              f"mask_probs shape {masks.shape} != ({spec.T}, {spec.h}, {spec.w})"))
     else:
-        for t in range(spec.T):
-            frame = masks[t]
-            if not np.isfinite(frame).all():
+        frames = masks.reshape(spec.T, -1)
+        finite = np.isfinite(frames).all(axis=1)
+        outside = ((frames < 0) | (frames > 1)).any(axis=1)
+        for t in np.flatnonzero(~finite | outside).tolist():
+            if not finite[t]:
                 out.append(Violation(ci, "pred", ti, t, "non-finite mask probability"))
-            elif (frame < 0).any() or (frame > 1).any():
+            else:
                 out.append(Violation(ci, "pred", ti, t, "mask probabilities outside [0, 1]"))
 
 

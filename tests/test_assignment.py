@@ -274,6 +274,18 @@ class TestStrategies:
         assert frame_matching_cost(gts[1], preds[1], 2, w) < \
             frame_matching_cost(gts[1], preds[2], 2, w)
 
+    def test_locpro_total_reads_given_whole_clip_matrix(self):
+        rng = np.random.default_rng(14)
+        gts, preds = random_tracks(rng, n_gt=3, n_slots=5)
+        w = LossWeights()
+        costs = build_global_cost_matrix(gts, preds, w)
+        own = locpro_assignment(gts, preds, w)
+        shared = locpro_assignment(gts, preds, w, global_costs=costs)
+        assert agree(own, shared)
+        assert own.total_cost == assignment_total_global_cost(own, gts, preds, w)
+        with pytest.raises(ValueError, match="shape"):
+            locpro_assignment(gts, preds, w, global_costs=costs[:, :4])
+
     def test_locpro_rejects_empty_track(self):
         T, h, w_ = 3, 8, 8
         empty = GroundTruthTrack(class_id=0, masks=np.zeros((T, h, w_), np.uint8))

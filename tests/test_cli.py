@@ -77,6 +77,14 @@ class TestGen:
         assert code == 1
         assert "config must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("clips", [0, -2])
+    def test_non_positive_clip_count_rejected(self, tmp_path, capsys, clips):
+        cfg = write_config(tmp_path, clips=clips)
+        out = tmp_path / "x.json"
+        assert main(["gen", str(cfg), "--out", str(out)]) == 1
+        assert "error: clips must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["gen", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.json")])

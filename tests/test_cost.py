@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from tcovis import assignment
 from tcovis.cost import (LossWeights, average_class_prob, bce_cost, ce_cost,
                          dice_cost, frame_matching_cost, global_matching_cost,
-                         mask_loss_grad, overall_loss)
+                         mask_loss_grad, matching_cost_matrix, overall_loss)
 from tcovis.model import Assignment, GroundTruthTrack, PredictionTrack
 
 EPS = 1e-12
@@ -228,6 +229,142 @@ class TestGlobalMatchingCost:
             gt, pred = random_pair(rng)
             value = global_matching_cost(gt, pred, w)
             assert np.isfinite(value) and value >= 0.0
+
+
+def direct_cost(gt, pred, w, frame=None):
+    """The matching cost of one pair, composed from the three primitives."""
+    if frame is None:
+        return (w.lambda_cls * ce_cost(gt.class_id, average_class_prob(pred))
+                + w.lambda_bce * bce_cost(gt.masks, pred.mask_probs)
+                + w.lambda_dice * dice_cost(gt.masks, pred.mask_probs))
+    return (w.lambda_cls * ce_cost(gt.class_id, pred.class_probs[frame])
+            + w.lambda_bce * bce_cost(gt.masks[frame], pred.mask_probs[frame])
+            + w.lambda_dice * dice_cost(gt.masks[frame], pred.mask_probs[frame]))
+
+
+def saturated_tracks(rng, n_gt, n_slots, T, h, w, K=3):
+    """Random tracks whose soft masks and class vectors hold exact 0.0 and
+    1.0 entries, one slot copying a ground-truth stack, and ground truth
+    with empty frames."""
+    gts = []
+    for _ in range(n_gt):
+        masks = (rng.random((T, h, w)) < rng.uniform(0.1, 0.6)).astype(np.uint8)
+        masks[rng.random(T) < 0.3] = 0
+        gts.append(GroundTruthTrack(class_id=int(rng.integers(K)), masks=masks))
+    preds = []
+    for s in range(n_slots):
+        probs = rng.random((T, K + 1))
+        probs[rng.random((T, K + 1)) < 0.2] = 0.0
+        probs[probs.sum(axis=1) == 0.0, K] = 1.0
+        probs[0] = np.eye(K + 1)[s % (K + 1)]
+        probs /= probs.sum(axis=1, keepdims=True)
+        soft = rng.random((T, h, w))
+        cut = rng.random((T, h, w))
+        soft[cut < 0.2] = 0.0
+        soft[cut > 0.8] = 1.0
+        if s == 0:
+            soft = gts[0].masks.astype(np.float64)
+        preds.append(PredictionTrack(class_probs=probs, mask_probs=soft))
+    return gts, preds
+
+
+class TestMatchingCostMatrix:
+    # 1, 30, 432 and 8192 cells: below, inside and across numpy's
+    # pairwise-summation blocks
+    @pytest.mark.parametrize("T, h, w", [(1, 1, 1), (2, 3, 5), (3, 12, 12), (8, 32, 32)])
+    def test_bit_identical_to_primitives(self, T, h, w):
+        rng = np.random.default_rng(T * h * w)
+        gts, preds = saturated_tracks(rng, n_gt=3, n_slots=5, T=T, h=h, w=w)
+        for weights in (LossWeights(), LossWeights(1.3, 4.7, 0.9)):
+            for frame in [None, *range(T)]:
+                matrix = matching_cost_matrix(gts, preds, weights, frame=frame)
+                assert matrix.shape == (3, 5)
+                expected = [[direct_cost(gt, pred, weights, frame) for pred in preds]
+                            for gt in gts]
+                assert matrix.tolist() == expected
+
+    def test_scalar_costs_are_one_by_one_views(self):
+        rng = np.random.default_rng(30)
+        gts, preds = saturated_tracks(rng, n_gt=2, n_slots=3, T=3, h=4, w=5)
+        w = LossWeights()
+        whole = matching_cost_matrix(gts, preds, w)
+        at_one = matching_cost_matrix(gts, preds, w, frame=1)
+        for g, gt in enumerate(gts):
+            for s, pred in enumerate(preds):
+                assert global_matching_cost(gt, pred, w) == whole[g, s]
+                assert frame_matching_cost(gt, pred, 1, w) == at_one[g, s]
+
+    def test_locpro_stage_matrices_match_per_pair_frame_costs(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        T = 5
+        gts, preds = saturated_tracks(rng, n_gt=5, n_slots=7, T=T, h=6, w=7)
+        for g, first in enumerate([0, 2, 2, 3, 0]):
+            masks = np.array(gts[g].masks)
+            masks[:first] = 0
+            masks[first, 0, 0] = 1
+            gts[g] = GroundTruthTrack(class_id=gts[g].class_id, masks=masks)
+        stages = []
+        real_hungarian = assignment.hungarian
+
+        def recording_hungarian(matrix):
+            result = real_hungarian(matrix)
+            stages.append((np.array(matrix), result))
+            return result
+
+        monkeypatch.setattr(assignment, "hungarian", recording_hungarian)
+        w = LossWeights()
+        assignment.locpro_assignment(gts, preds, w)
+
+        assert len(stages) == 3
+        free = list(range(len(preds)))
+        for t, (matrix, result) in zip((0, 2, 3), stages):
+            rows = [g for g, gt in enumerate(gts) if np.flatnonzero(
+                gt.masks.reshape(T, -1).any(axis=1))[0] == t]
+            expected = [[direct_cost(gts[g], preds[s], w, frame=t) for s in free]
+                        for g in rows]
+            assert matrix.tolist() == expected
+            taken = [free[ci] for _, ci in result.pairs]
+            free = [s for s in free if s not in taken]
+
+    @pytest.mark.parametrize("class_id", [4, -1])
+    @pytest.mark.parametrize("frame", [None, 0])
+    def test_rejects_out_of_range_class(self, class_id, frame):
+        rng = np.random.default_rng(32)
+        gt, pred = random_pair(rng)
+        bad = GroundTruthTrack(class_id=class_id, masks=gt.masks)
+        message = f"gt_class {class_id} out of range for 4 classes"
+        with pytest.raises(ValueError, match=message):
+            ce_cost(class_id, pred.class_probs[0])
+        with pytest.raises(ValueError, match=message):
+            matching_cost_matrix([gt, bad], [pred], LossWeights(), frame=frame)
+
+    @pytest.mark.parametrize("frame", [None, 0])
+    def test_rejects_mask_shape_mismatch(self, frame):
+        rng = np.random.default_rng(33)
+        gt, pred = random_pair(rng)
+        narrow = PredictionTrack(class_probs=pred.class_probs,
+                                 mask_probs=pred.mask_probs[:, :, :5])
+        with pytest.raises(ValueError, match="mask shapes differ"):
+            matching_cost_matrix([gt], [pred, narrow], LossWeights(), frame=frame)
+
+    @pytest.mark.parametrize("frame", [-1, 3])
+    def test_rejects_frame_outside_clip(self, frame):
+        rng = np.random.default_rng(34)
+        gt, pred = random_pair(rng)
+        message = f"frame index {frame} out of range for T=3"
+        with pytest.raises(ValueError, match=message):
+            frame_matching_cost(gt, pred, frame, LossWeights())
+        with pytest.raises(ValueError, match=message):
+            matching_cost_matrix([gt], [pred], LossWeights(), frame=frame)
+
+    @pytest.mark.parametrize("frame", [None, 1])
+    def test_empty_side_gives_empty_matrix(self, frame):
+        rng = np.random.default_rng(35)
+        gt, pred = random_pair(rng)
+        w = LossWeights()
+        assert matching_cost_matrix([], [pred, pred], w, frame=frame).shape == (0, 2)
+        assert matching_cost_matrix([gt, gt, gt], [], w, frame=frame).shape == (3, 0)
+        assert matching_cost_matrix([], [], w, frame=frame).shape == (0, 0)
 
 
 class TestOverallLoss:

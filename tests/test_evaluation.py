@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tcovis.assignment import global_instance_assignment, locpro_assignment
 from tcovis.cost import LossWeights
 from tcovis.evaluation import (IOU_THRESHOLDS, audit_assignments, audits_to_csv,
                                compute_ap, predicted_label, prediction_score,
@@ -195,6 +196,17 @@ class TestAudit:
                                  8, seed=9)
         for row in audit_assignments(corpus, LossWeights()):
             assert row.gia_cost <= row.locpro_cost + 1e-9
+
+    def test_rows_equal_the_standalone_strategies(self):
+        cfg = SceneConfig(spec=SPEC, n_objects=(2, 3), size=(2, 3))
+        corpus = generate_corpus(cfg, NoiseConfig(swap_mode="early_swap",
+                                                  swap_frame=2), 4, seed=11)
+        w = LossWeights()
+        for clip, row in zip(corpus.clips, audit_assignments(corpus, w)):
+            gia = global_instance_assignment(clip.gt, clip.pred, w)
+            locpro = locpro_assignment(clip.gt, clip.pred, w)
+            assert (row.gia_pairs, row.gia_cost) == (gia.pairs, gia.total_cost)
+            assert (row.locpro_pairs, row.locpro_cost) == (locpro.pairs, locpro.total_cost)
 
     def test_csv_emission(self):
         cfg = SceneConfig(spec=SPEC, n_objects=(2, 2), size=(2, 3))

@@ -105,6 +105,30 @@ class TestValidate:
         assert [(v.clip, v.kind, v.track, v.frame) for v in violations] == [(0, "pred", 1, 2)]
         assert rule in violations[0].rule
 
+    def test_frame_rules_keep_precedence_and_frame_order(self):
+        spec = small_spec(T=4)
+        pred = make_pred(spec)
+        probs, masks = np.array(pred.class_probs), np.array(pred.mask_probs)
+        probs[0, 0], probs[0, 1] = np.inf, -0.5      # non-finite beats negative
+        probs[1, 0] = -0.1                           # negative beats the sum
+        probs[3] *= 1.5
+        masks[0, 0, 0], masks[0, 1, 1] = -0.2, np.nan
+        masks[2, 3, 3] = 1.5
+        gt = np.array(make_gt(spec).masks)
+        gt[1, 0, 0], gt[3, 1, 1] = 2, 7
+        clip = Clip(gt=(GroundTruthTrack(class_id=0, masks=gt),),
+                    pred=(PredictionTrack(class_probs=probs, mask_probs=masks),))
+        violations = validate(Corpus(spec=spec, clips=(clip,), seed=0))
+        assert [(v.kind, v.frame, v.rule) for v in violations] == [
+            ("gt", 1, "mask entries not in {0, 1}"),
+            ("gt", 3, "mask entries not in {0, 1}"),
+            ("pred", 0, "non-finite class probability"),
+            ("pred", 1, "negative class probability"),
+            ("pred", 3, f"class probs sum to {float(probs[3].sum()):.12g}, not 1"),
+            ("pred", 0, "non-finite mask probability"),
+            ("pred", 2, "mask probabilities outside [0, 1]"),
+        ]
+
     def test_validate_is_idempotent(self):
         spec = small_spec()
         clip = Clip(gt=(make_gt(spec),), pred=(make_pred(spec),))
