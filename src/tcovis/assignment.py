@@ -1,13 +1,16 @@
 """Optimal bipartite assignment and the two supervision strategies.
 
 ``hungarian`` solves the rectangular linear assignment problem with a
-dense shortest-augmenting-path solver that maintains dual potentials,
-then refines ties so the returned pair list is the lexicographically
-smallest one among all optimal assignments: zero-cost dummy rows square
-the problem, and each row in turn takes the smallest column that one
-alternating path over the tight edges of the optimal duals can clear for
-it. ``brute_force_assign`` is the independent oracle: exhaustive
-enumeration under a factorial guard, with the same tie rule.
+dense shortest-augmenting-path solver that maintains dual potentials.
+It starts warm, as the start phase of Jonker & Volgenant's LAPJV does:
+each row takes its first free column at its row minimum, and only the
+rows left unmatched run a Dijkstra search. It then refines ties so the
+returned pair list is the lexicographically smallest one among all
+optimal assignments: zero-cost dummy rows square the problem, and each
+row in turn takes the smallest column that one alternating path over the
+tight edges of the optimal duals can clear for it. ``brute_force_assign``
+is the independent oracle: exhaustive enumeration under a factorial
+guard, with the same tie rule.
 
 ``global_instance_assignment`` matches ground truth to prediction slots
 on whole-clip costs; ``locpro_assignment`` is the local-matching baseline
@@ -51,54 +54,67 @@ def _sap_solve(cost: np.ndarray):
     """Shortest-augmenting-path LAP solve for rows <= cols.
 
     Returns (col4row, u, v) where the dual potentials satisfy
-    cost[i, j] - u[i] - v[j] >= 0 with equality on matched edges.
+    cost[i, j] - u[i] - v[j] >= 0 with equality on matched edges, v == 0
+    on free columns and v <= 0 elsewhere.
+
+    It starts like Jonker & Volgenant (1987): u holds the row minima, v = 0,
+    and each row in turn takes its first free column at its minimum; only
+    the rows left unmatched run a Dijkstra search. Columns are not reduced,
+    which keeps v == 0 on free columns for `_lexicographic_pairs`. A search
+    reads a copy of v with every closed column at -inf, so a closed
+    column's reduced distance is +inf and it never competes again; the
+    dual update touches only the rows scanned and the columns closed.
     """
     nr, nc = cost.shape
-    u = np.zeros(nr)
+    u = cost.min(axis=1)
     v = np.zeros(nc)
-    col4row = np.full(nr, -1, dtype=np.int64)
-    row4col = np.full(nc, -1, dtype=np.int64)
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for r, j in enumerate(cost.argmin(axis=1).tolist()):
+        if row4col[j] != -1:
+            j = next((k for k in np.flatnonzero(cost[r] == u[r]).tolist()
+                      if row4col[k] == -1), -1)
+            if j == -1:
+                continue
+        col4row[r] = j
+        row4col[j] = r
 
-    for cur_row in range(nr):
+    path = np.empty(nc, dtype=np.int64)
+    d = np.empty(nc)
+    for cur_row in [r for r in range(nr) if col4row[r] == -1]:
         shortest = np.full(nc, np.inf)
-        path = np.full(nc, -1, dtype=np.int64)
-        on_path = np.zeros(nr, dtype=bool)
-        open_col = np.ones(nc, dtype=bool)
+        closed_v = v.copy()
+        rows, cols, dists = [cur_row], [], []
         min_val = 0.0
         i = cur_row
-        sink = -1
-        while sink == -1:
-            on_path[i] = True
-            d = (cost[i] + (min_val - u[i])) - v
-            better = (d < shortest) & open_col
+        while True:
+            np.add(cost[i], min_val - u[i], out=d)
+            d -= closed_v
+            better = d < shortest
             np.copyto(shortest, d, where=better)
             path[better] = i
-            masked = np.where(open_col, shortest, np.inf)
-            j = int(masked.argmin())
-            min_val = float(masked[j])
-            open_col[j] = False
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = int(row4col[j])
+            j = int(shortest.argmin())
+            min_val = float(shortest[j])
+            shortest[j] = np.inf
+            closed_v[j] = -np.inf
+            cols.append(j)
+            dists.append(min_val)
+            i = row4col[j]
+            if i == -1:
+                break
+            rows.append(i)
 
         u[cur_row] += min_val
-        others = on_path.copy()
-        others[cur_row] = False
-        rows = np.flatnonzero(others)
-        if rows.size:
-            u[rows] += min_val - shortest[col4row[rows]]
-        scanned = ~open_col
-        v[scanned] -= min_val - shortest[scanned]
+        u[rows[1:]] += min_val - np.array(dists[:-1])
+        v[cols] -= min_val - np.array(dists)
 
-        j = sink
         while True:
             i = int(path[j])
             row4col[j] = i
             col4row[i], j = j, col4row[i]
             if i == cur_row:
                 break
-    return col4row, u, v
+    return np.array(col4row, dtype=np.int64), u, v
 
 
 def _lexicographic_pairs(cost: np.ndarray, col4row: np.ndarray,

@@ -48,6 +48,30 @@ def video_iou(gt: GroundTruthTrack, pred: PredictionTrack,
     return inter / union
 
 
+def video_iou_table(gt_tracks, pred_tracks, threshold: float = MASK_BINARIZE) -> np.ndarray:
+    """``video_iou`` of every (ground truth, slot) pair of a clip, as an
+    (n_gt, n_slots) array.
+
+    Each track is binarized once and the intersection counts come from one
+    0/1 float64 matmul. The counts are whole numbers below 2**53, so they
+    are exact, and every entry equals ``video_iou``'s bit for bit.
+    """
+    table = np.zeros((len(gt_tracks), len(pred_tracks)))
+    if not table.size:
+        return table
+    y = [np.asarray(gt.masks).astype(bool) for gt in gt_tracks]
+    p = [np.asarray(pred.mask_probs) >= threshold for pred in pred_tracks]
+    for mask in y[1:] + p:
+        if mask.shape != y[0].shape:
+            raise ValueError(f"mask shapes differ: {y[0].shape} vs {mask.shape}")
+    y = np.stack(y).reshape(len(y), -1).astype(np.float64)
+    p = np.stack(p).reshape(len(p), -1).astype(np.float64)
+    inter = y @ p.T
+    union = y.sum(axis=1)[:, None] + p.sum(axis=1)[None, :] - inter
+    np.divide(inter, union, out=table, where=union != 0.0)
+    return table
+
+
 def prediction_score(track: PredictionTrack) -> float:
     """Confidence of a slot: 1 - mean no-object probability over frames."""
     return float(1.0 - np.asarray(track.class_probs)[:, -1].mean())
@@ -132,11 +156,11 @@ def _gather(corpus: Corpus):
         clip_key = _clip_digest(clip)
         for gi, gt in enumerate(clip.gt):
             gt_census.setdefault(int(gt.class_id), []).append((ci, gi))
+        ious = video_iou_table(clip.gt, clip.pred)
         for si, pred in enumerate(clip.pred):
-            ious = np.array([video_iou(gt, pred) for gt in clip.gt])
             detections.append({"score": prediction_score(pred), "clip": ci,
                                "slot": si, "label": predicted_label(pred),
-                               "ious": ious, "clip_key": clip_key,
+                               "ious": ious[:, si], "clip_key": clip_key,
                                "slot_key": _slot_digest(pred)})
     return detections, gt_census
 

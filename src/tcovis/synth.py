@@ -257,11 +257,15 @@ def generate_corpus(scene: SceneConfig, noise: NoiseConfig | None, n_clips: int,
     clips = []
     for index in clip_indices:
         clips.append(build_clip(scene, noise, seed, index))
-    generator = {"name": GENERATOR_NAME, "scene": scene.to_dict(),
-                 "noise": noise.to_dict() if noise is not None else None,
-                 "clips": int(n_clips)}
     return Corpus(spec=scene.spec, clips=tuple(clips), seed=int(seed),
-                  generator=generator)
+                  generator=corpus_header(scene, noise, n_clips))
+
+
+def corpus_header(scene: SceneConfig, noise: NoiseConfig | None, n_clips: int) -> dict:
+    """The ``generator`` header of a corpus: what made its clips."""
+    return {"name": GENERATOR_NAME, "scene": scene.to_dict(),
+            "noise": noise.to_dict() if noise is not None else None,
+            "clips": int(n_clips)}
 
 
 def build_clip(scene: SceneConfig, noise: NoiseConfig | None, seed: int,

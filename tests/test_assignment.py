@@ -4,9 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from tcovis.assignment import (assignment_total_global_cost, brute_force_assign,
-                               build_global_cost_matrix, global_instance_assignment,
-                               hungarian, locpro_assignment)
+from tcovis.assignment import (_sap_solve, assignment_total_global_cost,
+                               brute_force_assign, build_global_cost_matrix,
+                               global_instance_assignment, hungarian, locpro_assignment)
 from tcovis.cost import LossWeights, frame_matching_cost, global_matching_cost
 from tcovis.model import Assignment, GroundTruthTrack, PredictionTrack
 
@@ -164,6 +164,39 @@ class TestHungarian:
                 fixed += matrix[r, c]
                 free.remove(c)
             assert hungarian(matrix).pairs == tuple(expected)
+
+
+def _sap_cases():
+    rng = np.random.default_rng(15)
+    tied = rng.uniform(0, 10, (30, 40))
+    tied[:, [3, 7, 8, 21]] = 4.0
+    return {
+        "uniform floats": rng.uniform(0, 10, (30, 40)),
+        "tie-heavy integers": rng.integers(0, 4, (30, 40)).astype(float),
+        "tied-column floats": tied,
+        # every row's minimum in its own column: the warm start matches all
+        "permutation": 1.0 - np.eye(25)[rng.permutation(25)],
+        # every row the same: the warm start matches one row only
+        "constant columns": np.tile(rng.uniform(-5, 5, 30), (20, 1)),
+    }
+
+
+class TestSapDuals:
+    @pytest.mark.parametrize("name", sorted(_sap_cases()))
+    def test_duals_certify_the_matching(self, name):
+        cost = _sap_cases()[name]
+        col4row, u, v = _sap_solve(cost)
+        nr, nc = cost.shape
+        tol = 1e-9 * max(1.0, float(np.abs(cost).max()))
+        assert len(set(col4row.tolist())) == nr
+        reduced = cost - u[:, None] - v[None, :]
+        assert reduced.min() >= -tol
+        assert np.abs(reduced[np.arange(nr), col4row]).max() <= tol
+        free = np.setdiff1d(np.arange(nc), col4row)
+        assert (v[free] == 0.0).all() and (v <= 0.0).all()
+        if name == "permutation":
+            # no search ran: the duals are still the warm start's
+            assert (u == cost.min(axis=1)).all() and (v == 0.0).all()
 
 
 class TestBruteForce:

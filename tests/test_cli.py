@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tcovis import ste
-from tcovis.cli import main
-from tcovis.model import load_corpus, validate
+from tcovis import ste, synth
+from tcovis.cli import _load_run_config, main
+from tcovis.model import load_corpus, save_corpus, validate
 from tcovis.rng import stream
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -46,6 +46,16 @@ class TestGen:
         line_b = capsys.readouterr().out
         assert line_a.split("sha256=")[1] == line_b.split("sha256=")[1]
         assert first.read_bytes() == second.read_bytes()
+
+    def test_matches_library_corpus(self, tmp_path):
+        cfg_path = write_config(tmp_path, clips=2)
+        out = tmp_path / "cli.json"
+        assert main(["gen", str(cfg_path), "--out", str(out)]) == 0
+        cfg = _load_run_config(cfg_path)
+        library = tmp_path / "library.json"
+        save_corpus(synth.generate_corpus(cfg["scene"], cfg["noise"], cfg["clips"],
+                                          cfg["seed"]), library)
+        assert out.read_bytes() == library.read_bytes()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, clips=2)
@@ -263,6 +273,13 @@ class TestBench:
         assert lines[0] == "size,hungarian_ms,cost_matrix_ms"
         assert len(lines) == 3
         assert lines[1].startswith("5,") and lines[2].startswith("10,")
+
+    def test_reports_tie_heavy_solve(self, tmp_path, capsys):
+        assert main(["bench", "--sizes", "5", "--repeats", "1",
+                     "--out", str(tmp_path / "bench.csv")]) == 0
+        fields = dict(part.split("=", 1) for part in capsys.readouterr().out.split())
+        assert float(fields["ties_100x120_ms"]) > 0.0
+        assert float(fields["budget_100x120_ms"]) > 0.0
 
     def test_malformed_sizes_is_usage_error(self, tmp_path):
         assert main(["bench", "--sizes", "5,ten",

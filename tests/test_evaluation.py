@@ -5,7 +5,7 @@ from tcovis.assignment import global_instance_assignment, locpro_assignment
 from tcovis.cost import LossWeights
 from tcovis.evaluation import (IOU_THRESHOLDS, audit_assignments, audits_to_csv,
                                compute_ap, predicted_label, prediction_score,
-                               video_iou)
+                               video_iou, video_iou_table)
 from tcovis.model import (Clip, ClipSpec, Corpus, GroundTruthTrack,
                           PredictionTrack)
 from tcovis.synth import NoiseConfig, SceneConfig, generate_corpus
@@ -55,6 +55,36 @@ class TestVideoIou:
         zeros = np.zeros((SPEC.T, SPEC.h, SPEC.w), np.uint8)
         gt = GroundTruthTrack(class_id=0, masks=zeros)
         assert video_iou(gt, hard_track(zeros, [1, 0, 0, 0])) == 0.0
+
+
+class TestVideoIouTable:
+    def test_entries_equal_video_iou(self):
+        corpus = generate_corpus(SceneConfig(spec=SPEC, n_objects=(3, 4)),
+                                 NoiseConfig(mask_jitter=0.1), 3, seed=17)
+        zeros = np.zeros((SPEC.T, SPEC.h, SPEC.w), np.uint8)
+        for clip in corpus.clips:
+            # an empty track on each side, so a zero union meets the 0.0 rule
+            gts = list(clip.gt) + [GroundTruthTrack(class_id=0, masks=zeros)]
+            preds = list(clip.pred) + [hard_track(zeros, [0, 0, 0, 1])]
+            table = video_iou_table(gts, preds)
+            assert table.shape == (len(gts), len(preds))
+            assert table[-1, -1] == 0.0
+            for g, gt in enumerate(gts):
+                for s, pred in enumerate(preds):
+                    assert table[g, s] == video_iou(gt, pred)
+
+    def test_empty_sides(self):
+        gt = GroundTruthTrack(class_id=0,
+                              masks=block_mask(SPEC.T, SPEC.h, SPEC.w, [(1, 1)]))
+        assert video_iou_table([gt], []).shape == (1, 0)
+        assert video_iou_table([], [hard_track(gt.masks, [1, 0, 0, 0])]).shape == (0, 1)
+
+    def test_mismatched_shapes_raise(self):
+        gt = GroundTruthTrack(class_id=0,
+                              masks=block_mask(SPEC.T, SPEC.h, SPEC.w, [(1, 1)]))
+        pred = hard_track(block_mask(SPEC.T - 1, SPEC.h, SPEC.w, [(1, 1)]), [1, 0, 0, 0])
+        with pytest.raises(ValueError, match="mask shapes differ"):
+            video_iou_table([gt], [pred])
 
 
 class TestScores:
