@@ -48,13 +48,25 @@ def video_iou(gt: GroundTruthTrack, pred: PredictionTrack,
     return inter / union
 
 
+# set bits of every 16-bit word
+_POPCOUNT = np.unpackbits(np.arange(1 << 16, dtype=np.uint16).view(np.uint8)).reshape(
+    -1, 16).sum(axis=1, dtype=np.uint8)
+
+
+def _packed_words(masks) -> np.ndarray:
+    """Binary masks of equal shape as rows of bit-packed 16-bit words."""
+    packed = np.packbits(np.stack(masks).reshape(len(masks), -1), axis=1)
+    return np.pad(packed, ((0, 0), (0, packed.shape[1] % 2))).view(np.uint16)
+
+
 def video_iou_table(gt_tracks, pred_tracks, threshold: float = MASK_BINARIZE) -> np.ndarray:
     """``video_iou`` of every (ground truth, slot) pair of a clip, as an
     (n_gt, n_slots) array.
 
-    Each track is binarized once and the intersection counts come from one
-    0/1 float64 matmul. The counts are whole numbers below 2**53, so they
-    are exact, and every entry equals ``video_iou``'s bit for bit.
+    Each track is binarized and bit-packed once; the intersection of a
+    pair is the table popcount of the AND of their packed words. The
+    counts are exact integers and go through no BLAS call, so every entry
+    equals ``video_iou``'s bit for bit.
     """
     table = np.zeros((len(gt_tracks), len(pred_tracks)))
     if not table.size:
@@ -64,11 +76,11 @@ def video_iou_table(gt_tracks, pred_tracks, threshold: float = MASK_BINARIZE) ->
     for mask in y[1:] + p:
         if mask.shape != y[0].shape:
             raise ValueError(f"mask shapes differ: {y[0].shape} vs {mask.shape}")
-    y = np.stack(y).reshape(len(y), -1).astype(np.float64)
-    p = np.stack(p).reshape(len(p), -1).astype(np.float64)
-    inter = y @ p.T
-    union = y.sum(axis=1)[:, None] + p.sum(axis=1)[None, :] - inter
-    np.divide(inter, union, out=table, where=union != 0.0)
+    y, p = _packed_words(y), _packed_words(p)
+    inter = np.stack([np.take(_POPCOUNT, row & p).sum(axis=1, dtype=np.int64) for row in y])
+    union = (np.take(_POPCOUNT, y).sum(axis=1, dtype=np.int64)[:, None]
+             + np.take(_POPCOUNT, p).sum(axis=1, dtype=np.int64)[None, :] - inter)
+    np.divide(inter, union, out=table, where=union != 0)
     return table
 
 
@@ -195,12 +207,10 @@ def _interpolated_ap(flags, n_gt: int) -> float:
     fp = np.cumsum([not f for f in flags], dtype=np.float64)
     recall = tp / n_gt
     precision = tp / np.maximum(tp + fp, 1.0)
-    interp = np.zeros_like(RECALL_POINTS)
-    for idx, r in enumerate(RECALL_POINTS):
-        mask = recall >= r
-        if mask.any():
-            interp[idx] = precision[mask].max()
-    return float(interp.mean())
+    # the precision envelope: best precision at this recall or beyond,
+    # read at the first detection that reaches each recall point
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    return float(envelope[np.searchsorted(recall, RECALL_POINTS)].mean())
 
 
 def compute_ap(corpus: Corpus) -> EvalReport:

@@ -185,7 +185,7 @@ def _check_gt(spec: ClipSpec, ci: int, ti: int, track: GroundTruthTrack, out: li
         out.append(Violation(ci, "gt", ti, None,
                              f"mask shape {masks.shape[1:]} != ({spec.h}, {spec.w})"))
         return
-    binary = np.isin(masks, (0, 1)).reshape(spec.T, -1).all(axis=1)
+    binary = ((masks == 0) | (masks == 1)).reshape(spec.T, -1).all(axis=1)
     for t in np.flatnonzero(~binary).tolist():
         out.append(Violation(ci, "gt", ti, t, "mask entries not in {0, 1}"))
     if not masks.any():
@@ -238,6 +238,10 @@ def validate(corpus: Corpus) -> list:
         for ti, track in enumerate(clip.gt):
             _check_gt(corpus.spec, ci, ti, track, out)
         if clip.pred is not None:
+            if len(clip.gt) > len(clip.pred):
+                out.append(Violation(ci, "gt", None, None,
+                                     f"{len(clip.gt)} ground-truth tracks exceed "
+                                     f"{len(clip.pred)} prediction slots"))
             for ti, track in enumerate(clip.pred):
                 _check_pred(corpus.spec, ci, ti, track, out)
     return out
@@ -253,7 +257,7 @@ def encode_mask_rle(mask) -> dict:
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {m.shape}")
-    if not np.isin(m, (0, 1)).all():
+    if not ((m == 0) | (m == 1)).all():
         raise ValueError("mask entries must be 0 or 1")
     h, w = m.shape
     flat = m.astype(np.uint8).ravel(order="F")
@@ -270,7 +274,7 @@ def decode_mask_rle(record: dict) -> np.ndarray:
     try:
         h, w = (int(v) for v in record["size"])
         counts = [int(c) for c in record["counts"]]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ValueError(f"malformed RLE record: {record!r}") from None
     if any(c < 0 for c in counts):
         raise ValueError("RLE counts must be nonnegative")
@@ -295,12 +299,15 @@ def decode_mask_rle(record: dict) -> np.ndarray:
 #                        "mask_probs": [[row-major h*w floats] x T]}.
 # ---------------------------------------------------------------------------
 
+def _gt_record(track: GroundTruthTrack) -> dict:
+    return {"class_id": int(track.class_id),
+            "masks": [encode_mask_rle(m) for m in track.masks]}
+
+
 def corpus_to_dict(corpus: Corpus) -> dict:
     clips = []
     for clip in corpus.clips:
-        gt = [{"class_id": int(track.class_id),
-               "masks": [encode_mask_rle(m) for m in track.masks]}
-              for track in clip.gt]
+        gt = [_gt_record(track) for track in clip.gt]
         pred = None
         if clip.pred is not None:
             pred = [{"class_probs": track.class_probs.tolist(),
@@ -314,26 +321,65 @@ def corpus_to_dict(corpus: Corpus) -> dict:
     return doc
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", (list, type(None)): "a list or null"}
+
+
+def _need(value, kind, where: str):
+    """Structural check of a loaded container: return `value` if it is a
+    `kind`, else raise ValueError naming the field."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{where} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _loaded_int(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{where} must be an integer, got {value!r}") from None
+
+
 def corpus_from_dict(doc: dict) -> Corpus:
+    """Build a Corpus from a loaded document. A wrong container type, per
+    clip and per track, raises ValueError naming the field; the values
+    themselves are left to :func:`validate`."""
+    _need(doc, dict, "corpus document")
     for field in ("spec", "seed", "clips"):
         if field not in doc:
             raise ValueError(f"corpus document is missing field {field!r}")
-    spec = ClipSpec.from_dict(doc["spec"])
+    spec = ClipSpec.from_dict(_need(doc["spec"], dict, "spec"))
     clips = []
-    for entry in doc["clips"]:
-        gt = [GroundTruthTrack(class_id=int(rec["class_id"]),
-                               masks=np.stack([decode_mask_rle(r) for r in rec["masks"]]))
-              for rec in entry["gt"]]
-        pred = None
-        if entry.get("pred") is not None:
-            pred = []
-            for rec in entry["pred"]:
-                probs = np.asarray(rec["class_probs"], dtype=np.float64)
-                frames = [np.asarray(row, dtype=np.float64).reshape(spec.h, spec.w)
-                          for row in rec["mask_probs"]]
-                pred.append(PredictionTrack(class_probs=probs, mask_probs=np.stack(frames)))
-        clips.append(Clip(gt=tuple(gt), pred=tuple(pred) if pred is not None else None))
-    return Corpus(spec=spec, clips=tuple(clips), seed=int(doc["seed"]),
+    for ci, entry in enumerate(_need(doc["clips"], list, "clips")):
+        _need(entry, dict, f"clip {ci}")
+        gt = []
+        for ti, rec in enumerate(_need(entry["gt"], list, f"clip {ci} gt")):
+            where = f"clip {ci} gt[{ti}]"
+            _need(rec, dict, where)
+            masks = _need(rec["masks"], list, f"{where} masks")
+            gt.append(GroundTruthTrack(class_id=_loaded_int(rec["class_id"], f"{where} class_id"),
+                                       masks=np.stack([decode_mask_rle(r) for r in masks])))
+        pred = _need(entry.get("pred"), (list, type(None)), f"clip {ci} pred")
+        if pred is not None:
+            tracks = []
+            for ti, rec in enumerate(pred):
+                where = f"clip {ci} pred[{ti}]"
+                _need(rec, dict, where)
+                probs = _need(rec["class_probs"], list, f"{where} class_probs")
+                rows = _need(rec["mask_probs"], list, f"{where} mask_probs")
+                # an object or a ragged list among the numbers raises here
+                try:
+                    probs = np.asarray(probs, dtype=np.float64)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{where} class_probs: {exc}") from None
+                try:
+                    frames = np.stack([np.asarray(row, dtype=np.float64).reshape(spec.h, spec.w)
+                                       for row in rows])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{where} mask_probs: {exc}") from None
+                tracks.append(PredictionTrack(class_probs=probs, mask_probs=frames))
+            pred = tuple(tracks)
+        clips.append(Clip(gt=tuple(gt), pred=pred))
+    return Corpus(spec=spec, clips=tuple(clips), seed=_loaded_int(doc["seed"], "seed"),
                   generator=doc.get("generator"))
 
 
@@ -342,8 +388,63 @@ def dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+# The encoder behind dump_json, for the pieces the corpus writer streams.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _float_rows(rows: np.ndarray) -> str:
+    """JSON text of a 2-D float64 array as a list of rows, the same bytes
+    the encoder writes for ``rows.tolist()``.
+
+    Each distinct value is formatted once, by the encoder, from a table
+    that `np.unique` builds over the float64 bit patterns (so -0.0 and
+    0.0, and every NaN payload, keep their own entries). Generated masks
+    hold a handful of distinct values, so this formats few floats. When
+    the first row is mostly distinct values the table would only add work,
+    and the encoder formats the rows directly, as it does any array that
+    is not 2-D.
+    """
+    if rows.ndim != 2 or rows.size == 0:
+        return _encode(rows.tolist())
+    bits = np.ascontiguousarray(rows).view(np.uint64)
+    if 2 * np.unique(bits[0]).size > bits.shape[1]:
+        return _encode(rows.tolist())
+    table, inverse = np.unique(bits.ravel(), return_inverse=True)
+    texts = np.array(_encode(table.view(np.float64).tolist())[1:-1].split(","), dtype=object)
+    return "[" + ",".join(["[" + ",".join(row) + "]"
+                           for row in texts[inverse.reshape(bits.shape)].tolist()]) + "]"
+
+
+def _pred_text(track: PredictionTrack) -> str:
+    frames = track.mask_probs
+    n = len(frames)     # a 0-d array raises TypeError, as iterating it does
+    frames = frames.reshape(n, frames.size // n if n else 0)
+    return (f'{{"class_probs":{_float_rows(track.class_probs)},'
+            f'"mask_probs":{_float_rows(frames)}}}')
+
+
 def save_corpus(corpus: Corpus, path) -> None:
-    Path(path).write_text(dump_json(corpus_to_dict(corpus)))
+    """Write ``dump_json(corpus_to_dict(corpus))`` to `path`, byte for
+    byte. The text is streamed clip by clip and track by track, keys in
+    sorted order, so the whole document is never held in memory. A corpus
+    that cannot be encoded (a ground-truth mask that is not binary) raises
+    ValueError with the file partly written."""
+    with open(path, "w") as out:
+        out.write('{"clips":[')
+        for ci, clip in enumerate(corpus.clips):
+            gt_text = _encode([_gt_record(track) for track in clip.gt])
+            out.write(f'{"," if ci else ""}{{"gt":{gt_text},"pred":')
+            if clip.pred is None:
+                out.write("null}")
+                continue
+            out.write("[")
+            for ti, track in enumerate(clip.pred):
+                out.write(f'{"," if ti else ""}{_pred_text(track)}')
+            out.write("]}")
+        out.write("]")
+        if corpus.generator is not None:
+            out.write(f',"generator":{_encode(corpus.generator)}')
+        out.write(f',"seed":{_encode(corpus.seed)},"spec":{_encode(corpus.spec.to_dict())}}}\n')
 
 
 def load_corpus(path) -> Corpus:

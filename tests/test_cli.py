@@ -57,6 +57,14 @@ class TestGen:
                                           cfg["seed"]), library)
         assert out.read_bytes() == library.read_bytes()
 
+    @pytest.mark.parametrize("config, digest", [
+        ("small.json", "9c2024580f4b42d7bfb7149bbe555e0c3ce1d6a9dc486cd0389371f71cd66a38"),
+        ("swap.json", "4dbdbcd4e27d86df92b620a2876c89e788c527bedeee1a62356017a5b5ea78e2"),
+    ])
+    def test_golden_corpus_digest(self, tmp_path, capsys, config, digest):
+        assert main(["gen", str(CONFIG_DIR / config), "--out", str(tmp_path / "c.json")]) == 0
+        assert capsys.readouterr().out.split("sha256=")[1].strip() == digest
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, clips=2)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -173,6 +181,52 @@ class TestAssign:
         code = main(["assign", str(corpus), "--out-prefix", str(tmp_path / "x")])
         assert code == 1
         assert "predictions" in capsys.readouterr().err
+
+
+class TestMalformedCorpus:
+    """Malformed corpora exit 1 with a named reason from both corpus
+    subcommands, never a traceback."""
+
+    @staticmethod
+    def clips_not_a_list(doc):
+        doc["clips"] = 3
+
+    @staticmethod
+    def gt_not_a_list(doc):
+        doc["clips"][0]["gt"] = 5
+
+    @staticmethod
+    def mask_probs_null(doc):
+        doc["clips"][0]["pred"][0]["mask_probs"] = None
+
+    @staticmethod
+    def pred_a_string(doc):
+        doc["clips"][0]["pred"] = "x"
+
+    @staticmethod
+    def more_gt_than_slots(doc):
+        clip = doc["clips"][0]
+        assert len(clip["gt"]) >= 2
+        clip["pred"] = clip["pred"][:1]
+
+    @pytest.mark.parametrize("command", ["assign", "eval"])
+    @pytest.mark.parametrize("mutate, reason", [
+        (clips_not_a_list, "clips must be a list, got int"),
+        (gt_not_a_list, "clip 0 gt must be a list, got int"),
+        (mask_probs_null, "clip 0 pred[0] mask_probs must be a list, got NoneType"),
+        (pred_a_string, "clip 0 pred must be a list or null, got str"),
+        (more_gt_than_slots, "ground-truth tracks exceed 1 prediction slots"),
+    ], ids=["clips", "gt", "mask_probs", "pred", "slots"])
+    def test_exits_one_with_reason(self, tmp_path, capsys, command, mutate, reason):
+        corpus = gen_corpus(tmp_path, clips=2)
+        doc = json.loads(corpus.read_text())
+        mutate(doc)
+        corpus.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command, str(corpus), "--out-prefix", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert reason in err
 
 
 class TestEnhance:

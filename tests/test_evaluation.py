@@ -87,6 +87,29 @@ class TestVideoIouTable:
             video_iou_table([gt], [pred])
 
 
+def naive_iou_table(gt_tracks, pred_tracks):
+    table = np.zeros((len(gt_tracks), len(pred_tracks)))
+    for g, gt in enumerate(gt_tracks):
+        for s, pred in enumerate(pred_tracks):
+            y, p = np.asarray(gt.masks) != 0, np.asarray(pred.mask_probs) >= 0.5
+            union = np.count_nonzero(y | p)
+            table[g, s] = np.count_nonzero(y & p) / union if union else 0.0
+    return table
+
+
+class TestVideoIouTableOracle:
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 5), (1, 3, 3), (2, 3, 5),
+                                       (3, 4, 4), (4, 16, 16), (5, 7, 9)])
+    def test_equals_count_nonzero_loop(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        gts = [GroundTruthTrack(class_id=0, masks=(rng.random(shape) < d).astype(np.uint8))
+               for d in (0.0, 0.2, 0.5, 1.0)]
+        preds = [PredictionTrack(class_probs=np.ones((shape[0], 1)),
+                                 mask_probs=np.where(rng.random(shape) < d, rng.random(shape), 0.0))
+                 for d in (0.0, 0.3, 0.7, 1.0, 1.0)]
+        assert video_iou_table(gts, preds).tobytes() == naive_iou_table(gts, preds).tobytes()
+
+
 class TestScores:
     def test_score_is_no_object_complement(self):
         probs = np.array([[0.7, 0.1, 0.0, 0.2], [0.5, 0.1, 0.0, 0.4]])

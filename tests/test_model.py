@@ -229,3 +229,133 @@ class TestImmutability:
         assert isinstance(a.total_cost, float)
         assert a.slot_of(0) == 2
         assert a.slot_of(5) is None
+
+
+class TestBinaryPredicate:
+    """`encode_mask_rle` and `validate` accept exactly the entries that
+    ``np.isin(m, (0, 1))`` accepts."""
+
+    CASES = [
+        (np.array([[0.0, np.nan]]), False),
+        (np.array([[0.0, 0.5]]), False),
+        (np.array([[-0.0, 1.0]]), True),
+        (np.array([[False, True]]), True),
+        (np.array([[0, 1]], dtype=np.int8), True),
+    ]
+
+    @pytest.mark.parametrize("mask, binary", CASES)
+    def test_verdict_matches_isin(self, mask, binary):
+        assert bool(np.isin(mask, (0, 1)).all()) == binary
+        if binary:
+            assert np.array_equal(decode_mask_rle(encode_mask_rle(mask)), mask != 0)
+        else:
+            with pytest.raises(ValueError, match="0 or 1"):
+                encode_mask_rle(mask)
+        spec = small_spec(T=1, H=1, W=2, S=1)
+        masks = np.asarray(mask).reshape(1, 1, 2)
+        clip = Clip(gt=(GroundTruthTrack(class_id=0, masks=masks),))
+        rules = [v.rule for v in validate(Corpus(spec=spec, clips=(clip,), seed=0))]
+        assert ("mask entries not in {0, 1}" not in rules) == binary
+
+
+def writer_corpus(mask_values, probs_values, pred="tracks", n_clips=2, generator=None):
+    spec = small_spec(T=2, H=8, W=12, S=4)      # 2 x 3 grid
+    clips = []
+    for ci in range(n_clips):
+        tracks = None
+        if pred == "empty":
+            tracks = ()
+        elif pred == "tracks":
+            tracks = tuple(PredictionTrack(
+                class_probs=np.resize(np.roll(probs_values, k), (spec.T, spec.K + 1)),
+                mask_probs=np.resize(np.roll(mask_values, k), (spec.T, spec.h, spec.w)))
+                for k in range(2))
+        clips.append(Clip(gt=(make_gt(spec, seed=ci), make_gt(spec, class_id=1, seed=ci + 9)),
+                          pred=tracks))
+    return Corpus(spec=spec, clips=tuple(clips), seed=3, generator=generator)
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 0.1, 1.0]
+
+
+class TestStreamingWriter:
+    """`save_corpus` writes the bytes of ``dump_json(corpus_to_dict(...))``."""
+
+    @pytest.mark.parametrize("corpus", [
+        writer_corpus(SPECIAL_FLOATS, SPECIAL_FLOATS),
+        writer_corpus([0.25, 0.75], [0.5, 0.5, 0.0], generator={"b": [1, None], "a": "x"}),
+        writer_corpus(np.random.default_rng(0).random(24), np.random.default_rng(1).random(9)),
+        writer_corpus([-0.0, 0.0], [0.0, -0.0]),
+        writer_corpus([1.0], [1.0], pred=None),
+        writer_corpus([1.0], [1.0], pred="empty"),
+        writer_corpus([1.0], [1.0], n_clips=0),
+    ], ids=["special", "generator", "all-distinct", "signed-zeros", "pred-none",
+            "pred-empty", "no-clips"])
+    def test_bytes_equal_the_dict_dump(self, tmp_path, corpus):
+        path = tmp_path / "corpus.json"
+        save_corpus(corpus, path)
+        assert path.read_text() == dump_json(corpus_to_dict(corpus))
+
+    def test_unusual_track_shapes_match(self, tmp_path):
+        spec = small_spec()
+        tracks = (PredictionTrack(class_probs=np.array([0.5, 0.5]), mask_probs=np.zeros(3)),
+                  PredictionTrack(class_probs=np.zeros((2, 0, 1)),
+                                  mask_probs=np.zeros((0, 2, 2))),
+                  PredictionTrack(class_probs=np.ones((1, 1)), mask_probs=np.zeros((2, 0, 0))))
+        corpus = Corpus(spec=spec, clips=(Clip(gt=(), pred=tracks),), seed=0)
+        path = tmp_path / "corpus.json"
+        save_corpus(corpus, path)
+        assert path.read_text() == dump_json(corpus_to_dict(corpus))
+
+
+class TestLoaderStructure:
+    def valid_doc(self):
+        spec = small_spec()
+        clips = tuple(Clip(gt=(make_gt(spec, seed=i), make_gt(spec, seed=i + 5)),
+                           pred=(make_pred(spec, seed=i), make_pred(spec, seed=i + 5)))
+                      for i in range(2))
+        return json.loads(dump_json(corpus_to_dict(Corpus(spec=spec, clips=clips, seed=0))))
+
+    @pytest.mark.parametrize("path, value, message", [
+        ((), [], "corpus document must be an object"),
+        (("clips",), 3, "clips must be a list"),
+        (("clips", 1), "x", "clip 1 must be an object"),
+        (("clips", 0, "gt"), 5, "clip 0 gt must be a list"),
+        (("clips", 0, "gt", 1), None, r"clip 0 gt\[1\] must be an object"),
+        (("clips", 0, "gt", 0, "masks"), {}, r"clip 0 gt\[0\] masks must be a list"),
+        (("clips", 0, "gt", 0, "class_id"), None, r"clip 0 gt\[0\] class_id must be an integer"),
+        (("clips", 0, "pred"), "x", "clip 0 pred must be a list or null"),
+        (("clips", 1, "pred", 0), 7, r"clip 1 pred\[0\] must be an object"),
+        (("clips", 0, "pred", 1, "class_probs"), None,
+         r"clip 0 pred\[1\] class_probs must be a list"),
+        (("clips", 0, "pred", 0, "mask_probs"), None,
+         r"clip 0 pred\[0\] mask_probs must be a list"),
+        (("clips", 0, "pred", 0, "mask_probs", 1), {"a": 1}, r"clip 0 pred\[0\] mask_probs"),
+        (("clips", 0, "pred", 0, "class_probs", 0), [None, {}], r"clip 0 pred\[0\] class_probs"),
+        (("spec",), [1], "spec must be an object"),
+        (("seed",), None, "seed must be an integer"),
+    ], ids=["document", "clips", "clip", "gt", "gt-track", "masks", "class_id", "pred",
+            "pred-track", "class_probs", "mask_probs", "mask-row", "class-row", "spec", "seed"])
+    def test_wrong_container_raises_value_error(self, path, value, message):
+        doc = self.valid_doc()
+        if path:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            doc = value
+        with pytest.raises(ValueError, match=message):
+            corpus_from_dict(doc)
+
+    def test_valid_document_loads(self):
+        assert validate(corpus_from_dict(self.valid_doc())) == []
+
+    def test_more_ground_truth_than_slots_is_a_violation(self):
+        spec = small_spec()
+        pred = (make_pred(spec),)
+        clips = (Clip(gt=(make_gt(spec),), pred=pred * 2),
+                 Clip(gt=(make_gt(spec), make_gt(spec, seed=1)), pred=pred))
+        violations = validate(Corpus(spec=spec, clips=clips, seed=0))
+        assert [str(v) for v in violations] == [
+            "clip 1: 2 ground-truth tracks exceed 1 prediction slots"]

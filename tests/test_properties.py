@@ -1,15 +1,28 @@
-"""Property tests for the assignment solver, drawn by hypothesis.
+"""Property tests drawn by hypothesis: the assignment solver, the corpus
+writer and loader, the RLE codec and the AP envelope.
 
-Entries are small integers, so every total is an exact sum and the
+Solver entries are small integers, so every total is an exact sum and the
 properties can be checked with ``==``.
 """
 
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tcovis.cli import main
 from tcovis.assignment import (BRUTE_FORCE_MAX_COLS, BRUTE_FORCE_MAX_ROWS,
                                brute_force_assign, hungarian)
+from tcovis.evaluation import RECALL_POINTS, _interpolated_ap
+from tcovis.model import (Clip, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
+                          corpus_to_dict, decode_mask_rle, dump_json, encode_mask_rle,
+                          save_corpus)
 
 
 def integer_matrices(max_rows, max_cols, low, high):
@@ -35,3 +48,156 @@ def test_hungarian_equals_brute_force(matrix):
 def test_total_cost_invariant_to_row_and_column_order(case):
     matrix, rows, cols = case
     assert hungarian(matrix[np.ix_(rows, cols)]).total_cost == hungarian(matrix).total_cost
+
+
+# -- corpus writer ------------------------------------------------------------
+
+SPECIAL_FLOATS = (-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16,
+                  1e-5, 0.5, 1.0)
+
+
+def float_arrays(shape):
+    """Repeated special values, all-distinct values, or a mix of both."""
+    return st.one_of(
+        arrays(np.float64, shape, elements=st.sampled_from(SPECIAL_FLOATS)),
+        arrays(np.float64, shape, elements=st.floats(), unique=True),
+        arrays(np.float64, shape, elements=st.sampled_from(SPECIAL_FLOATS) | st.floats()))
+
+
+@st.composite
+def corpora(draw):
+    T, h, w, K = (draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+                  draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    spec = ClipSpec(T=T, H=h, W=w, S=1, K=K, N_v=3, C=4)
+    clips = []
+    for _ in range(draw(st.integers(0, 3))):
+        gt = tuple(GroundTruthTrack(class_id=draw(st.integers(0, K - 1)),
+                                    masks=draw(arrays(np.uint8, (T, h, w),
+                                                      elements=st.integers(0, 1))))
+                   for _ in range(draw(st.integers(0, 2))))
+        pred = draw(st.sampled_from(("none", "empty", "tracks")))
+        tracks = None if pred == "none" else tuple(
+            PredictionTrack(class_probs=draw(float_arrays((T, K + 1))),
+                            mask_probs=draw(float_arrays((T, h, w))))
+            for _ in range(draw(st.integers(1, 3)) if pred == "tracks" else 0))
+        clips.append(Clip(gt=gt, pred=tracks))
+    generator = draw(st.none() | st.dictionaries(st.text(max_size=3), st.integers() | st.none(),
+                                                 max_size=2))
+    return Corpus(spec=spec, clips=tuple(clips), seed=draw(st.integers(-5, 2**40)),
+                  generator=generator)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(corpora())
+def test_save_corpus_writes_the_dict_dump(corpus):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.json"
+        save_corpus(corpus, path)
+        assert path.read_bytes() == dump_json(corpus_to_dict(corpus)).encode()
+
+
+# -- RLE codec ------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+              elements=st.integers(0, 1)))
+def test_rle_round_trip(mask):
+    record = encode_mask_rle(mask)
+    assert record["size"] == list(mask.shape)
+    assert sum(record["counts"]) == mask.size
+    assert all(c > 0 for c in record["counts"][1:])
+    decoded = decode_mask_rle(record)
+    assert decoded.dtype == np.uint8
+    assert np.array_equal(decoded, mask)
+
+
+# -- AP envelope ----------------------------------------------------------------
+
+def interpolated_ap_loop(flags, n_gt):
+    """The 101-point walk: at each recall point, the best precision at that
+    recall or beyond."""
+    if n_gt == 0:
+        return 0.0
+    tp = np.cumsum(flags, dtype=np.float64)
+    fp = np.cumsum([not f for f in flags], dtype=np.float64)
+    recall = tp / n_gt
+    precision = tp / np.maximum(tp + fp, 1.0)
+    interp = np.zeros_like(RECALL_POINTS)
+    for idx, r in enumerate(RECALL_POINTS):
+        mask = recall >= r
+        if mask.any():
+            interp[idx] = precision[mask].max()
+    return float(interp.mean())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.booleans(), max_size=60).flatmap(
+    lambda flags: st.tuples(st.just(flags), st.integers(0, 70))))
+def test_interpolated_ap_equals_the_walk(case):
+    flags, n_gt = case
+    assert _interpolated_ap(flags, n_gt) == interpolated_ap_loop(flags, n_gt)
+
+
+# -- fail-closed loading ------------------------------------------------------------
+
+def _valid_corpus_doc():
+    spec = ClipSpec(T=2, H=8, W=8, S=4, K=2, N_v=3, C=4)
+    rng = np.random.default_rng(0)
+    gt = tuple(GroundTruthTrack(class_id=k, masks=np.eye(2, dtype=np.uint8)[None].repeat(2, 0))
+               for k in range(2))
+    pred = []
+    for _ in range(3):
+        probs = rng.random((2, 3))
+        pred.append(PredictionTrack(class_probs=probs / probs.sum(axis=1, keepdims=True),
+                                    mask_probs=rng.random((2, 2, 2))))
+    corpus = Corpus(spec=spec, clips=(Clip(gt=gt, pred=tuple(pred)),), seed=1,
+                    generator={"name": "test"})
+    return json.loads(dump_json(corpus_to_dict(corpus)))
+
+
+VALID_DOC = _valid_corpus_doc()
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from((float("inf"), float("-inf"), float("nan"), 10**30, -1)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(("clips", 0, "gt", 0, "class_id"), float("inf"), False, "assign")
+@example(("seed",), float("nan"), False, "eval")
+@example(("clips", 0, "gt", 1, "masks", 0, "size"), [float("-inf"), 2], False, "assign")
+@given(st.sampled_from(list(_paths(VALID_DOC))), JSON_VALUES, st.booleans(),
+       st.sampled_from(("assign", "eval")))
+def test_single_mutation_loads_or_exits_one(path, value, delete, command):
+    doc = copy.deepcopy(VALID_DOC)
+    if not path:
+        doc = value
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if delete:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus.json"
+        corpus.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, str(corpus), "--out-prefix", str(Path(tmp) / "out")])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
