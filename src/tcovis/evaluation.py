@@ -48,15 +48,14 @@ def video_iou(gt: GroundTruthTrack, pred: PredictionTrack,
     return inter / union
 
 
-# set bits of every 16-bit word
-_POPCOUNT = np.unpackbits(np.arange(1 << 16, dtype=np.uint16).view(np.uint8)).reshape(
-    -1, 16).sum(axis=1, dtype=np.uint8)
+# set bits of every byte
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8)
 
 
-def _packed_words(masks) -> np.ndarray:
-    """Binary masks of equal shape as rows of bit-packed 16-bit words."""
-    packed = np.packbits(np.stack(masks).reshape(len(masks), -1), axis=1)
-    return np.pad(packed, ((0, 0), (0, packed.shape[1] % 2))).view(np.uint16)
+def _packed(masks) -> np.ndarray:
+    """Binary masks of equal shape as rows of bit-packed bytes."""
+    return np.packbits(np.stack(masks).reshape(len(masks), -1), axis=1)
 
 
 def video_iou_table(gt_tracks, pred_tracks, threshold: float = MASK_BINARIZE) -> np.ndarray:
@@ -64,7 +63,7 @@ def video_iou_table(gt_tracks, pred_tracks, threshold: float = MASK_BINARIZE) ->
     (n_gt, n_slots) array.
 
     Each track is binarized and bit-packed once; the intersection of a
-    pair is the table popcount of the AND of their packed words. The
+    pair is the table popcount of the AND of their packed bytes. The
     counts are exact integers and go through no BLAS call, so every entry
     equals ``video_iou``'s bit for bit.
     """
@@ -76,7 +75,7 @@ def video_iou_table(gt_tracks, pred_tracks, threshold: float = MASK_BINARIZE) ->
     for mask in y[1:] + p:
         if mask.shape != y[0].shape:
             raise ValueError(f"mask shapes differ: {y[0].shape} vs {mask.shape}")
-    y, p = _packed_words(y), _packed_words(p)
+    y, p = _packed(y), _packed(p)
     inter = np.stack([np.take(_POPCOUNT, row & p).sum(axis=1, dtype=np.int64) for row in y])
     union = (np.take(_POPCOUNT, y).sum(axis=1, dtype=np.int64)[:, None]
              + np.take(_POPCOUNT, p).sum(axis=1, dtype=np.int64)[None, :] - inter)

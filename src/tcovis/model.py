@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -399,16 +400,13 @@ def _float_rows(rows: np.ndarray) -> str:
     Each distinct value is formatted once, by the encoder, from a table
     that `np.unique` builds over the float64 bit patterns (so -0.0 and
     0.0, and every NaN payload, keep their own entries). Generated masks
-    hold a handful of distinct values, so this formats few floats. When
-    the first row is mostly distinct values the table would only add work,
-    and the encoder formats the rows directly, as it does any array that
-    is not 2-D.
+    hold a handful of distinct values, so this formats few floats. An
+    array that is not 2-D, or is empty, is formatted by the encoder
+    directly.
     """
     if rows.ndim != 2 or rows.size == 0:
         return _encode(rows.tolist())
     bits = np.ascontiguousarray(rows).view(np.uint64)
-    if 2 * np.unique(bits[0]).size > bits.shape[1]:
-        return _encode(rows.tolist())
     table, inverse = np.unique(bits.ravel(), return_inverse=True)
     texts = np.array(_encode(table.view(np.float64).tolist())[1:-1].split(","), dtype=object)
     return "[" + ",".join(["[" + ",".join(row) + "]"
@@ -426,25 +424,39 @@ def _pred_text(track: PredictionTrack) -> str:
 def save_corpus(corpus: Corpus, path) -> None:
     """Write ``dump_json(corpus_to_dict(corpus))`` to `path`, byte for
     byte. The text is streamed clip by clip and track by track, keys in
-    sorted order, so the whole document is never held in memory. A corpus
-    that cannot be encoded (a ground-truth mask that is not binary) raises
-    ValueError with the file partly written."""
-    with open(path, "w") as out:
-        out.write('{"clips":[')
-        for ci, clip in enumerate(corpus.clips):
-            gt_text = _encode([_gt_record(track) for track in clip.gt])
-            out.write(f'{"," if ci else ""}{{"gt":{gt_text},"pred":')
-            if clip.pred is None:
-                out.write("null}")
-                continue
-            out.write("[")
-            for ti, track in enumerate(clip.pred):
-                out.write(f'{"," if ti else ""}{_pred_text(track)}')
-            out.write("]}")
-        out.write("]")
-        if corpus.generator is not None:
-            out.write(f',"generator":{_encode(corpus.generator)}')
-        out.write(f',"seed":{_encode(corpus.seed)},"spec":{_encode(corpus.spec.to_dict())}}}\n')
+    sorted order, so the whole document is never held in memory. It goes
+    to a temporary file beside `path` that replaces `path` only once the
+    last byte is written: a corpus that cannot be encoded (a ground-truth
+    mask that is not binary) raises ValueError and leaves `path` as it
+    was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    out = open(tmp, "x")    # outside the try: a file this call did not make stays
+    try:
+        with out:
+            _write_corpus(corpus, out)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_corpus(corpus: Corpus, out) -> None:
+    out.write('{"clips":[')
+    for ci, clip in enumerate(corpus.clips):
+        gt_text = _encode([_gt_record(track) for track in clip.gt])
+        out.write(f'{"," if ci else ""}{{"gt":{gt_text},"pred":')
+        if clip.pred is None:
+            out.write("null}")
+            continue
+        out.write("[")
+        for ti, track in enumerate(clip.pred):
+            out.write(f'{"," if ti else ""}{_pred_text(track)}')
+        out.write("]}")
+    out.write("]")
+    if corpus.generator is not None:
+        out.write(f',"generator":{_encode(corpus.generator)}')
+    out.write(f',"seed":{_encode(corpus.seed)},"spec":{_encode(corpus.spec.to_dict())}}}\n')
 
 
 def load_corpus(path) -> Corpus:

@@ -307,6 +307,18 @@ class TestStreamingWriter:
         save_corpus(corpus, path)
         assert path.read_text() == dump_json(corpus_to_dict(corpus))
 
+    def test_failed_save_leaves_the_existing_file(self, tmp_path):
+        good = writer_corpus([0.25, 0.75], [0.5, 0.5, 0.0])
+        spec = good.spec
+        half = GroundTruthTrack(class_id=0, masks=np.full((spec.T, spec.h, spec.w), 0.5))
+        bad = Corpus(spec=spec, clips=good.clips + (Clip(gt=(half,), pred=None),), seed=3)
+        path = tmp_path / "corpus.json"
+        save_corpus(good, path)
+        with pytest.raises(ValueError):
+            save_corpus(bad, path)
+        assert path.read_text() == dump_json(corpus_to_dict(good))
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
+
 
 class TestLoaderStructure:
     def valid_doc(self):
