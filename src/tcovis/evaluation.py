@@ -36,16 +36,9 @@ MASK_BINARIZE = 0.5
 def video_iou(gt: GroundTruthTrack, pred: PredictionTrack,
               threshold: float = MASK_BINARIZE) -> float:
     """Spatio-temporal IoU: frame-summed intersection over frame-summed
-    union, with the soft masks binarized at `threshold`."""
-    y = np.asarray(gt.masks).astype(bool)
-    p = np.asarray(pred.mask_probs) >= threshold
-    if y.shape != p.shape:
-        raise ValueError(f"mask shapes differ: {y.shape} vs {p.shape}")
-    inter = float(np.count_nonzero(y & p))
-    union = float(np.count_nonzero(y | p))
-    if union == 0.0:
-        return 0.0
-    return inter / union
+    union, with the soft masks binarized at `threshold`; the 1x1 view of
+    :func:`video_iou_table`."""
+    return float(video_iou_table([gt], [pred], threshold)[0, 0])
 
 
 # set bits of every byte
@@ -64,8 +57,8 @@ def video_iou_table(gt_tracks, pred_tracks, threshold: float = MASK_BINARIZE) ->
 
     Each track is binarized and bit-packed once; the intersection of a
     pair is the table popcount of the AND of their packed bytes. The
-    counts are exact integers and go through no BLAS call, so every entry
-    equals ``video_iou``'s bit for bit.
+    counts are exact integers and go through no BLAS call. A pair with an
+    empty union reads 0.0.
     """
     table = np.zeros((len(gt_tracks), len(pred_tracks)))
     if not table.size:

@@ -271,12 +271,16 @@ def encode_mask_rle(mask) -> dict:
 
 
 def decode_mask_rle(record: dict) -> np.ndarray:
-    """Decode an RLE record back to a binary h x w uint8 mask."""
+    """Decode an RLE record back to a binary h x w uint8 mask. Size and
+    counts must be JSON integers (`int`, not `bool` or `float`)."""
     try:
-        h, w = (int(v) for v in record["size"])
-        counts = [int(c) for c in record["counts"]]
-    except (KeyError, TypeError, ValueError, OverflowError):
+        h, w = record["size"]
+        counts = list(record["counts"])
+    except (KeyError, TypeError, ValueError):
         raise ValueError(f"malformed RLE record: {record!r}") from None
+    for v in (h, w, *counts):
+        if type(v) is not int:
+            raise ValueError(f"RLE size and counts must be integers, got {v!r}")
     if any(c < 0 for c in counts):
         raise ValueError("RLE counts must be nonnegative")
     total = sum(counts)
@@ -334,10 +338,10 @@ def _need(value, kind, where: str):
 
 
 def _loaded_int(value, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"{where} must be an integer, got {value!r}") from None
+    """A JSON integer; `bool` and `float` values are refused, not cast."""
+    if type(value) is not int:
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def corpus_from_dict(doc: dict) -> Corpus:

@@ -21,7 +21,7 @@ reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 import json
 
@@ -47,6 +47,17 @@ class SpatialFeature:
         object.__setattr__(self, "empty_flag", bool(self.empty_flag))
 
 
+def _freeze_fields(block) -> None:
+    """Store every array field of a parameter block (all but `n_heads`) as
+    a read-only float64 copy, rejecting non-finite entries."""
+    for f in fields(block):
+        if f.name != "n_heads":
+            value = _frozen(getattr(block, f.name), np.float64)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{f.name} must be finite")
+            object.__setattr__(block, f.name, value)
+
+
 @dataclass(frozen=True)
 class AttentionParams:
     """One multi-head attention block with its post-norm parameters."""
@@ -60,46 +71,27 @@ class AttentionParams:
     ln_shift: np.ndarray
 
     def __post_init__(self):
-        for name in ("w_q", "w_k", "w_v", "w_o", "ln_scale", "ln_shift"):
-            object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
+        _freeze_fields(self)
         c = self.w_q.shape[0]
         if self.n_heads < 1 or c % self.n_heads != 0:
             raise ValueError(f"n_heads={self.n_heads} must divide C={c}")
-        for name in ("w_q", "w_k", "w_v", "w_o"):
-            if getattr(self, name).shape != (c, c):
-                raise ValueError(f"{name} must be ({c}, {c})")
-        if not all(np.isfinite(getattr(self, n)).all()
-                   for n in ("w_q", "w_k", "w_v", "w_o", "ln_scale", "ln_shift")):
-            raise ValueError("attention parameters must be finite")
+        for f in fields(self):
+            if f.name.startswith("w_") and getattr(self, f.name).shape != (c, c):
+                raise ValueError(f"{f.name} must be ({c}, {c})")
 
 
 @dataclass(frozen=True)
-class MhcaParams:
+class MhcaParams(AttentionParams):
     """Cross-attention block plus the per-slot positional table shared by
     each slot's query and key."""
 
-    n_heads: int
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
-    ln_scale: np.ndarray
-    ln_shift: np.ndarray
     e_pos: np.ndarray
 
     def __post_init__(self):
-        for name in ("w_q", "w_k", "w_v", "w_o", "ln_scale", "ln_shift", "e_pos"):
-            object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
+        super().__post_init__()
         c = self.w_q.shape[0]
-        if self.n_heads < 1 or c % self.n_heads != 0:
-            raise ValueError(f"n_heads={self.n_heads} must divide C={c}")
         if self.e_pos.ndim != 2 or self.e_pos.shape[1] != c:
             raise ValueError(f"e_pos must be (n_slots, {c})")
-
-    @property
-    def attention(self) -> AttentionParams:
-        return AttentionParams(self.n_heads, self.w_q, self.w_k, self.w_v,
-                               self.w_o, self.ln_scale, self.ln_shift)
 
 
 @dataclass(frozen=True)
@@ -114,8 +106,7 @@ class FeedForwardParams:
     ln_shift: np.ndarray
 
     def __post_init__(self):
-        for name in ("w1", "b1", "w2", "b2", "ln_scale", "ln_shift"):
-            object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
+        _freeze_fields(self)
 
 
 @dataclass(frozen=True)
@@ -339,16 +330,11 @@ def _uniform(rng, bound, *shape) -> np.ndarray:
 
 
 def init_mhca_params(n_slots: int, c: int, n_heads: int, seed: int) -> MhcaParams:
-    """Seeded enhancement block: weights uniform in [-1/sqrt(C), 1/sqrt(C)],
-    layer-norm scale 1 and shift 0."""
+    """Seeded enhancement block: `_init_attention`'s draws, then e_pos from
+    the same stream, uniform in [-1/sqrt(C), 1/sqrt(C)]."""
     rng = stream(seed, "mhca")
-    bound = 1.0 / np.sqrt(c)
-    return MhcaParams(
-        n_heads=n_heads,
-        w_q=_uniform(rng, bound, c, c), w_k=_uniform(rng, bound, c, c),
-        w_v=_uniform(rng, bound, c, c), w_o=_uniform(rng, bound, c, c),
-        ln_scale=np.ones(c), ln_shift=np.zeros(c),
-        e_pos=_uniform(rng, bound, n_slots, c))
+    block = _init_attention(rng, c, n_heads)
+    return MhcaParams(**vars(block), e_pos=_uniform(rng, 1.0 / np.sqrt(c), n_slots, c))
 
 
 def _init_attention(rng, c: int, n_heads: int) -> AttentionParams:
@@ -387,57 +373,44 @@ def _array_from_json(d: dict) -> np.ndarray:
     return np.asarray(d["data"], dtype=np.float64).reshape(d["shape"])
 
 
-def _attention_to_json(p) -> dict:
-    out = {"n_heads": p.n_heads}
-    for name in ("w_q", "w_k", "w_v", "w_o", "ln_scale", "ln_shift"):
-        out[name] = _array_to_json(getattr(p, name))
-    return out
+def _block_to_json(block) -> dict:
+    """A parameter block's fields: `n_heads` as an int, every other field
+    as a {shape, data} array."""
+    return {f.name: block.n_heads if f.name == "n_heads"
+            else _array_to_json(getattr(block, f.name)) for f in fields(block)}
+
+
+def _block_from_json(cls, d: dict):
+    return cls(**{f.name: int(d[f.name]) if f.name == "n_heads"
+                  else _array_from_json(d[f.name]) for f in fields(cls)})
 
 
 def params_to_dict(decoder: RefDecoderParams, mhca: MhcaParams | None = None) -> dict:
     doc = {
         "ref_decoder": {
-            "encoder": _attention_to_json(decoder.encoder),
-            "decoder": _attention_to_json(decoder.decoder),
-            "ffn": {name: _array_to_json(getattr(decoder.ffn, name))
-                    for name in ("w1", "b1", "w2", "b2", "ln_scale", "ln_shift")},
+            "encoder": _block_to_json(decoder.encoder),
+            "decoder": _block_to_json(decoder.decoder),
+            "ffn": _block_to_json(decoder.ffn),
             "mask_head": [{"w": _array_to_json(w), "b": _array_to_json(b)}
                           for w, b in decoder.mask_head],
             "classifier": _array_to_json(decoder.classifier),
         }
     }
     if mhca is not None:
-        entry = _attention_to_json(mhca)
-        entry["e_pos"] = _array_to_json(mhca.e_pos)
-        doc["mhca"] = entry
+        doc["mhca"] = _block_to_json(mhca)
     return doc
-
-
-def _attention_from_json(d: dict) -> AttentionParams:
-    return AttentionParams(n_heads=int(d["n_heads"]),
-                           **{name: _array_from_json(d[name])
-                              for name in ("w_q", "w_k", "w_v", "w_o",
-                                           "ln_scale", "ln_shift")})
 
 
 def params_from_dict(doc: dict):
     rd = doc["ref_decoder"]
     decoder = RefDecoderParams(
-        encoder=_attention_from_json(rd["encoder"]),
-        decoder=_attention_from_json(rd["decoder"]),
-        ffn=FeedForwardParams(**{name: _array_from_json(rd["ffn"][name])
-                                 for name in ("w1", "b1", "w2", "b2",
-                                              "ln_scale", "ln_shift")}),
+        encoder=_block_from_json(AttentionParams, rd["encoder"]),
+        decoder=_block_from_json(AttentionParams, rd["decoder"]),
+        ffn=_block_from_json(FeedForwardParams, rd["ffn"]),
         mask_head=tuple((_array_from_json(layer["w"]), _array_from_json(layer["b"]))
                         for layer in rd["mask_head"]),
         classifier=_array_from_json(rd["classifier"]))
-    mhca = None
-    if "mhca" in doc:
-        d = doc["mhca"]
-        mhca = MhcaParams(n_heads=int(d["n_heads"]),
-                          **{name: _array_from_json(d[name])
-                             for name in ("w_q", "w_k", "w_v", "w_o",
-                                          "ln_scale", "ln_shift", "e_pos")})
+    mhca = _block_from_json(MhcaParams, doc["mhca"]) if "mhca" in doc else None
     return decoder, mhca
 
 

@@ -209,6 +209,22 @@ class TestMalformedCorpus:
         assert len(clip["gt"]) >= 2
         clip["pred"] = clip["pred"][:1]
 
+    @staticmethod
+    def fractional_class_id(doc):
+        doc["clips"][0]["gt"][0]["class_id"] = 1.9
+
+    @staticmethod
+    def boolean_class_id(doc):
+        doc["clips"][0]["gt"][0]["class_id"] = True
+
+    @staticmethod
+    def fractional_seed(doc):
+        doc["seed"] = 7.5
+
+    @staticmethod
+    def fractional_rle_size(doc):
+        doc["clips"][0]["gt"][1]["masks"][2]["size"][0] = 16.5
+
     @pytest.mark.parametrize("command", ["assign", "eval"])
     @pytest.mark.parametrize("mutate, reason", [
         (clips_not_a_list, "clips must be a list, got int"),
@@ -216,7 +232,12 @@ class TestMalformedCorpus:
         (mask_probs_null, "clip 0 pred[0] mask_probs must be a list, got NoneType"),
         (pred_a_string, "clip 0 pred must be a list or null, got str"),
         (more_gt_than_slots, "ground-truth tracks exceed 1 prediction slots"),
-    ], ids=["clips", "gt", "mask_probs", "pred", "slots"])
+        (fractional_class_id, "clip 0 gt[0] class_id must be an integer, got 1.9"),
+        (boolean_class_id, "clip 0 gt[0] class_id must be an integer, got True"),
+        (fractional_seed, "seed must be an integer, got 7.5"),
+        (fractional_rle_size, "RLE size and counts must be integers, got 16.5"),
+    ], ids=["clips", "gt", "mask_probs", "pred", "slots", "class_id-float", "class_id-bool",
+            "seed-float", "rle-size-float"])
     def test_exits_one_with_reason(self, tmp_path, capsys, command, mutate, reason):
         corpus = gen_corpus(tmp_path, clips=2)
         doc = json.loads(corpus.read_text())
@@ -258,6 +279,12 @@ class TestEnhance:
         assert main(["enhance", "--demo", str(CONFIG_DIR / "enhance.json"),
                      "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_golden_digest(self, tmp_path, capsys):
+        assert main(["enhance", "--demo", str(CONFIG_DIR / "enhance.json"),
+                     "--out", str(tmp_path / "trace.json")]) == 0
+        assert capsys.readouterr().out.split("sha256=")[1].strip() == (
+            "a6b177d62f84c1b76923b89fecbb5e657bc9058484a96561880f7eb4e6f13133")
 
     def test_trace_matches_library_composition(self, tmp_path):
         out = tmp_path / "trace.json"

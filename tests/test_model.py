@@ -166,6 +166,14 @@ class TestRle:
         with pytest.raises(ValueError, match="nonnegative"):
             decode_mask_rle({"size": [2, 2], "counts": [5, -1]})
 
+    @pytest.mark.parametrize("record", [{"size": [2, 2.0], "counts": [4]},
+                                        {"size": [2, 2], "counts": [1.0, 3]},
+                                        {"size": [2, 2], "counts": [True, 3]},
+                                        {"size": [True, 4], "counts": [4]}])
+    def test_decode_accepts_only_integers(self, record):
+        with pytest.raises(ValueError, match="must be integers"):
+            decode_mask_rle(record)
+
     def test_encode_rejects_soft_mask(self):
         with pytest.raises(ValueError, match="0 or 1"):
             encode_mask_rle(np.full((2, 2), 0.5))
@@ -346,8 +354,16 @@ class TestLoaderStructure:
         (("clips", 0, "pred", 0, "class_probs", 0), [None, {}], r"clip 0 pred\[0\] class_probs"),
         (("spec",), [1], "spec must be an object"),
         (("seed",), None, "seed must be an integer"),
+        (("clips", 0, "gt", 1, "class_id"), 1.9, r"clip 0 gt\[1\] class_id must be an integer"),
+        (("clips", 1, "gt", 0, "class_id"), True, r"clip 1 gt\[0\] class_id must be an integer"),
+        (("seed",), 7.5, "seed must be an integer, got 7.5"),
+        (("clips", 0, "gt", 0, "masks", 1, "size", 1), 16.5,
+         "RLE size and counts must be integers, got 16.5"),
+        (("clips", 1, "gt", 1, "masks", 0, "counts", 0), 2.0,
+         "RLE size and counts must be integers, got 2.0"),
     ], ids=["document", "clips", "clip", "gt", "gt-track", "masks", "class_id", "pred",
-            "pred-track", "class_probs", "mask_probs", "mask-row", "class-row", "spec", "seed"])
+            "pred-track", "class_probs", "mask_probs", "mask-row", "class-row", "spec", "seed",
+            "class_id-float", "class_id-bool", "seed-float", "rle-size-float", "rle-count-float"])
     def test_wrong_container_raises_value_error(self, path, value, message):
         doc = self.valid_doc()
         if path:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -464,3 +465,23 @@ class TestParams:
         third = tmp_path / "c.json"
         save_params(third, dec, enh)
         assert third.read_bytes() == first.read_bytes()
+
+    def test_golden_bundle_digest(self, tmp_path):
+        path = tmp_path / "params.json"
+        save_params(path, decoder(seed=0), mhca(seed=0))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c3a8617848d406eaf5522f85b425dbf05b18abf39b594c5612cb34ec40894dca")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("w_v", np.full((C, C), np.nan), "w_v must be finite"),
+        ("e_pos", np.full((N_SLOTS, C), np.nan), "e_pos must be finite"),
+        ("w_k", np.zeros((C, 3)), r"w_k must be \(16, 16\)"),
+    ], ids=["nan-weight", "nan-e_pos", "w_k-shape"])
+    def test_mhca_checks_every_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            MhcaParams(**dict(vars(mhca()), **{field: value}))
+
+    def test_feed_forward_must_be_finite(self):
+        ffn = decoder().ffn
+        with pytest.raises(ValueError, match="b2 must be finite"):
+            FeedForwardParams(**dict(vars(ffn), b2=np.full(C, np.inf)))
