@@ -64,6 +64,13 @@ def _sap_solve(cost: np.ndarray):
     reads a copy of v with every closed column at -inf, so a closed
     column's reduced distance is +inf and it never competes again; the
     dual update touches only the rows scanned and the columns closed.
+
+    A search step only lowers the shortest distances and records the
+    scanned row's offset min_val - u[i]; predecessors are found lazily,
+    for the columns of the augmenting path alone. A column's predecessor
+    is the first row, among those scanned up to the step that closed it,
+    that minimises (cost[row, j] + offset) - v[j]: the same float
+    arithmetic as the step, and the row a strict `<` update would keep.
     """
     nr, nc = cost.shape
     u = cost.min(axis=1)
@@ -79,20 +86,19 @@ def _sap_solve(cost: np.ndarray):
         col4row[r] = j
         row4col[j] = r
 
-    path = np.empty(nc, dtype=np.int64)
     d = np.empty(nc)
     for cur_row in [r for r in range(nr) if col4row[r] == -1]:
         shortest = np.full(nc, np.inf)
         closed_v = v.copy()
-        rows, cols, dists = [cur_row], [], []
+        rows, cols, dists, offsets = [cur_row], [], [], []
         min_val = 0.0
         i = cur_row
         while True:
-            np.add(cost[i], min_val - u[i], out=d)
+            offset = min_val - u[i]
+            offsets.append(offset)
+            np.add(cost[i], offset, out=d)
             d -= closed_v
-            better = d < shortest
-            np.copyto(shortest, d, where=better)
-            path[better] = i
+            np.minimum(shortest, d, out=shortest)
             j = int(shortest.argmin())
             min_val = float(shortest[j])
             shortest[j] = np.inf
@@ -104,17 +110,31 @@ def _sap_solve(cost: np.ndarray):
                 break
             rows.append(i)
 
+        # walk the augmenting path back from the free column it reached;
+        # the row scanned at step k > 0 held the column closed at step k - 1
+        scanned, offsets = np.array(rows), np.array(offsets)
+        k = len(cols) - 1
+        while True:
+            j = cols[k]
+            k = int(((cost[scanned[:k + 1], j] + offsets[:k + 1]) - v[j]).argmin())
+            i = rows[k]
+            row4col[j] = i
+            col4row[i] = j
+            if k == 0:
+                break
+            k -= 1
+
         u[cur_row] += min_val
         u[rows[1:]] += min_val - np.array(dists[:-1])
         v[cols] -= min_val - np.array(dists)
-
-        while True:
-            i = int(path[j])
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur_row:
-                break
     return np.array(col4row, dtype=np.int64), u, v
+
+
+def _adjacency(mask: np.ndarray) -> list:
+    """Ascending column lists of the True entries of each row of `mask`."""
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    cols = (np.flatnonzero(mask) % mask.shape[1]).tolist()
+    return [cols[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
 def _lexicographic_pairs(cost: np.ndarray, col4row: np.ndarray,
@@ -130,6 +150,9 @@ def _lexicographic_pairs(cost: np.ndarray, col4row: np.ndarray,
     its smallest tight column that one alternating path can clear: the
     path shifts the column's owner, and the owners after it, along tight
     edges until the row's old column is taken over.
+
+    When every real row has a single tight column, its own, every tight
+    perfect matching is the incumbent, which is then returned at once.
     """
     nr, nc = cost.shape
     scale = max(1.0, float(np.abs(cost).max()))
@@ -138,8 +161,10 @@ def _lexicographic_pairs(cost: np.ndarray, col4row: np.ndarray,
     reduced = cost - u[:, None] - v[None, :]
     tight = reduced <= tau
     tight[np.arange(nr), col4row] = True
-    row_adj = [np.flatnonzero(tight[r]).tolist() for r in range(nr)]
-    col_adj = [np.flatnonzero(tight[:, j]).tolist() for j in range(nc)]
+    if tight.sum(axis=1).max() <= 1:
+        return [(r, j) for r, j in enumerate(col4row.tolist())]
+    row_adj = _adjacency(tight)
+    col_adj = _adjacency(tight.T)
     dummy_tight = (v >= -tau).tolist()
 
     col4row = col4row.tolist()

@@ -30,7 +30,7 @@ from . import evaluation, ste, synth
 from .assignment import (build_global_cost_matrix, global_instance_assignment,
                          hungarian, locpro_assignment)
 from .cost import LossWeights
-from .model import (ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
+from .model import (ClipSpec, Corpus, GroundTruthTrack, PredictionTrack, _loaded_int,
                     dump_json, load_corpus, save_corpus, validate)
 from .rng import stream
 
@@ -107,12 +107,12 @@ def _load_run_config(path) -> dict:
         weights = LossWeights(**_checked_section(
             "weights", doc.get("weights", {}),
             {"lambda_cls", "lambda_bce", "lambda_dice"}))
-        clips = int(doc["clips"])
+        clips = _loaded_int(doc["clips"], "clips")
         if clips < 1:
-            raise ValueError(f"clips must be >= 1, got {doc['clips']}")
+            raise ValueError(f"clips must be >= 1, got {clips}")
         return {"spec": spec, "scene": scene, "noise": noise, "weights": weights,
-                "seed": int(doc["seed"]), "clips": clips,
-                "threads": int(doc.get("threads", 1))}
+                "seed": _loaded_int(doc["seed"], "seed"), "clips": clips,
+                "threads": _loaded_int(doc.get("threads", 1), "threads")}
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from None
 
@@ -244,13 +244,15 @@ def _load_demo_config(path) -> dict:
     try:
         spec = ClipSpec.from_dict(_checked_section("spec", doc["spec"], {
             "T", "H", "W", "S", "K", "N_v", "C"}))
-        n_heads, n_fq = int(doc["n_heads"]), int(doc["n_fq"])
+        n_heads = _loaded_int(doc["n_heads"], "n_heads")
+        n_fq = _loaded_int(doc["n_fq"], "n_fq")
         if n_heads < 1 or spec.C % n_heads != 0:
             raise ValueError(f"n_heads {doc['n_heads']} must be a positive divisor of C={spec.C}")
         if n_fq < 1:
             raise ValueError(f"n_fq must be >= 1, got {doc['n_fq']}")
         return {"spec": spec, "n_heads": n_heads, "n_fq": n_fq,
-                "seed": int(doc["seed"]), "threshold": float(doc.get("threshold", 0.5))}
+                "seed": _loaded_int(doc["seed"], "seed"),
+                "threshold": float(doc.get("threshold", 0.5))}
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from None
 

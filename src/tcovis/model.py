@@ -27,6 +27,8 @@ PROB_SUM_TOL = 1e-9
 
 def _positive_int(name: str, value) -> int:
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -344,6 +346,14 @@ def _loaded_int(value, where: str) -> int:
     return value
 
 
+def _decoded(record, where: str) -> np.ndarray:
+    """`decode_mask_rle`, with the record's location prefixed to its error."""
+    try:
+        return decode_mask_rle(record)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def corpus_from_dict(doc: dict) -> Corpus:
     """Build a Corpus from a loaded document. A wrong container type, per
     clip and per track, raises ValueError naming the field; the values
@@ -362,7 +372,8 @@ def corpus_from_dict(doc: dict) -> Corpus:
             _need(rec, dict, where)
             masks = _need(rec["masks"], list, f"{where} masks")
             gt.append(GroundTruthTrack(class_id=_loaded_int(rec["class_id"], f"{where} class_id"),
-                                       masks=np.stack([decode_mask_rle(r) for r in masks])))
+                                       masks=np.stack([_decoded(r, f"{where} masks[{k}]")
+                                                       for k, r in enumerate(masks)])))
         pred = _need(entry.get("pred"), (list, type(None)), f"clip {ci} pred")
         if pred is not None:
             tracks = []

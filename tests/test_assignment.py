@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import sys
 
 import numpy as np
 import pytest
 
-from tcovis.assignment import (_sap_solve, assignment_total_global_cost,
+from tcovis import assignment
+from tcovis.assignment import (BRUTE_FORCE_MAX_COLS, BRUTE_FORCE_MAX_ROWS, _sap_solve,
+                               assignment_total_global_cost,
                                brute_force_assign, build_global_cost_matrix,
                                global_instance_assignment, hungarian, locpro_assignment)
 from tcovis.cost import LossWeights, frame_matching_cost, global_matching_cost
@@ -142,28 +145,87 @@ class TestHungarian:
     @pytest.mark.parametrize("shape", [(12, 16), (30, 40)])
     @pytest.mark.parametrize("low, high", [(0, 3), (-3, 3)])
     def test_lexicographic_rule_above_brute_force_guard(self, shape, low, high):
-        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
-
-        def optimum(matrix):
-            rows, cols = linear_sum_assignment(matrix)
-            return matrix[rows, cols].sum()
-
-        # integer entries keep every sum exact, so equality is the tie test
         rng = np.random.default_rng(6)
-        nr, nc = shape
         for _ in range(4):
             matrix = rng.integers(low, high + 1, shape).astype(float)
-            target = optimum(matrix)
-            free, fixed, expected = list(range(nc)), 0.0, []
-            for r in range(nr):
-                for c in free:
-                    rest = matrix[r + 1:][:, [k for k in free if k != c]]
-                    if fixed + matrix[r, c] + optimum(rest) == target:
-                        break
-                expected.append((r, c))
-                fixed += matrix[r, c]
-                free.remove(c)
-            assert hungarian(matrix).pairs == tuple(expected)
+            assert hungarian(matrix).pairs == scipy_lexicographic_pairs(matrix)
+
+
+def scipy_lexicographic_pairs(matrix) -> tuple:
+    """The smallest optimal pair list, fixed row by row with scipy's solver
+    on the rest. Entries must be whole numbers: every sum is then exact, so
+    equality is the tie test."""
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+
+    def optimum(m):
+        rows, cols = linear_sum_assignment(m)
+        return m[rows, cols].sum()
+
+    nr, nc = matrix.shape
+    target = optimum(matrix)
+    free, fixed, expected = list(range(nc)), 0.0, []
+    for r in range(nr):
+        for c in free:
+            rest = matrix[r + 1:][:, [k for k in free if k != c]]
+            if fixed + matrix[r, c] + optimum(rest) == target:
+                break
+        expected.append((r, c))
+        fixed += matrix[r, c]
+        free.remove(c)
+    return tuple(expected)
+
+
+class TestRefinementEarlyExit:
+    """`_lexicographic_pairs` returns the incumbent at once when every real
+    row has one tight column; the tight adjacency is built only otherwise."""
+
+    @staticmethod
+    def solve_counting_adjacency(monkeypatch, matrix):
+        calls = []
+
+        def counted(mask):
+            calls.append(mask.shape)
+            return adjacency(mask)
+
+        adjacency = assignment._adjacency
+        monkeypatch.setattr(assignment, "_adjacency", counted)
+        return hungarian(matrix), len(calls)
+
+    @staticmethod
+    def one_tight_column_per_row(rng, nr, nc):
+        # whole numbers: each row's own column costs 0 or 1, every other
+        # column at least 3 more, so only the own column is tight
+        matrix = rng.integers(4, 9, (nr, nc)).astype(float)
+        own = rng.permutation(nc)[:nr]
+        matrix[np.arange(nr), own] = rng.integers(0, 2, nr)
+        return matrix, own
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (8, 10), (20, 26)])
+    def test_exit_fires_and_agrees_with_the_oracles(self, monkeypatch, shape):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            matrix, own = self.one_tight_column_per_row(rng, *shape)
+            a, built = self.solve_counting_adjacency(monkeypatch, matrix)
+            assert built == 0
+            assert a.pairs == tuple(enumerate(own.tolist()))
+            assert a.pairs == scipy_lexicographic_pairs(matrix)
+            if shape[0] <= BRUTE_FORCE_MAX_ROWS and shape[1] <= BRUTE_FORCE_MAX_COLS:
+                assert agree(a, brute_force_assign(matrix))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (5, 8), (8, 10), (20, 26)])
+    def test_tie_heavy_matrices_take_the_full_refinement(self, monkeypatch, shape):
+        rng = np.random.default_rng(22)
+        nr, nc = shape
+        for _ in range(10):
+            # a zero row is tight on every column with v == 0: its own and
+            # each free column, of which there is at least one
+            matrix = rng.integers(0, 4, shape).astype(float)
+            matrix[rng.integers(nr)] = 0.0
+            a, built = self.solve_counting_adjacency(monkeypatch, matrix)
+            assert built == 2
+            assert a.pairs == scipy_lexicographic_pairs(matrix)
+            if nr <= BRUTE_FORCE_MAX_ROWS and nc <= BRUTE_FORCE_MAX_COLS:
+                assert agree(a, brute_force_assign(matrix))
 
 
 def _sap_cases():
@@ -346,3 +408,25 @@ class TestTotalGlobalCost:
         with pytest.raises(ValueError, match="out of range"):
             assignment_total_global_cost(Assignment(pairs=[(0, 9)], total_cost=0.0),
                                          gts, preds, LossWeights())
+
+
+class TestSapGoldenDigests:
+    """The solver's arithmetic is pinned: sha256 over the bytes of
+    `_sap_solve`'s (col4row, u, v) on seeded matrices. A change to the
+    order or form of its float operations shows here as a changed digest."""
+
+    @pytest.mark.parametrize("matrix, digest", [
+        (lambda: np.random.default_rng(0).uniform(0, 1, (100, 120)),
+         "56941820240af236241705e933df5aa026a6d8386199a42be384e62e450f1a50"),
+        (lambda: np.random.default_rng(1).integers(0, 4, (100, 120)).astype(np.float64),
+         "c7c0359e384de69385462a8295688c36600a83a4466b13aa41f3e6be98183ba9"),
+        (lambda: np.random.default_rng(2).uniform(0, 1, (300, 300)),
+         "5f8deefe967cc3cac6ef85f10b98b93192353c874985f2ed5f3b746f9d9209a0"),
+    ], ids=["floats-100x120", "integers0..3-100x120", "floats-300x300"])
+    def test_solution_bytes(self, matrix, digest):
+        col4row, u, v = _sap_solve(matrix())
+        assert col4row.dtype == np.int64
+        h = hashlib.sha256()
+        for part in (col4row, u, v):
+            h.update(np.ascontiguousarray(part).tobytes())
+        assert h.hexdigest() == digest

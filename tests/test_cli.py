@@ -103,6 +103,25 @@ class TestGen:
         assert "error: clips must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("clips", 2.7, "clips must be an integer, got 2.7"),
+        ("spec", {"S": True}, "S must be an integer, got True"),
+        ("seed", 7.0, "seed must be an integer, got 7.0"),
+        ("threads", True, "threads must be an integer, got True"),
+    ], ids=["clips-float", "S-bool", "seed-float", "threads-bool"])
+    def test_non_integer_number_rejected(self, tmp_path, capsys, field, value, reason):
+        doc = json.loads((CONFIG_DIR / "small.json").read_text())
+        if isinstance(value, dict):
+            doc[field].update(value)
+        else:
+            doc[field] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x.json"
+        assert main(["gen", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["gen", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.json")])
@@ -225,6 +244,10 @@ class TestMalformedCorpus:
     def fractional_rle_size(doc):
         doc["clips"][0]["gt"][1]["masks"][2]["size"][0] = 16.5
 
+    @staticmethod
+    def long_rle_counts(doc):
+        doc["clips"][1]["gt"][1]["masks"][3]["counts"][0] += 1
+
     @pytest.mark.parametrize("command", ["assign", "eval"])
     @pytest.mark.parametrize("mutate, reason", [
         (clips_not_a_list, "clips must be a list, got int"),
@@ -236,8 +259,9 @@ class TestMalformedCorpus:
         (boolean_class_id, "clip 0 gt[0] class_id must be an integer, got True"),
         (fractional_seed, "seed must be an integer, got 7.5"),
         (fractional_rle_size, "RLE size and counts must be integers, got 16.5"),
+        (long_rle_counts, ": clip 1 gt[1] masks[3]: RLE counts sum to 257, expected 256\n"),
     ], ids=["clips", "gt", "mask_probs", "pred", "slots", "class_id-float", "class_id-bool",
-            "seed-float", "rle-size-float"])
+            "seed-float", "rle-size-float", "rle-counts-located"])
     def test_exits_one_with_reason(self, tmp_path, capsys, command, mutate, reason):
         corpus = gen_corpus(tmp_path, clips=2)
         doc = json.loads(corpus.read_text())
@@ -262,7 +286,8 @@ class TestEnhance:
         assert trace["plain"] == trace["ste"]
 
     @pytest.mark.parametrize("field, value", [("threshold", "abc"), ("threshold", 1.5),
-                                              ("n_heads", 0), ("n_fq", 0)])
+                                              ("n_heads", 0), ("n_fq", 0), ("n_heads", 4.0),
+                                              ("n_fq", True), ("seed", 1.5)])
     def test_bad_demo_value_fails(self, tmp_path, capsys, field, value):
         doc = json.loads((CONFIG_DIR / "enhance.json").read_text())
         doc[field] = value

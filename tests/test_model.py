@@ -44,6 +44,11 @@ class TestClipSpec:
         with pytest.raises(ValueError, match=field):
             small_spec(**{field: 0})
 
+    @pytest.mark.parametrize("value", [True, 4.0, "4"])
+    def test_fields_refuse_non_integers(self, value):
+        with pytest.raises(ValueError, match=f"S must be an integer, got {value!r}"):
+            small_spec(S=value)
+
     def test_dict_round_trip(self):
         spec = small_spec()
         assert ClipSpec.from_dict(spec.to_dict()) == spec

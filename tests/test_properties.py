@@ -1,5 +1,6 @@
-"""Property tests drawn by hypothesis: the assignment solver, the corpus
-writer and loader, the RLE codec and the AP envelope.
+"""Property tests drawn by hypothesis: the assignment solver, the two
+supervision strategies, the corpus writer and loader, the RLE codec and
+the AP envelope and its invariances.
 
 Solver entries are small integers, so every total is an exact sum and the
 properties can be checked with ``==``.
@@ -18,8 +19,11 @@ from hypothesis.extra.numpy import arrays
 
 from tcovis.cli import main
 from tcovis.assignment import (BRUTE_FORCE_MAX_COLS, BRUTE_FORCE_MAX_ROWS,
-                               brute_force_assign, hungarian)
-from tcovis.evaluation import RECALL_POINTS, _interpolated_ap
+                               brute_force_assign, build_global_cost_matrix,
+                               global_instance_assignment, hungarian, locpro_assignment)
+from tcovis.cost import LossWeights
+from tcovis.evaluation import RECALL_POINTS, _interpolated_ap, compute_ap
+from tcovis.synth import NoiseConfig, SceneConfig, build_clip, generate_corpus
 from tcovis.model import (Clip, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
                           corpus_to_dict, decode_mask_rle, dump_json, encode_mask_rle,
                           save_corpus)
@@ -48,6 +52,55 @@ def test_hungarian_equals_brute_force(matrix):
 def test_total_cost_invariant_to_row_and_column_order(case):
     matrix, rows, cols = case
     assert hungarian(matrix[np.ix_(rows, cols)]).total_cost == hungarian(matrix).total_cost
+
+
+# -- supervision strategies -----------------------------------------------------
+
+@st.composite
+def scenes(draw):
+    """A small scene and noise config: staggered entries, so locpro runs
+    several stages, and optionally an identity swap."""
+    T = draw(st.integers(2, 5))
+    spec = ClipSpec(T=T, H=32, W=32, S=4, K=draw(st.integers(1, 3)),
+                    N_v=draw(st.integers(3, 6)), C=4)
+    swap_mode = draw(st.sampled_from(("none", "early_swap")))
+    lo = 2 if swap_mode == "early_swap" else 1      # a swap needs two tracks
+    hi = draw(st.integers(lo, 3))
+    entry = draw(st.integers(1, T))
+    scene = SceneConfig(spec=spec, n_objects=(lo, hi), entry_frame=(1, entry), size=(1, 2))
+    noise = NoiseConfig(mask_jitter=draw(st.sampled_from((0.0, 0.02, 0.1))),
+                        class_confusion=draw(st.sampled_from((0.0, 0.2, 0.5))),
+                        swap_mode=swap_mode, swap_frame=draw(st.integers(2, T)))
+    return scene, noise
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(scenes(), st.integers(0, 2**31 - 1))
+def test_gia_total_never_exceeds_locpro(config, seed):
+    scene, noise = config
+    clip = build_clip(scene, noise, seed, 0)
+    weights = LossWeights()
+    costs = build_global_cost_matrix(clip.gt, clip.pred, weights)
+    gia = global_instance_assignment(clip.gt, clip.pred, weights)
+    loc = locpro_assignment(clip.gt, clip.pred, weights, global_costs=costs)
+    # the refinement's tie tolerance for this matrix
+    tau = 64.0 * np.finfo(np.float64).eps * max(1.0, float(np.abs(costs).max())) \
+        * max(costs.shape[0], 4)
+    assert gia.total_cost <= loc.total_cost + tau
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scenes(), st.integers(0, 2**31 - 1), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_ap_invariant_to_clip_and_slot_order(config, seed, n_clips, shuffle):
+    scene, noise = config
+    corpus = generate_corpus(scene, noise, n_clips, seed)
+    clips = list(corpus.clips)
+    shuffle.shuffle(clips)
+    clips = [Clip(gt=clip.gt, pred=tuple(shuffle.sample(clip.pred, len(clip.pred))))
+             for clip in clips]
+    base = compute_ap(corpus)
+    shuffled = compute_ap(Corpus(spec=corpus.spec, clips=tuple(clips), seed=corpus.seed))
+    assert shuffled == base
 
 
 # -- corpus writer ------------------------------------------------------------
