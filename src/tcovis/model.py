@@ -382,15 +382,16 @@ def corpus_from_dict(doc: dict) -> Corpus:
                 _need(rec, dict, where)
                 probs = _need(rec["class_probs"], list, f"{where} class_probs")
                 rows = _need(rec["mask_probs"], list, f"{where} mask_probs")
-                # an object or a ragged list among the numbers raises here
+                # an object, a ragged list or an integer beyond float64 among the
+                # numbers raises here
                 try:
                     probs = np.asarray(probs, dtype=np.float64)
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"{where} class_probs: {exc}") from None
                 try:
                     frames = np.stack([np.asarray(row, dtype=np.float64).reshape(spec.h, spec.w)
                                        for row in rows])
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"{where} mask_probs: {exc}") from None
                 tracks.append(PredictionTrack(class_probs=probs, mask_probs=frames))
             pred = tuple(tracks)
@@ -474,5 +475,48 @@ def _write_corpus(corpus: Corpus, out) -> None:
     out.write(f',"seed":{_encode(corpus.seed)},"spec":{_encode(corpus.spec.to_dict())}}}\n')
 
 
+# Distinct float texts one load_corpus call parses through its memo
+# before it falls back to plain json.loads.
+_FLOAT_MEMO_BUDGET = 1024
+
+
+class _MemoFull(Exception):
+    """The float memo's budget is spent. Deliberately not a ValueError
+    (callers catch those as malformed input) nor a StopIteration (the
+    json scanner turns those into "Expecting value")."""
+
+
+class _FloatMemo(dict):
+    """JSON float text -> float, parsed once per distinct text."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> float:
+        if len(self) >= _FLOAT_MEMO_BUDGET:
+            raise _MemoFull
+        value = self[text] = float(text)
+        return value
+
+
 def load_corpus(path) -> Corpus:
-    return corpus_from_dict(json.loads(Path(path).read_text()))
+    """Read a corpus JSON file and build it with :func:`corpus_from_dict`.
+
+    The text is decoded with ``json.loads(text, parse_float=memo.__getitem__)``
+    over a fresh memo per call, so each distinct float text is parsed once
+    and every repeat is a dict lookup. Generated corpora hold only a few
+    distinct float texts. ``float(text)`` is the parser plain ``json.loads``
+    uses, so the values are bit-identical: ``-0.0`` and ``0.0`` are
+    different texts, ``1e400`` reads as inf, and ``NaN``/``Infinity`` still
+    go through ``parse_constant``. The memo holds at most
+    ``_FLOAT_MEMO_BUDGET`` texts; the next distinct one aborts the decode
+    and the text is decoded again with plain ``json.loads``, so data of
+    mostly distinct floats costs one aborted partial pass. Malformed text
+    raises the same ``json.JSONDecodeError`` either way, since both passes
+    use the same scanner.
+    """
+    text = Path(path).read_text()
+    try:
+        doc = json.loads(text, parse_float=_FloatMemo().__getitem__)
+    except _MemoFull:
+        doc = json.loads(text)
+    return corpus_from_dict(doc)

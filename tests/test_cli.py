@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,14 @@ class TestMalformedCorpus:
     def long_rle_counts(doc):
         doc["clips"][1]["gt"][1]["masks"][3]["counts"][0] += 1
 
+    @staticmethod
+    def huge_int_mask_prob(doc):
+        doc["clips"][0]["pred"][1]["mask_probs"][2][5] = 10**400
+
+    @staticmethod
+    def huge_int_class_prob(doc):
+        doc["clips"][1]["pred"][0]["class_probs"][3][0] = 10**400
+
     @pytest.mark.parametrize("command", ["assign", "eval"])
     @pytest.mark.parametrize("mutate, reason", [
         (clips_not_a_list, "clips must be a list, got int"),
@@ -260,8 +269,11 @@ class TestMalformedCorpus:
         (fractional_seed, "seed must be an integer, got 7.5"),
         (fractional_rle_size, "RLE size and counts must be integers, got 16.5"),
         (long_rle_counts, ": clip 1 gt[1] masks[3]: RLE counts sum to 257, expected 256\n"),
+        (huge_int_mask_prob, ": clip 0 pred[1] mask_probs: "),
+        (huge_int_class_prob, ": clip 1 pred[0] class_probs: "),
     ], ids=["clips", "gt", "mask_probs", "pred", "slots", "class_id-float", "class_id-bool",
-            "seed-float", "rle-size-float", "rle-counts-located"])
+            "seed-float", "rle-size-float", "rle-counts-located", "mask_probs-huge-int",
+            "class_probs-huge-int"])
     def test_exits_one_with_reason(self, tmp_path, capsys, command, mutate, reason):
         corpus = gen_corpus(tmp_path, clips=2)
         doc = json.loads(corpus.read_text())
@@ -272,6 +284,24 @@ class TestMalformedCorpus:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert reason in err
+
+    @pytest.mark.parametrize("command", ["assign", "eval"])
+    @pytest.mark.parametrize("distinct", [False, True], ids=["memo", "fallback"])
+    def test_truncated_corpus_exits_one(self, tmp_path, capsys, command, distinct):
+        corpus = gen_corpus(tmp_path, clips=2)
+        if distinct:    # more distinct floats than the loader's memo holds
+            loaded = load_corpus(corpus)
+            rng = np.random.default_rng(0)
+            first = loaded.clips[0]
+            pred = tuple(replace(t, mask_probs=rng.random(t.mask_probs.shape)) for t in first.pred)
+            save_corpus(replace(loaded, clips=(replace(first, pred=pred),) + loaded.clips[1:]),
+                        corpus)
+        text = corpus.read_text()
+        corpus.write_text(text[:len(text) * 3 // 4])
+        capsys.readouterr()
+        assert main([command, str(corpus), "--out-prefix", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load corpus {corpus}: ")
 
 
 class TestEnhance:

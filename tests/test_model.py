@@ -1,11 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tcovis.model import (Assignment, Clip, ClipSpec, Corpus, GroundTruthTrack,
-                          PredictionTrack, corpus_from_dict, corpus_to_dict,
-                          decode_mask_rle, dump_json, encode_mask_rle,
+from tcovis.cli import main
+from tcovis.model import (_FLOAT_MEMO_BUDGET, Assignment, Clip, ClipSpec, Corpus,
+                          GroundTruthTrack, PredictionTrack, corpus_from_dict,
+                          corpus_to_dict, decode_mask_rle, dump_json, encode_mask_rle,
                           load_corpus, save_corpus, validate)
 
 
@@ -392,3 +394,128 @@ class TestLoaderStructure:
         violations = validate(Corpus(spec=spec, clips=clips, seed=0))
         assert [str(v) for v in violations] == [
             "clip 1: 2 ground-truth tracks exceed 1 prediction slots"]
+
+
+def assert_loads_like_plain_json(path):
+    """`load_corpus(path)` equals `corpus_from_dict(json.loads(text))` bit
+    for bit."""
+    loaded = load_corpus(path)
+    plain = corpus_from_dict(json.loads(path.read_text()))
+    assert (loaded.spec, loaded.seed, loaded.generator) == (plain.spec, plain.seed,
+                                                           plain.generator)
+    assert len(loaded.clips) == len(plain.clips)
+    for a, b in zip(loaded.clips, plain.clips):
+        assert [t.class_id for t in a.gt] == [t.class_id for t in b.gt]
+        for ta, tb in zip(a.gt, b.gt):
+            assert ta.masks.dtype == tb.masks.dtype
+            assert ta.masks.tobytes() == tb.masks.tobytes()
+        assert (a.pred is None) == (b.pred is None)
+        assert len(a.pred or ()) == len(b.pred or ())
+        for ta, tb in zip(a.pred or (), b.pred or ()):
+            for name in ("class_probs", "mask_probs"):
+                x, y = getattr(ta, name), getattr(tb, name)
+                assert (x.dtype, x.shape) == (y.dtype, y.shape)
+                assert x.tobytes() == y.tobytes()
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Record whether each `json.loads` call had a `parse_float` hook:
+    [True] is the memo path, [True, False] the fallback."""
+    calls = []
+    real = json.loads
+
+    def spy(text, **kwargs):
+        calls.append("parse_float" in kwargs)
+        return real(text, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    return calls
+
+
+def distinct_float_texts(text):
+    texts = set()
+    json.loads(text, parse_float=lambda s: texts.add(s) or 0.0)
+    return len(texts)
+
+
+def wide_class_doc():
+    """One clip, one slot, T=1, a 1 x 1 mask and 1,101 distinct class
+    probabilities: the budget is crossed inside `class_probs`, which the
+    text holds before `mask_probs`."""
+    spec = ClipSpec(T=1, H=4, W=4, S=4, K=1100, N_v=1, C=1)
+    probs = np.random.default_rng(4).random((1, spec.K + 1))
+    pred = PredictionTrack(class_probs=probs / probs.sum(), mask_probs=np.full((1, 1, 1), 0.5))
+    gt = GroundTruthTrack(class_id=3, masks=np.ones((1, 1, 1), np.uint8))
+    return Corpus(spec=spec, clips=(Clip(gt=(gt,), pred=(pred,)),), seed=1)
+
+
+class TestMemoDecoder:
+    """`load_corpus` parses each distinct float text once through a
+    bounded memo and falls back to plain `json.loads` past its budget; the
+    arrays must be those of the plain decode, bit for bit."""
+
+    def test_generated_corpus_takes_the_memo_path(self, tmp_path, decode_calls):
+        path = tmp_path / "corpus.json"
+        config = Path(__file__).resolve().parent.parent / "configs" / "small.json"
+        assert main(["gen", str(config), "--out", str(path)]) == 0
+        decode_calls.clear()
+        load_corpus(path)
+        assert decode_calls == [True]
+        assert_loads_like_plain_json(path)
+
+    def test_more_distinct_floats_than_the_budget_fall_back(self, tmp_path, decode_calls):
+        spec = small_spec()
+        clips = tuple(Clip(gt=(make_gt(spec, seed=i),),
+                           pred=(make_pred(spec, seed=i), make_pred(spec, seed=i + 9)))
+                      for i in range(3))
+        path = tmp_path / "corpus.json"
+        save_corpus(Corpus(spec=spec, clips=clips, seed=0), path)
+        assert distinct_float_texts(path.read_text()) > _FLOAT_MEMO_BUDGET
+        decode_calls.clear()
+        load_corpus(path)
+        assert decode_calls == [True, False]
+        assert_loads_like_plain_json(path)
+
+    def test_budget_crossed_inside_class_probs(self, tmp_path, decode_calls):
+        path = tmp_path / "corpus.json"
+        save_corpus(wide_class_doc(), path)
+        load_corpus(path)
+        assert decode_calls == [True, False]
+        assert_loads_like_plain_json(path)
+
+    @pytest.mark.parametrize("mask_row, class_row", [
+        ("[-0.0,0.0,0,1,5e-324,-5e-324]", "[1E+2,1e+2,100.0]"),
+        ("[1e16,1e400,-1e400,0.1,1,0]", "[NaN,Infinity,-Infinity]"),
+        ("[0.0,-0.0,1.0E-5,1e-5,0.00001,2.5e-1]", "[0,1,0.0]"),
+        ("[0.1000000000000000055511151231257827,0.1,1e-400,0,-0,0]", "[1,0.0,-0.0]"),
+    ])
+    def test_hand_written_numbers(self, tmp_path, mask_row, class_row):
+        spec = {"T": 2, "H": 4, "W": 24, "S": 4, "K": 2, "N_v": 1, "C": 1}
+        gt = '{"class_id":0,"masks":[{"counts":[0,6],"size":[1,6]},{"counts":[6],"size":[1,6]}]}'
+        pred = f'{{"class_probs":[{class_row},{class_row}],"mask_probs":[{mask_row},{mask_row}]}}'
+        path = tmp_path / "corpus.json"
+        path.write_text(f'{{"clips":[{{"gt":[{gt}],"pred":[{pred}]}}],"seed":0,'
+                        f'"spec":{json.dumps(spec)}}}')
+        assert_loads_like_plain_json(path)
+        masks = load_corpus(path).clips[0].pred[0].mask_probs
+        assert np.signbit(masks[0, 0]).tolist() == np.signbit(
+            np.array(json.loads(mask_row), dtype=np.float64)).tolist()
+
+    @pytest.mark.parametrize("cut, calls", [("before", [True]), ("after", [True, False])])
+    def test_truncated_text_raises_the_plain_decode_error(self, tmp_path, decode_calls,
+                                                          cut, calls):
+        path = tmp_path / "corpus.json"
+        save_corpus(wide_class_doc(), path)
+        text = path.read_text()
+        # 40 characters into the class probabilities, or past all of them
+        end = (text.index('"class_probs"') + 40 if cut == "before"
+               else text.index('"mask_probs"'))
+        path.write_text(text[:end])
+        with pytest.raises(json.JSONDecodeError) as plain:
+            json.loads(text[:end])
+        decode_calls.clear()
+        with pytest.raises(json.JSONDecodeError) as memo:
+            load_corpus(path)
+        assert decode_calls == calls
+        assert (memo.value.msg, memo.value.pos) == (plain.value.msg, plain.value.pos)

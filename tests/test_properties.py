@@ -221,7 +221,8 @@ def _paths(node, prefix=()):
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
-    | st.sampled_from((float("inf"), float("-inf"), float("nan"), 10**30, -1)),
+    | st.sampled_from((float("inf"), float("-inf"), float("nan"), 10**30, 10**400,
+                      -1)),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=2),
     max_leaves=4)
@@ -231,6 +232,7 @@ JSON_VALUES = st.recursive(
 @example(("clips", 0, "gt", 0, "class_id"), float("inf"), False, "assign")
 @example(("seed",), float("nan"), False, "eval")
 @example(("clips", 0, "gt", 1, "masks", 0, "size"), [float("-inf"), 2], False, "assign")
+@example(("clips", 0, "pred", 2, "mask_probs", 1, 3), 10**400, False, "eval")
 @given(st.sampled_from(list(_paths(VALID_DOC))), JSON_VALUES, st.booleans(),
        st.sampled_from(("assign", "eval")))
 def test_single_mutation_loads_or_exits_one(path, value, delete, command):
