@@ -287,7 +287,7 @@ class TestMalformedCorpus:
 
     @pytest.mark.parametrize("command", ["assign", "eval"])
     @pytest.mark.parametrize("distinct", [False, True], ids=["memo", "fallback"])
-    def test_truncated_corpus_exits_one(self, tmp_path, capsys, command, distinct):
+    def test_truncated_corpus_exits_one(self, tmp_path, capsys, decode_calls, command, distinct):
         corpus = gen_corpus(tmp_path, clips=2)
         if distinct:    # more distinct floats than the loader's memo holds
             loaded = load_corpus(corpus)
@@ -299,7 +299,9 @@ class TestMalformedCorpus:
         text = corpus.read_text()
         corpus.write_text(text[:len(text) * 3 // 4])
         capsys.readouterr()
+        decode_calls.clear()
         assert main([command, str(corpus), "--out-prefix", str(tmp_path / "x")]) == 1
+        assert decode_calls == ([True, False] if distinct else [True])
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot load corpus {corpus}: ")
 

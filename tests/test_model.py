@@ -418,21 +418,6 @@ def assert_loads_like_plain_json(path):
                 assert x.tobytes() == y.tobytes()
 
 
-@pytest.fixture
-def decode_calls(monkeypatch):
-    """Record whether each `json.loads` call had a `parse_float` hook:
-    [True] is the memo path, [True, False] the fallback."""
-    calls = []
-    real = json.loads
-
-    def spy(text, **kwargs):
-        calls.append("parse_float" in kwargs)
-        return real(text, **kwargs)
-
-    monkeypatch.setattr(json, "loads", spy)
-    return calls
-
-
 def distinct_float_texts(text):
     texts = set()
     json.loads(text, parse_float=lambda s: texts.add(s) or 0.0)
