@@ -16,6 +16,8 @@ parallelism degree (flag --threads, overridden by TCOVIS_THREADS).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -31,7 +33,7 @@ from .assignment import (build_global_cost_matrix, global_instance_assignment,
                          hungarian, locpro_assignment)
 from .cost import LossWeights
 from .model import (ClipSpec, Corpus, GroundTruthTrack, PredictionTrack, _loaded_int,
-                    dump_json, load_corpus, save_corpus, validate)
+                    dump_json, field_names, load_corpus, record_dict, save_corpus, validate)
 from .rng import stream
 
 
@@ -84,43 +86,54 @@ def _load_json(path) -> dict:
         raise CliError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _load_run_config(path) -> dict:
-    doc = _checked_section("config", _load_json(path),
-                           known={"version", "spec", "scene", "noise", "weights",
-                                  "seed", "clips", "threads"},
-                           required={"version", "spec", "scene", "seed", "clips"})
+def _record_section(name: str, data, cls, skip=()) -> dict:
+    """A config section whose keys are the fields of dataclass `cls`."""
+    return _checked_section(name, data, set(field_names(cls, skip)))
+
+
+# keys every config file carries
+_CONFIG_KEYS = {"version", "spec", "seed"}
+
+
+@contextlib.contextmanager
+def _config(path, name: str, known: set, required: set):
+    """Check a config file's keys (`known` and `required` besides
+    _CONFIG_KEYS) and version, then yield the document and its ClipSpec.
+    A TypeError or ValueError from the spec or the caller's own field
+    checks becomes a CliError."""
+    doc = _checked_section(name, _load_json(path), known=known | _CONFIG_KEYS,
+                           required=required | _CONFIG_KEYS)
     if doc["version"] != 1:
         raise CliError(f"unsupported config version {doc['version']!r}")
     try:
-        spec = ClipSpec.from_dict(_checked_section("spec", doc["spec"], {
-            "T", "H", "W", "S", "K", "N_v", "C"}))
-        scene = synth.SceneConfig(spec=spec, **_checked_section(
-            "scene", doc["scene"],
-            {"n_objects", "shapes", "velocity", "allow_occlusion",
-             "entry_frame", "size"}))
+        yield doc, ClipSpec.from_dict(_record_section("spec", doc["spec"], ClipSpec))
+    except (TypeError, ValueError) as exc:
+        raise CliError(str(exc)) from None
+
+
+def _load_run_config(path) -> dict:
+    with _config(path, "config", known={"scene", "noise", "weights", "clips", "threads"},
+                 required={"scene", "clips"}) as (doc, spec):
+        scene = synth.SceneConfig(spec=spec, **_record_section(
+            "scene", doc["scene"], synth.SceneConfig, skip=("spec",)))
         noise = None
         if doc.get("noise") is not None:
-            noise = synth.NoiseConfig(**_checked_section(
-                "noise", doc["noise"],
-                {"mask_jitter", "class_confusion", "swap_mode",
-                 "swap_frame", "sharpness"}))
-        weights = LossWeights(**_checked_section(
-            "weights", doc.get("weights", {}),
-            {"lambda_cls", "lambda_bce", "lambda_dice"}))
+            noise = synth.NoiseConfig(**_record_section("noise", doc["noise"],
+                                                        synth.NoiseConfig))
+        weights = LossWeights(**_record_section("weights", doc.get("weights", {}),
+                                                LossWeights))
         clips = _loaded_int(doc["clips"], "clips")
         if clips < 1:
             raise ValueError(f"clips must be >= 1, got {clips}")
         return {"spec": spec, "scene": scene, "noise": noise, "weights": weights,
                 "seed": _loaded_int(doc["seed"], "seed"), "clips": clips,
                 "threads": _loaded_int(doc.get("threads", 1), "threads")}
-    except (TypeError, ValueError) as exc:
-        raise CliError(str(exc)) from None
 
 
 def _weights_from_args(args) -> LossWeights:
-    cls, bce, dice = args.weights
+    # --weights CLS BCE DICE are the LossWeights fields in declaration order
     try:
-        return LossWeights(lambda_cls=cls, lambda_bce=bce, lambda_dice=dice)
+        return LossWeights(*args.weights)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -197,11 +210,7 @@ def _cmd_assign(args) -> int:
     threads = _threads(args)
     rows = _pool_map(lambda ci: _assign_row(corpus, weights, args.strategy, ci),
                      range(len(corpus.clips)), threads)
-    doc = {"strategy": args.strategy,
-           "weights": {"lambda_cls": weights.lambda_cls,
-                       "lambda_bce": weights.lambda_bce,
-                       "lambda_dice": weights.lambda_dice},
-           "clips": rows}
+    doc = {"strategy": args.strategy, "weights": record_dict(weights), "clips": rows}
     if args.strategy == "both":
         doc["summary"] = {
             "mean_agreement": float(np.mean([r["agreement"] for r in rows])) if rows else 1.0,
@@ -236,14 +245,8 @@ def _cmd_assign(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_demo_config(path) -> dict:
-    doc = _checked_section("demo config", _load_json(path),
-                           known={"version", "spec", "n_heads", "n_fq", "seed", "threshold"},
-                           required={"version", "spec", "n_heads", "n_fq", "seed"})
-    if doc["version"] != 1:
-        raise CliError(f"unsupported config version {doc['version']!r}")
-    try:
-        spec = ClipSpec.from_dict(_checked_section("spec", doc["spec"], {
-            "T", "H", "W", "S", "K", "N_v", "C"}))
+    with _config(path, "demo config", known={"n_heads", "n_fq", "threshold"},
+                 required={"n_heads", "n_fq"}) as (doc, spec):
         n_heads = _loaded_int(doc["n_heads"], "n_heads")
         n_fq = _loaded_int(doc["n_fq"], "n_fq")
         if n_heads < 1 or spec.C % n_heads != 0:
@@ -253,8 +256,6 @@ def _load_demo_config(path) -> dict:
         return {"spec": spec, "n_heads": n_heads, "n_fq": n_fq,
                 "seed": _loaded_int(doc["seed"], "seed"),
                 "threshold": float(doc.get("threshold", 0.5))}
-    except (TypeError, ValueError) as exc:
-        raise CliError(str(exc)) from None
 
 
 def _demo_inputs(cfg: dict):
@@ -270,24 +271,14 @@ def _demo_inputs(cfg: dict):
 
 
 def _trace_to_json(trace) -> list:
-    out = []
-    for entry in trace:
-        item = {
-            "prototypes": entry["prototypes"].tolist(),
-            "class_probs": entry["class_probs"].tolist(),
-            "encoder_row_sums": entry["encoder_row_sums"].tolist(),
-            "decoder_row_sums": entry["decoder_row_sums"].tolist(),
-        }
-        if "spatial_features" in entry:
-            item["spatial_features"] = entry["spatial_features"].tolist()
-            item["spatial_empty"] = list(entry["spatial_empty"])
-            item["ste_row_sums"] = entry["ste_row_sums"].tolist()
-        out.append(item)
-    return out
+    # every key run_clip records, arrays and lists alike, as nested lists
+    return [{key: np.asarray(value).tolist() for key, value in entry.items()}
+            for entry in trace]
 
 
 def _cmd_enhance(args) -> int:
     cfg = _load_demo_config(args.demo)
+    _threads(args)      # one clip: the count is checked, not used
     decoder, mhca, queries, frames = _demo_inputs(cfg)
     _, plain_trace = ste.run_clip(queries, frames, decoder, ste_enabled=False,
                                   collect_trace=True)
@@ -322,10 +313,7 @@ def _cmd_eval(args) -> int:
         lambda ci: evaluation.audit_clip(ci, corpus.clips[ci].gt,
                                          corpus.clips[ci].pred, weights),
         range(len(corpus.clips)), threads)
-    full = evaluation.EvalReport(ap=report.ap, ap50=report.ap50, ap75=report.ap75,
-                                 ar1=report.ar1, ar10=report.ar10,
-                                 per_threshold=report.per_threshold,
-                                 clip_audits=tuple(audits))
+    full = dataclasses.replace(report, clip_audits=tuple(audits))
     _write(f"{args.out_prefix}.report.json", dump_json(full.to_dict()))
     _write(f"{args.out_prefix}.audit.csv", evaluation.audits_to_csv(audits))
     print(f"AP={report.ap:.6f} AP50={report.ap50:.6f} AP75={report.ap75:.6f} "
@@ -423,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     assign.add_argument("corpus", help="corpus JSON with predictions")
     assign.add_argument("--strategy", choices=("gia", "locpro", "both"),
                         default="both")
-    assign.add_argument("--weights", type=float, nargs=3, default=(2.0, 5.0, 5.0),
-                        metavar=("CLS", "BCE", "DICE"))
+    assign.add_argument("--weights", type=float, nargs=3, metavar=("CLS", "BCE", "DICE"),
+                        default=dataclasses.astuple(LossWeights()))
     assign.add_argument("--out-prefix", required=True,
                         help="writes <prefix>.json and <prefix>.csv")
     assign.add_argument("--threads", type=int, default=None)
@@ -438,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="compute AP/AR and the strategy audit")
     ev.add_argument("corpus", help="corpus JSON with predictions")
-    ev.add_argument("--weights", type=float, nargs=3, default=(2.0, 5.0, 5.0),
-                    metavar=("CLS", "BCE", "DICE"))
+    ev.add_argument("--weights", type=float, nargs=3, metavar=("CLS", "BCE", "DICE"),
+                    default=dataclasses.astuple(LossWeights()))
     ev.add_argument("--out-prefix", required=True,
                     help="writes <prefix>.report.json and <prefix>.audit.csv")
     ev.add_argument("--threads", type=int, default=None)

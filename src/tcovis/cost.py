@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Assignment, GroundTruthTrack, PredictionTrack
+from .model import Assignment, GroundTruthTrack, PredictionTrack, field_names
 
 EPS_LOG = 1e-12
 DICE_SMOOTH = 1.0
@@ -42,7 +42,7 @@ class LossWeights:
     lambda_dice: float = 5.0
 
     def __post_init__(self):
-        for name in ("lambda_cls", "lambda_bce", "lambda_dice"):
+        for name in field_names(LossWeights):
             value = float(getattr(self, name))
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")

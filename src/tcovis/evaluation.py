@@ -133,13 +133,13 @@ def _slot_digest(pred) -> bytes:
     return digest.digest()
 
 
-def _clip_digest(clip) -> bytes:
+def _clip_digest(clip, slot_keys) -> bytes:
     # slot digests are sorted so the fingerprint ignores slot order
     digest = hashlib.sha256()
     for gt in clip.gt:
         digest.update(int(gt.class_id).to_bytes(4, "little", signed=True))
         digest.update(np.ascontiguousarray(gt.masks, dtype=np.uint8).tobytes())
-    for key in sorted(_slot_digest(pred) for pred in clip.pred):
+    for key in sorted(slot_keys):
         digest.update(key)
     return digest.digest()
 
@@ -157,7 +157,8 @@ def _gather(corpus: Corpus):
     for ci, clip in enumerate(corpus.clips):
         if clip.pred is None:
             raise ValueError(f"clip {ci} has no predictions")
-        clip_key = _clip_digest(clip)
+        slot_keys = [_slot_digest(pred) for pred in clip.pred]
+        clip_key = _clip_digest(clip, slot_keys)
         for gi, gt in enumerate(clip.gt):
             gt_census.setdefault(int(gt.class_id), []).append((ci, gi))
         ious = video_iou_table(clip.gt, clip.pred)
@@ -165,7 +166,7 @@ def _gather(corpus: Corpus):
             detections.append({"score": prediction_score(pred), "clip": ci,
                                "slot": si, "label": predicted_label(pred),
                                "ious": ious[:, si], "clip_key": clip_key,
-                               "slot_key": _slot_digest(pred)})
+                               "slot_key": slot_keys[si]})
     return detections, gt_census
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,22 @@ def _positive_int(name: str, value) -> int:
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     return value
+
+
+def field_names(cls, skip=()) -> tuple:
+    """The names of a dataclass's fields in declaration order, less `skip`."""
+    return tuple(f.name for f in fields(cls) if f.name not in skip)
+
+
+def record_dict(record, skip=()) -> dict:
+    """A record's fields as a JSON-ready dict, less `skip`; tuple values
+    become lists, so the dict equals its JSON round trip. Unlike
+    ``dataclasses.asdict`` it does not recurse into nested records."""
+    out = {}
+    for name in field_names(type(record), skip):
+        value = getattr(record, name)
+        out[name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def _frozen(values, dtype=None) -> np.ndarray:
@@ -61,7 +77,7 @@ class ClipSpec:
     C: int
 
     def __post_init__(self):
-        for name in ("T", "H", "W", "S", "K", "N_v", "C"):
+        for name in field_names(ClipSpec):
             object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
         if self.H % self.S != 0 or self.W % self.S != 0:
             raise ValueError(f"S={self.S} must divide H={self.H} and W={self.W} exactly")
@@ -75,16 +91,15 @@ class ClipSpec:
         return self.W // self.S
 
     def to_dict(self) -> dict:
-        return {"T": self.T, "H": self.H, "W": self.W, "S": self.S,
-                "K": self.K, "N_v": self.N_v, "C": self.C}
+        return record_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClipSpec":
-        missing = {"T", "H", "W", "S", "K", "N_v", "C"} - set(data)
+        names = field_names(cls)
+        missing = set(names) - set(data)
         if missing:
             raise ValueError(f"spec is missing fields: {sorted(missing)}")
-        return cls(T=data["T"], H=data["H"], W=data["W"], S=data["S"],
-                   K=data["K"], N_v=data["N_v"], C=data["C"])
+        return cls(**{name: data[name] for name in names})
 
 
 @dataclass(frozen=True)
@@ -288,14 +303,8 @@ def decode_mask_rle(record: dict) -> np.ndarray:
     total = sum(counts)
     if total != h * w:
         raise ValueError(f"RLE counts sum to {total}, expected {h * w}")
-    flat = np.zeros(h * w, dtype=np.uint8)
-    pos = 0
-    value = 0
-    for count in counts:
-        if value:
-            flat[pos:pos + count] = 1
-        pos += count
-        value ^= 1
+    # runs alternate 0, 1, 0, ...: run i holds the value i & 1
+    flat = np.repeat(np.arange(len(counts), dtype=np.uint8) & 1, counts)
     return flat.reshape((h, w), order="F")
 
 
@@ -389,8 +398,7 @@ def corpus_from_dict(doc: dict) -> Corpus:
                 except (TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"{where} class_probs: {exc}") from None
                 try:
-                    frames = np.stack([np.asarray(row, dtype=np.float64).reshape(spec.h, spec.w)
-                                       for row in rows])
+                    frames = np.asarray(rows, dtype=np.float64).reshape(len(rows), spec.h, spec.w)
                 except (TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"{where} mask_probs: {exc}") from None
                 tracks.append(PredictionTrack(class_probs=probs, mask_probs=frames))

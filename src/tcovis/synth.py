@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import _sigmoid
-from .model import Clip, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack
+from .model import Clip, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack, record_dict
 from .rng import GENERATOR_NAME, derive_seed, stream
 
 _SHAPES = ("rectangle", "disc")
@@ -69,9 +69,7 @@ class SceneConfig:
                              f"{self.spec.h}x{self.spec.w} grid")
 
     def to_dict(self) -> dict:
-        return {"n_objects": list(self.n_objects), "shapes": list(self.shapes),
-                "velocity": list(self.velocity), "allow_occlusion": self.allow_occlusion,
-                "entry_frame": list(self.entry_frame), "size": list(self.size)}
+        return record_dict(self, skip=("spec",))
 
 
 @dataclass(frozen=True)
@@ -106,9 +104,7 @@ class NoiseConfig:
             raise ValueError(f"sharpness must be > 0, got {self.sharpness}")
 
     def to_dict(self) -> dict:
-        return {"mask_jitter": self.mask_jitter, "class_confusion": self.class_confusion,
-                "swap_mode": self.swap_mode, "swap_frame": self.swap_frame,
-                "sharpness": self.sharpness}
+        return record_dict(self)
 
 
 def _reflect(pos: float, lo: float, hi: float):
@@ -248,15 +244,11 @@ def simulate_predictions(gt_tracks, noise: NoiseConfig, spec: ClipSpec,
 
 
 def generate_corpus(scene: SceneConfig, noise: NoiseConfig | None, n_clips: int,
-                    seed: int, clip_indices=None) -> Corpus:
+                    seed: int) -> Corpus:
     """Build a corpus of seeded clips; predictions included when a noise
     config is given. Each clip gets its own hashed substream, so any
     subset can be generated independently and identically."""
-    if clip_indices is None:
-        clip_indices = range(n_clips)
-    clips = []
-    for index in clip_indices:
-        clips.append(build_clip(scene, noise, seed, index))
+    clips = [build_clip(scene, noise, seed, index) for index in range(n_clips)]
     return Corpus(spec=scene.spec, clips=tuple(clips), seed=int(seed),
                   generator=corpus_header(scene, noise, n_clips))
 

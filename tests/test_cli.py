@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -83,11 +84,26 @@ class TestGen:
         assert code == 1
         assert "n_objects" in capsys.readouterr().err
 
-    def test_unknown_field_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, frobnicate=1)
-        code = main(["gen", str(cfg), "--out", str(tmp_path / "x.json")])
+    @pytest.mark.parametrize("section, name", [
+        (None, "config"), ("spec", "spec"), ("scene", "scene"), ("noise", "noise"),
+        ("weights", "weights"), ("demo", "demo config"),
+    ], ids=["top-level", "spec", "scene", "noise", "weights", "demo-config"])
+    def test_unknown_field_rejected(self, tmp_path, capsys, section, name):
+        config = "enhance.json" if section == "demo" else "small.json"
+        doc = json.loads((CONFIG_DIR / config).read_text())
+        (doc if section in (None, "demo") else doc[section])["frobnicate"] = 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x.json"
+        if section == "demo":
+            code = main(["enhance", "--demo", str(cfg), "--out", str(out)])
+        else:
+            code = main(["gen", str(cfg), "--out", str(out)])
         assert code == 1
-        assert "frobnicate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "frobnicate" in err
+        assert err == f"error: unknown field 'frobnicate' in {name}\n"
+        assert not out.exists()
 
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "five.json"
@@ -142,7 +158,44 @@ def gen_corpus(tmp_path, config_name="small.json", clips=4, **noise_overrides):
     return out
 
 
+def file_digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 class TestAssign:
+    # sha256 of <prefix>.json (the digest the command prints) and <prefix>.csv
+    @pytest.mark.parametrize("config, strategy, json_digest, csv_digest", [
+        ("small.json", "gia",
+         "f28a3dad6f834ab53460c57ad086407768b8cbadbc3e5229688fe642a8e25460",
+         "267470adb45aa367bbd013b6ba9fb06516620de1a0642d66adf7e6bec5af0e8a"),
+        ("small.json", "locpro",
+         "f4c9cd7b2ced03feefd24abb73dad47ad7c183aaacc08dfb358c1327cd75b2e2",
+         "28d8d10994a15893d504213b9ce8c818b58b33af1d452fdd6b0b9bb5ac8272ca"),
+        ("small.json", "both",
+         "8ab3d9e011a893cec28335969363e2a3d5bb18e13e165272ea245b471d1def0c",
+         "848e6e44fcdccdbd444869a80ef3974faf5477e5f8e852429cbcecaa1b79f3f4"),
+        ("swap.json", "gia",
+         "ac30f77328817bc87e2c0382249ca66d77ab227c9f0b0adc5237f2b5ed939005",
+         "5881bb4a28a3a64803261d83398a5c81acca37ad833df44217a1d043a480f9be"),
+        ("swap.json", "locpro",
+         "779e737446b6d01b688d4324b257df6719bb983444595a17e865731c50e8c4cd",
+         "2c6fef127347b71e4e8f90476f38947885aa124103cbf8d83857e0544c36d95f"),
+        ("swap.json", "both",
+         "e90944c269cf2025ebb7191f327a0f84216bf959037c925b91e01c60fc48ece5",
+         "969c0ff4023fa95237d10a43326a577a4ad94c8c10fdfba2754925a37f2af932"),
+    ], ids=["small-gia", "small-locpro", "small-both", "swap-gia", "swap-locpro", "swap-both"])
+    def test_golden_output_digests(self, tmp_path, capsys, config, strategy,
+                                   json_digest, csv_digest):
+        corpus = tmp_path / "c.json"
+        assert main(["gen", str(CONFIG_DIR / config), "--out", str(corpus)]) == 0
+        capsys.readouterr()
+        prefix = tmp_path / "audit"
+        assert main(["assign", str(corpus), "--strategy", strategy,
+                     "--out-prefix", str(prefix)]) == 0
+        assert capsys.readouterr().out.split("sha256=")[1].strip() == json_digest
+        assert file_digest(tmp_path / "audit.json") == json_digest
+        assert file_digest(tmp_path / "audit.csv") == csv_digest
+
     def test_zero_noise_deltas_vanish(self, tmp_path):
         corpus = gen_corpus(tmp_path, clips=3, mask_jitter=0.0, class_confusion=0.0)
         prefix = tmp_path / "audit"
@@ -257,6 +310,14 @@ class TestMalformedCorpus:
     def huge_int_class_prob(doc):
         doc["clips"][1]["pred"][0]["class_probs"][3][0] = 10**400
 
+    @staticmethod
+    def ragged_mask_row(doc):
+        doc["clips"][0]["pred"][1]["mask_probs"][2].pop()
+
+    @staticmethod
+    def no_mask_rows(doc):
+        doc["clips"][1]["pred"][2]["mask_probs"] = []
+
     @pytest.mark.parametrize("command", ["assign", "eval"])
     @pytest.mark.parametrize("mutate, reason", [
         (clips_not_a_list, "clips must be a list, got int"),
@@ -271,9 +332,11 @@ class TestMalformedCorpus:
         (long_rle_counts, ": clip 1 gt[1] masks[3]: RLE counts sum to 257, expected 256\n"),
         (huge_int_mask_prob, ": clip 0 pred[1] mask_probs: "),
         (huge_int_class_prob, ": clip 1 pred[0] class_probs: "),
+        (ragged_mask_row, ": clip 0 pred[1] mask_probs: "),
+        (no_mask_rows, ": clip 1 pred[2]: mask_probs shape (0, 16, 16) != (6, 16, 16)\n"),
     ], ids=["clips", "gt", "mask_probs", "pred", "slots", "class_id-float", "class_id-bool",
             "seed-float", "rle-size-float", "rle-counts-located", "mask_probs-huge-int",
-            "class_probs-huge-int"])
+            "class_probs-huge-int", "mask_probs-ragged", "mask_probs-empty"])
     def test_exits_one_with_reason(self, tmp_path, capsys, command, mutate, reason):
         corpus = gen_corpus(tmp_path, clips=2)
         doc = json.loads(corpus.read_text())
@@ -383,6 +446,23 @@ class TestEnhance:
 
 
 class TestEval:
+    # sha256 of <prefix>.report.json (the digest the command prints) and <prefix>.audit.csv
+    @pytest.mark.parametrize("config, report_digest, csv_digest", [
+        ("small.json", "b3f9d09c0c9b2f8cb4aedf37aeecc6f61c43938307b00bd252967239599786da",
+         "c27594de7f2b3a4eda7064b5155accc9a58317735554368b500d83f69728568c"),
+        ("swap.json", "0affde88511b96a2d1cf558b0dc956428b3717b849f5db237e01aeba2639732b",
+         "f8287c2dd672d83313f5451b65b9bbf77acb02ccbbb659e53c1d2fa359f73d0e"),
+    ], ids=["small", "swap"])
+    def test_golden_output_digests(self, tmp_path, capsys, config, report_digest, csv_digest):
+        corpus = tmp_path / "c.json"
+        assert main(["gen", str(CONFIG_DIR / config), "--out", str(corpus)]) == 0
+        capsys.readouterr()
+        prefix = tmp_path / "metrics"
+        assert main(["eval", str(corpus), "--out-prefix", str(prefix)]) == 0
+        assert capsys.readouterr().out.split("sha256=")[1].strip() == report_digest
+        assert file_digest(tmp_path / "metrics.report.json") == report_digest
+        assert file_digest(tmp_path / "metrics.audit.csv") == csv_digest
+
     def test_writes_report_and_audit(self, tmp_path):
         corpus = gen_corpus(tmp_path, clips=3)
         prefix = tmp_path / "metrics"
@@ -462,3 +542,28 @@ class TestDeterminismAcrossThreads:
         monkeypatch.setenv("TCOVIS_THREADS", "2")
         assert main(["gen", str(cfg), "--out", str(tmp_path / "y.json"),
                      "--threads", "1"]) == 0
+
+
+class TestThreadCount:
+    @pytest.mark.parametrize("command", ["gen", "assign", "eval", "enhance"])
+    @pytest.mark.parametrize("flag, env, reason", [
+        ("0", None, "error: thread count must be >= 1, got 0\n"),
+        (None, "abc", "error: TCOVIS_THREADS must be an integer, got 'abc'\n"),
+    ], ids=["flag-zero", "env-not-an-integer"])
+    def test_bad_thread_count_exits_one(self, tmp_path, monkeypatch, capsys,
+                                        command, flag, env, reason):
+        out = tmp_path / "out"
+        if command == "gen":
+            argv = ["gen", str(write_config(tmp_path, clips=2)), "--out", str(out)]
+        elif command == "enhance":
+            argv = ["enhance", "--demo", str(CONFIG_DIR / "enhance.json"), "--out", str(out)]
+        else:
+            argv = [command, str(gen_corpus(tmp_path, clips=2)), "--out-prefix", str(out)]
+        if flag is not None:
+            argv += ["--threads", flag]
+        if env is not None:
+            monkeypatch.setenv("TCOVIS_THREADS", env)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == reason
+        assert list(tmp_path.glob("out*")) == []

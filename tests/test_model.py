@@ -165,6 +165,31 @@ class TestRle:
             mask = (rng.random((8, 8)) < rng.uniform(0.05, 0.95)).astype(np.uint8)
             assert np.array_equal(decode_mask_rle(encode_mask_rle(mask)), mask)
 
+    @staticmethod
+    def loop_decode(record):
+        """Reference decoder: fill the runs one by one."""
+        h, w = record["size"]
+        flat = np.zeros(h * w, dtype=np.uint8)
+        pos = 0
+        for i, count in enumerate(record["counts"]):
+            flat[pos:pos + count] = i % 2
+            pos += count
+        return flat.reshape((h, w), order="F")
+
+    def test_decode_matches_the_loop_reference(self):
+        rng = np.random.default_rng(7)
+        checker = (np.indices((40, 40)).sum(axis=0) % 2).astype(np.uint8)  # 1600 runs
+        records = [encode_mask_rle(checker), {"size": [4, 4], "counts": [3, 0, 0, 13]}]
+        for _ in range(200):    # zero-length runs anywhere, as decode accepts them
+            counts = rng.integers(0, 4, rng.integers(1, 40)).tolist()
+            counts[0] += 1
+            records.append({"size": [1, sum(counts)], "counts": counts})
+        for record in records:
+            decoded = decode_mask_rle(record)
+            assert decoded.dtype == np.uint8
+            assert np.array_equal(decoded, self.loop_decode(record))
+        assert np.array_equal(decode_mask_rle(records[0]), checker)
+
     def test_decode_rejects_bad_total(self):
         with pytest.raises(ValueError, match="sum"):
             decode_mask_rle({"size": [4, 4], "counts": [15]})

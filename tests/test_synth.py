@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from tcovis.assignment import global_instance_assignment, locpro_assignment
 from tcovis.cost import LossWeights
-from tcovis.model import ClipSpec, Corpus, validate
+from tcovis.model import ClipSpec, Corpus, dump_json, validate
 from tcovis.synth import (NoiseConfig, SceneConfig, build_clip, generate_clip,
                           generate_corpus, simulate_predictions)
 
@@ -169,6 +171,14 @@ class TestCorpus:
         assert corpus.generator["name"].startswith("philox")
         assert corpus.generator["scene"]["n_objects"] == [2, 4]
         assert corpus.generator["clips"] == 3
+
+    def test_header_equals_its_json_copy_and_rebuilds_the_configs(self):
+        cfg = scene(shapes=("disc",), entry_frame=(1, 3))
+        noise = NoiseConfig(mask_jitter=0.02, swap_mode="early_swap", swap_frame=3)
+        header = generate_corpus(cfg, noise, 2, seed=83).generator
+        assert json.loads(dump_json(header)) == header
+        assert SceneConfig(spec=SPEC, **header["scene"]) == cfg
+        assert NoiseConfig(**header["noise"]) == noise
 
     def test_clips_independent_of_generation_order(self):
         cfg = scene()
