@@ -24,7 +24,7 @@ import itertools
 
 import numpy as np
 
-from .cost import LossWeights, global_matching_cost, matching_cost_matrix
+from .cost import LossWeights, matching_cost_matrix
 from .model import Assignment
 
 BRUTE_FORCE_MAX_ROWS = 8
@@ -332,9 +332,10 @@ def assignment_total_global_cost(assignment: Assignment, gt_tracks, pred_tracks,
                                  weights: LossWeights) -> float:
     """Recompute the whole-clip cost of an assignment from its inputs."""
     n_gt, n_slots = len(gt_tracks), len(pred_tracks)
+    costs = matching_cost_matrix(gt_tracks, pred_tracks, weights)
     total = 0.0
     for g, s in sorted(assignment.pairs):
         if not 0 <= g < n_gt or not 0 <= s < n_slots:
             raise ValueError(f"assignment pair ({g}, {s}) out of range")
-        total += global_matching_cost(gt_tracks[g], pred_tracks[s], weights)
+        total += float(costs[g, s])
     return total

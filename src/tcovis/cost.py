@@ -9,11 +9,15 @@ supervises unmatched prediction slots toward the no-object class.
 ``matching_cost_matrix`` is the one implementation of the matching cost:
 it scores every (ground truth, prediction slot) pair of a clip at once,
 for the whole clip or for one frame. It stacks each slot's soft masks
-once, takes their logs and mass sums once, and then reduces one ground-
-truth row against all slots with the same elementwise terms and the same
-numpy per-row pairwise sums as ``bce_cost`` and ``dice_cost``, so every
-entry is bit-identical to those primitives. A matmul would sum in another
-order and move costs by a few ULPs, which can flip exactly tied pairs.
+once and takes their logs and mass sums once. Then, for one ground-truth
+row at a time, it uses the binary ground truth to select each cell's
+term into buffers reused across rows, where ``bce_cost`` and
+``dice_cost`` multiply by it, and reduces them with the same numpy
+per-row pairwise sums. Adding ``0.0`` to the logs makes the selected
+``-log(1)`` a ``0.0``, as the product gives, so every entry is
+bit-identical to those primitives. A non-binary ground truth raises
+instead of pricing a different cost. A matmul would sum in another order
+and move costs by a few ULPs, which can flip exactly tied pairs.
 ``global_matching_cost`` and ``frame_matching_cost`` are its 1x1 views;
 ``ce_cost``, ``bce_cost`` and ``dice_cost`` stay the independent primitives.
 
@@ -96,7 +100,12 @@ def matching_cost_matrix(gt_tracks, pred_tracks, weights: LossWeights,
     ``pred_tracks[s]`` (clip-averaged class term, full mask stacks), or with
     ``frame=t`` (0-based) the cost at frame t alone. Each entry equals
     ``lambda_cls * ce_cost + lambda_bce * bce_cost + lambda_dice * dice_cost``
-    on that pair exactly, bit for bit.
+    on that pair exactly, bit for bit, for soft masks in [0, 1].
+
+    The binary ground truth selects terms instead of multiplying them:
+    ``y*A + (1-y)*B`` is ``A + 0.0`` or ``B + 0.0`` and ``y*P`` is ``P`` or
+    ``0.0``, written into two (slots, cells) buffers allocated once per call.
+    A ground-truth entry other than 0 or 1 raises ``ValueError``.
     """
     gt_masks = [np.asarray(gt.masks) for gt in gt_tracks]
     pred_masks = [np.asarray(pred.mask_probs) for pred in pred_tracks]
@@ -117,7 +126,7 @@ def matching_cost_matrix(gt_tracks, pred_tracks, weights: LossWeights,
     for class_id in class_ids:
         if not 0 <= class_id < probs.shape[-1]:
             raise ValueError(f"gt_class {class_id} out of range for {probs.shape[-1]} classes")
-    ce = _neg_log(probs[:, class_ids], EPS_LOG).T
+    ce = _neg_log(probs.T[class_ids], EPS_LOG)
 
     shape = gt_masks[0].shape
     for masks in gt_masks + pred_masks:
@@ -126,19 +135,27 @@ def matching_cost_matrix(gt_tracks, pred_tracks, weights: LossWeights,
     cells = slice(None) if frame is None else frame
     Y = np.stack([masks[cells].ravel() for masks in gt_masks]).astype(np.float64, copy=False)
     P = np.stack([masks[cells].ravel() for masks in pred_masks]).astype(np.float64, copy=False)
-    A = _neg_log(P, EPS_LOG)
-    B = _neg_log(1.0 - P, EPS_LOG)
-    y_mass = Y.sum(axis=1)
-    p_mass = P.sum(axis=1)
+    inside = Y == 1.0
+    if not (inside | (Y == 0.0)).all():
+        raise ValueError("ground-truth mask entries must be 0 or 1")
+    # + 0.0 turns the -0.0 of -log(1) into the 0.0 that y*A + (1-y)*B gives
+    A = _neg_log(P, EPS_LOG) + 0.0
+    B = _neg_log(1.0 - P, EPS_LOG) + 0.0
 
-    out = np.empty((n_gt, n_slots), dtype=np.float64)
-    for g, y in enumerate(Y):
-        bce = (y * A + (1.0 - y) * B).mean(axis=1)
-        overlap = (y * P).sum(axis=1)
-        dice = 1.0 - (2.0 * overlap + DICE_SMOOTH) / ((y_mass[g] + p_mass) + DICE_SMOOTH)
-        out[g] = (weights.lambda_cls * ce[g] + weights.lambda_bce * bce
-                  + weights.lambda_dice * dice)
-    return out
+    # contiguous row sums keep the primitives' pairwise order; mean is sum / count
+    terms, overlaps = np.empty_like(P), np.empty_like(P)
+    bce, overlap = np.empty((2, n_gt, n_slots))
+    for g, y in enumerate(inside):
+        np.copyto(terms, B)
+        np.copyto(terms, A, where=y)
+        np.copyto(overlaps, 0.0)
+        np.copyto(overlaps, P, where=y)
+        np.add.reduce(terms, axis=1, out=bce[g])
+        np.add.reduce(overlaps, axis=1, out=overlap[g])
+    bce /= P.shape[1]
+    mass = Y.sum(axis=1)[:, None] + P.sum(axis=1)
+    dice = 1.0 - (2.0 * overlap + DICE_SMOOTH) / (mass + DICE_SMOOTH)
+    return weights.lambda_cls * ce + weights.lambda_bce * bce + weights.lambda_dice * dice
 
 
 def frame_matching_cost(gt_track: GroundTruthTrack, pred_track: PredictionTrack,
@@ -169,9 +186,10 @@ def overall_loss(gt_tracks, pred_tracks, assignment: Assignment,
     if seen_gt != set(range(n_gt)):
         raise ValueError("assignment must cover every ground-truth index exactly once")
 
+    costs = matching_cost_matrix(gt_tracks, pred_tracks, weights)
     total = 0.0
     for g, s in sorted(assignment.pairs):
-        total += global_matching_cost(gt_tracks[g], pred_tracks[s], weights)
+        total += float(costs[g, s])
     for s in range(n_slots):
         if s not in seen_slot:
             probs = average_class_prob(pred_tracks[s])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tcovis import assignment
 from tcovis.cost import (LossWeights, average_class_prob, bce_cost, ce_cost,
@@ -242,6 +243,11 @@ def direct_cost(gt, pred, w, frame=None):
             + w.lambda_dice * dice_cost(gt.masks[frame], pred.mask_probs[frame]))
 
 
+def bits(values):
+    """float64 bit patterns, which tell 0.0 from -0.0 where ``==`` does not."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
 def saturated_tracks(rng, n_gt, n_slots, T, h, w, K=3):
     """Random tracks whose soft masks and class vectors hold exact 0.0 and
     1.0 entries, one slot copying a ground-truth stack, and ground truth
@@ -281,7 +287,27 @@ class TestMatchingCostMatrix:
                 assert matrix.shape == (3, 5)
                 expected = [[direct_cost(gt, pred, weights, frame) for pred in preds]
                             for gt in gts]
-                assert matrix.tolist() == expected
+                np.testing.assert_array_equal(bits(matrix), bits(expected))
+
+    # cell counts straddle numpy's pairwise-summation thresholds of 8 and
+    # 128, whole clip (T*h*w) and per frame (h*w)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 64), st.integers(0, 2**32 - 1))
+    @example(2, 3, 1, 1, 7, 0).via("7 cells")
+    @example(2, 3, 1, 2, 4, 0).via("8 cells")
+    @example(2, 3, 1, 3, 3, 0).via("9 cells")
+    @example(2, 3, 1, 2, 64, 0).via("128 cells")
+    @example(2, 3, 1, 3, 43, 0).via("129 cells")
+    @example(2, 3, 3, 3, 43, 0).via("387 cells, 129 per frame")
+    def test_every_entry_has_the_primitives_bits(self, n_gt, n_slots, T, h, w, seed):
+        gts, preds = saturated_tracks(np.random.default_rng(seed), n_gt, n_slots, T, h, w)
+        weights = LossWeights()
+        for frame in [None, *range(T)]:
+            matrix = matching_cost_matrix(gts, preds, weights, frame=frame)
+            expected = [[direct_cost(gt, pred, weights, frame) for pred in preds]
+                        for gt in gts]
+            np.testing.assert_array_equal(bits(matrix), bits(expected))
 
     def test_scalar_costs_are_one_by_one_views(self):
         rng = np.random.default_rng(30)
@@ -291,8 +317,8 @@ class TestMatchingCostMatrix:
         at_one = matching_cost_matrix(gts, preds, w, frame=1)
         for g, gt in enumerate(gts):
             for s, pred in enumerate(preds):
-                assert global_matching_cost(gt, pred, w) == whole[g, s]
-                assert frame_matching_cost(gt, pred, 1, w) == at_one[g, s]
+                assert bits(global_matching_cost(gt, pred, w)) == bits(whole[g, s])
+                assert bits(frame_matching_cost(gt, pred, 1, w)) == bits(at_one[g, s])
 
     def test_locpro_stage_matrices_match_per_pair_frame_costs(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -322,7 +348,7 @@ class TestMatchingCostMatrix:
                 gt.masks.reshape(T, -1).any(axis=1))[0] == t]
             expected = [[direct_cost(gts[g], preds[s], w, frame=t) for s in free]
                         for g in rows]
-            assert matrix.tolist() == expected
+            np.testing.assert_array_equal(bits(matrix), bits(expected))
             taken = [free[ci] for _, ci in result.pairs]
             free = [s for s in free if s not in taken]
 
@@ -346,6 +372,35 @@ class TestMatchingCostMatrix:
                                  mask_probs=pred.mask_probs[:, :, :5])
         with pytest.raises(ValueError, match="mask shapes differ"):
             matching_cost_matrix([gt], [pred, narrow], LossWeights(), frame=frame)
+
+    @pytest.mark.parametrize("value", [0.5, 2])
+    @pytest.mark.parametrize("frame", [None, 0])
+    def test_rejects_non_binary_ground_truth(self, value, frame):
+        rng = np.random.default_rng(36)
+        gt, pred = random_pair(rng)
+        masks = gt.masks.astype(np.float64)
+        masks[0, 2, 3] = value
+        bad = GroundTruthTrack(class_id=gt.class_id, masks=masks)
+        message = "ground-truth mask entries must be 0 or 1"
+        with pytest.raises(ValueError, match=message):
+            matching_cost_matrix([gt, bad], [pred], LossWeights(), frame=frame)
+        with pytest.raises(ValueError, match=message):
+            if frame is None:
+                global_matching_cost(bad, pred, LossWeights())
+            else:
+                frame_matching_cost(bad, pred, frame, LossWeights())
+
+    @pytest.mark.parametrize("frame", [None, 0, 2])
+    def test_binary_ground_truth_dtypes_give_the_same_bits(self, frame):
+        rng = np.random.default_rng(37)
+        gts, preds = saturated_tracks(rng, n_gt=3, n_slots=4, T=3, h=5, w=6)
+        w = LossWeights()
+        expected = [[direct_cost(gt, pred, w, frame) for pred in preds] for gt in gts]
+        for dtype in (np.uint8, bool, np.float64):
+            typed = [GroundTruthTrack(class_id=gt.class_id, masks=gt.masks.astype(dtype))
+                     for gt in gts]
+            matrix = matching_cost_matrix(typed, preds, w, frame=frame)
+            np.testing.assert_array_equal(bits(matrix), bits(expected))
 
     @pytest.mark.parametrize("frame", [-1, 3])
     def test_rejects_frame_outside_clip(self, frame):
