@@ -57,8 +57,8 @@ drift = np.linalg.norm(updated - protos, axis=1)
 print(f"  query drift per slot: {np.round(drift, 3)}")
 
 print("\nfull clip, enhancement on vs off:")
-plain = run_clip(queries, frames, decoder, ste_enabled=False)
-enhanced = run_clip(queries, frames, decoder, ste_params=mhca, ste_enabled=True)
+plain = run_clip(queries, frames, decoder)
+enhanced = run_clip(queries, frames, decoder, ste_params=mhca)
 for k in range(N_SLOTS):
     gap = np.abs(plain[k].mask_probs - enhanced[k].mask_probs).max()
     print(f"  slot {k}: max |mask difference| over the clip = {gap:.4f}")

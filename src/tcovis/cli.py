@@ -33,7 +33,8 @@ from .assignment import (build_global_cost_matrix, global_instance_assignment,
                          hungarian, locpro_assignment)
 from .cost import LossWeights
 from .model import (ClipSpec, Corpus, GroundTruthTrack, PredictionTrack, _loaded_int,
-                    dump_json, field_names, load_corpus, record_dict, save_corpus, validate)
+                    _positive_int, dump_json, field_names, load_corpus, record_dict,
+                    save_corpus, validate)
 from .rng import stream
 
 
@@ -122,11 +123,9 @@ def _load_run_config(path) -> dict:
                                                         synth.NoiseConfig))
         weights = LossWeights(**_record_section("weights", doc.get("weights", {}),
                                                 LossWeights))
-        clips = _loaded_int(doc["clips"], "clips")
-        if clips < 1:
-            raise ValueError(f"clips must be >= 1, got {clips}")
         return {"spec": spec, "scene": scene, "noise": noise, "weights": weights,
-                "seed": _loaded_int(doc["seed"], "seed"), "clips": clips,
+                "clips": _positive_int("clips", doc["clips"]),
+                "seed": _loaded_int(doc["seed"], "seed"),
                 "threads": _loaded_int(doc.get("threads", 1), "threads")}
 
 
@@ -189,19 +188,22 @@ def _load_predicted_corpus(path) -> Corpus:
     return corpus
 
 
+def _solution(pairs, cost: float) -> dict:
+    return {"pairs": [list(p) for p in pairs], "cost": cost}
+
+
 def _assign_row(corpus: Corpus, weights: LossWeights, strategy: str, ci: int) -> dict:
     clip = corpus.clips[ci]
     if strategy == "both":
         audit = evaluation.audit_clip(ci, clip.gt, clip.pred, weights)
         return {"clip": ci,
-                "gia": {"pairs": [list(p) for p in audit.gia_pairs], "cost": audit.gia_cost},
-                "locpro": {"pairs": [list(p) for p in audit.locpro_pairs],
-                           "cost": audit.locpro_cost},
+                "gia": _solution(audit.gia_pairs, audit.gia_cost),
+                "locpro": _solution(audit.locpro_pairs, audit.locpro_cost),
                 "agreement": audit.pair_agreement,
                 "delta": audit.locpro_cost - audit.gia_cost}
     solve = global_instance_assignment if strategy == "gia" else locpro_assignment
     a = solve(clip.gt, clip.pred, weights)
-    return {"clip": ci, strategy: {"pairs": [list(p) for p in a.pairs], "cost": a.total_cost}}
+    return {"clip": ci, strategy: _solution(a.pairs, a.total_cost)}
 
 
 def _cmd_assign(args) -> int:
@@ -210,30 +212,20 @@ def _cmd_assign(args) -> int:
     threads = _threads(args)
     rows = _pool_map(lambda ci: _assign_row(corpus, weights, args.strategy, ci),
                      range(len(corpus.clips)), threads)
+    both = args.strategy == "both"
     doc = {"strategy": args.strategy, "weights": record_dict(weights), "clips": rows}
-    if args.strategy == "both":
+    if both:
         doc["summary"] = {
             "mean_agreement": float(np.mean([r["agreement"] for r in rows])) if rows else 1.0,
             "mean_delta": float(np.mean([r["delta"] for r in rows])) if rows else 0.0,
         }
     _write(f"{args.out_prefix}.json", dump_json(doc))
-    header = ["clip"]
-    if args.strategy in ("gia", "both"):
-        header.append("gia_cost")
-    if args.strategy in ("locpro", "both"):
-        header.append("locpro_cost")
-    if args.strategy == "both":
-        header += ["agreement", "delta"]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [str(row["clip"])]
-        if "gia" in row:
-            cells.append(repr(row["gia"]["cost"]))
-        if "locpro" in row:
-            cells.append(repr(row["locpro"]["cost"]))
-        if args.strategy == "both":
-            cells += [repr(row["agreement"]), repr(row["delta"])]
-        lines.append(",".join(cells))
+    # CSV columns are row keys; a strategy's column `<name>_cost` holds its cost
+    strategies = ("gia", "locpro") if both else (args.strategy,)
+    columns = ["clip", *strategies, *(("agreement", "delta") if both else ())]
+    lines = [",".join(f"{c}_cost" if c in strategies else c for c in columns)]
+    lines += [",".join(repr(row[c]["cost"] if c in strategies else row[c]) for c in columns)
+              for row in rows]
     _write(f"{args.out_prefix}.csv", "\n".join(lines) + "\n")
     print(f"clips={len(rows)} strategy={args.strategy} "
           f"sha256={_sha256(args.out_prefix + '.json')}")
@@ -248,11 +240,9 @@ def _load_demo_config(path) -> dict:
     with _config(path, "demo config", known={"n_heads", "n_fq", "threshold"},
                  required={"n_heads", "n_fq"}) as (doc, spec):
         n_heads = _loaded_int(doc["n_heads"], "n_heads")
-        n_fq = _loaded_int(doc["n_fq"], "n_fq")
+        n_fq = _positive_int("n_fq", doc["n_fq"])
         if n_heads < 1 or spec.C % n_heads != 0:
             raise ValueError(f"n_heads {doc['n_heads']} must be a positive divisor of C={spec.C}")
-        if n_fq < 1:
-            raise ValueError(f"n_fq must be >= 1, got {doc['n_fq']}")
         return {"spec": spec, "n_heads": n_heads, "n_fq": n_fq,
                 "seed": _loaded_int(doc["seed"], "seed"),
                 "threshold": float(doc.get("threshold", 0.5))}
@@ -280,12 +270,10 @@ def _cmd_enhance(args) -> int:
     cfg = _load_demo_config(args.demo)
     _threads(args)      # one clip: the count is checked, not used
     decoder, mhca, queries, frames = _demo_inputs(cfg)
-    _, plain_trace = ste.run_clip(queries, frames, decoder, ste_enabled=False,
-                                  collect_trace=True)
+    _, plain_trace = ste.run_clip(queries, frames, decoder, collect_trace=True)
     try:
         _, ste_trace = ste.run_clip(queries, frames, decoder, ste_params=mhca,
-                                    ste_enabled=True, threshold=cfg["threshold"],
-                                    collect_trace=True)
+                                    threshold=cfg["threshold"], collect_trace=True)
     except ValueError as exc:   # e.g. a threshold outside (0, 1)
         raise CliError(str(exc)) from None
     doc = {"spec": cfg["spec"].to_dict(), "seed": cfg["seed"],

@@ -8,7 +8,8 @@ interpolated precision, averaged over thresholds and over the classes
 present in the ground truth. A prediction's label is the argmax of its
 clip-averaged probabilities over the real classes; its score is one minus
 the mean no-object probability. AR@k keeps the k highest-scoring
-predictions per clip and class.
+predictions per clip and class. Each class is ranked once, and one walk
+down that ranking matches it at all ten thresholds.
 
 The audit compares the global assignment strategy against the local
 baseline clip by clip: their whole-clip costs and the fraction of
@@ -17,18 +18,17 @@ identically assigned tracks.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import build_global_cost_matrix, hungarian, locpro_assignment
 from .cost import LossWeights
-from .model import Corpus, GroundTruthTrack, PredictionTrack
+from .model import Corpus, GroundTruthTrack, PredictionTrack, field_names
 
 IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
+_THRESHOLD_COLUMN = np.array(IOU_THRESHOLDS)[:, None]
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 MASK_BINARIZE = 0.5
 
@@ -146,7 +146,7 @@ def _clip_digest(clip, slot_keys) -> bytes:
 
 def _gather(corpus: Corpus):
     """Predictions as (score, clip, slot, label, iou-per-gt) plus the
-    per-class ground-truth census.
+    ground-truth census: class -> clip -> ground-truth indices.
 
     Score ties are broken by content digests, never by position, so the
     ranking (and therefore every metric) is invariant to clip order and
@@ -160,7 +160,7 @@ def _gather(corpus: Corpus):
         slot_keys = [_slot_digest(pred) for pred in clip.pred]
         clip_key = _clip_digest(clip, slot_keys)
         for gi, gt in enumerate(clip.gt):
-            gt_census.setdefault(int(gt.class_id), []).append((ci, gi))
+            gt_census.setdefault(int(gt.class_id), {}).setdefault(ci, []).append(gi)
         ious = video_iou_table(clip.gt, clip.pred)
         for si, pred in enumerate(clip.pred):
             detections.append({"score": prediction_score(pred), "clip": ci,
@@ -170,27 +170,22 @@ def _gather(corpus: Corpus):
     return detections, gt_census
 
 
-def _greedy_match(ranked, clip_gts, threshold: float):
-    """Standard greedy matching: each prediction takes the best still-free
-    ground truth of its class in its clip with IoU >= threshold (ties keep
-    the lowest ground-truth index)."""
-    taken = set()
-    flags = []
-    for det in ranked:
-        best_iou, best_key = -1.0, None
-        for ci, gi in clip_gts.get(det["clip"], ()):
-            key = (ci, gi)
-            if key in taken:
-                continue
-            iou = float(det["ious"][gi])
-            if iou >= threshold and iou > best_iou:
-                best_iou, best_key = iou, key
-        if best_key is not None:
-            taken.add(best_key)
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags
+def _greedy_match(ranked, clip_gts) -> np.ndarray:
+    """Standard greedy matching at all IoU thresholds in one walk, as
+    (n_ranked, n_thresholds) hit flags: at each threshold a prediction takes
+    the best still-free ground truth of its clip with IoU >= threshold (ties
+    keep the lowest index). `clip_gts` maps a clip to its ground truths."""
+    rows = np.arange(len(IOU_THRESHOLDS))
+    free = {ci: np.ones((len(rows), len(gis)), dtype=bool) for ci, gis in clip_gts.items()}
+    hits = np.zeros((len(ranked), len(rows)), dtype=bool)
+    for di, det in enumerate(ranked):
+        if det["clip"] in clip_gts:
+            ious = det["ious"][clip_gts[det["clip"]]]
+            open_ = free[det["clip"]] & (ious >= _THRESHOLD_COLUMN)
+            best = np.where(open_, ious, -1.0).argmax(axis=1)
+            hit = hits[di] = open_[rows, best]
+            free[det["clip"]][rows[hit], best[hit]] = False
+    return hits
 
 
 def _interpolated_ap(flags, n_gt: int) -> float:
@@ -213,35 +208,30 @@ def compute_ap(corpus: Corpus) -> EvalReport:
     if not classes:
         raise ValueError("corpus has no ground-truth tracks")
 
-    per_threshold = []
-    ar_hits = {1: [], 10: []}
-    for threshold in IOU_THRESHOLDS:
-        class_aps = []
-        for cls in classes:
-            dets = [d for d in detections if d["label"] == cls]
-            dets.sort(key=lambda d: (-d["score"], d["clip_key"], d["slot_key"]))
-            clip_gts: dict = {}
-            for ci, gi in gt_census[cls]:
-                clip_gts.setdefault(ci, []).append((ci, gi))
-            n_gt = len(gt_census[cls])
-            flags = _greedy_match(dets, clip_gts, threshold)
-            class_aps.append(_interpolated_ap(flags, n_gt))
-            for cap in ar_hits:
-                kept, seen = [], {}
-                for det in dets:
-                    used = seen.get(det["clip"], 0)
-                    if used < cap:
-                        kept.append(det)
-                        seen[det["clip"]] = used + 1
-                capped = _greedy_match(kept, clip_gts, threshold)
-                ar_hits[cap].append(sum(capped) / n_gt if n_gt else 0.0)
-        per_threshold.append(float(np.mean(class_aps)))
+    # (threshold, class) tables, reduced threshold-major
+    ap_table = np.zeros((len(IOU_THRESHOLDS), len(classes)))
+    ar_tables = {1: np.zeros_like(ap_table), 10: np.zeros_like(ap_table)}
+    for j, cls in enumerate(classes):
+        dets = [d for d in detections if d["label"] == cls]
+        dets.sort(key=lambda d: (-d["score"], d["clip_key"], d["slot_key"]))
+        n_gt = sum(map(len, gt_census[cls].values()))
+        hits = _greedy_match(dets, gt_census[cls])
+        ap_table[:, j] = [_interpolated_ap(flags, n_gt) for flags in hits.T]
+        # a clip's first k detections meet the same ground truths with or
+        # without its later ones, so AR@k reads its hits off the same walk
+        rank, seen = [], {}
+        for det in dets:
+            rank.append(seen.get(det["clip"], 0))
+            seen[det["clip"]] = rank[-1] + 1
+        for cap, table in ar_tables.items():
+            table[:, j] = hits[np.array(rank) < cap].sum(axis=0) / n_gt
 
-    per_threshold = tuple(per_threshold)
+    per_threshold = tuple(float(np.mean(row)) for row in ap_table)
     ap = float(np.mean(per_threshold))
     lookup = {f"{thr:.2f}": value for thr, value in zip(IOU_THRESHOLDS, per_threshold)}
     return EvalReport(ap=ap, ap50=lookup["0.50"], ap75=lookup["0.75"],
-                      ar1=float(np.mean(ar_hits[1])), ar10=float(np.mean(ar_hits[10])),
+                      ar1=float(np.mean(ar_tables[1].ravel())),
+                      ar10=float(np.mean(ar_tables[10].ravel())),
                       per_threshold=per_threshold)
 
 
@@ -273,11 +263,8 @@ def audit_assignments(corpus: Corpus, weights: LossWeights) -> list:
 
 
 def audits_to_csv(rows) -> str:
-    """One CSV row per clip plus the header."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["clip", "gia_cost", "locpro_cost", "pair_agreement"])
-    for row in rows:
-        writer.writerow([row.clip, repr(row.gia_cost), repr(row.locpro_cost),
-                         repr(row.pair_agreement)])
-    return buf.getvalue()
+    """One CSV row per clip plus the header: AuditRow's scalar fields."""
+    columns = field_names(AuditRow, skip=("gia_pairs", "locpro_pairs"))
+    lines = [",".join(columns)] + [",".join(repr(getattr(row, c)) for c in columns)
+                                   for row in rows]
+    return "\n".join(lines) + "\n"

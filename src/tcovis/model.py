@@ -348,6 +348,13 @@ def _need(value, kind, where: str):
     return value
 
 
+def _field(record: dict, name: str, where: str):
+    """`record[name]`, or a ValueError naming the missing field."""
+    if name not in record:
+        raise ValueError(f"{where} is missing field {name!r}")
+    return record[name]
+
+
 def _loaded_int(value, where: str) -> int:
     """A JSON integer; `bool` and `float` values are refused, not cast."""
     if type(value) is not int:
@@ -368,19 +375,18 @@ def corpus_from_dict(doc: dict) -> Corpus:
     clip and per track, raises ValueError naming the field; the values
     themselves are left to :func:`validate`."""
     _need(doc, dict, "corpus document")
-    for field in ("spec", "seed", "clips"):
-        if field not in doc:
-            raise ValueError(f"corpus document is missing field {field!r}")
-    spec = ClipSpec.from_dict(_need(doc["spec"], dict, "spec"))
+    spec, seed, entries = (_field(doc, k, "corpus document") for k in ("spec", "seed", "clips"))
+    spec = ClipSpec.from_dict(_need(spec, dict, "spec"))
     clips = []
-    for ci, entry in enumerate(_need(doc["clips"], list, "clips")):
+    for ci, entry in enumerate(_need(entries, list, "clips")):
         _need(entry, dict, f"clip {ci}")
         gt = []
-        for ti, rec in enumerate(_need(entry["gt"], list, f"clip {ci} gt")):
+        for ti, rec in enumerate(_need(_field(entry, "gt", f"clip {ci}"), list, f"clip {ci} gt")):
             where = f"clip {ci} gt[{ti}]"
             _need(rec, dict, where)
-            masks = _need(rec["masks"], list, f"{where} masks")
-            gt.append(GroundTruthTrack(class_id=_loaded_int(rec["class_id"], f"{where} class_id"),
+            masks = _need(_field(rec, "masks", where), list, f"{where} masks")
+            class_id = _loaded_int(_field(rec, "class_id", where), f"{where} class_id")
+            gt.append(GroundTruthTrack(class_id=class_id,
                                        masks=np.stack([_decoded(r, f"{where} masks[{k}]")
                                                        for k, r in enumerate(masks)])))
         pred = _need(entry.get("pred"), (list, type(None)), f"clip {ci} pred")
@@ -389,8 +395,8 @@ def corpus_from_dict(doc: dict) -> Corpus:
             for ti, rec in enumerate(pred):
                 where = f"clip {ci} pred[{ti}]"
                 _need(rec, dict, where)
-                probs = _need(rec["class_probs"], list, f"{where} class_probs")
-                rows = _need(rec["mask_probs"], list, f"{where} mask_probs")
+                probs = _need(_field(rec, "class_probs", where), list, f"{where} class_probs")
+                rows = _need(_field(rec, "mask_probs", where), list, f"{where} mask_probs")
                 # an object, a ragged list or an integer beyond float64 among the
                 # numbers raises here
                 try:
@@ -404,7 +410,7 @@ def corpus_from_dict(doc: dict) -> Corpus:
                 tracks.append(PredictionTrack(class_probs=probs, mask_probs=frames))
             pred = tuple(tracks)
         clips.append(Clip(gt=tuple(gt), pred=pred))
-    return Corpus(spec=spec, clips=tuple(clips), seed=_loaded_int(doc["seed"], "seed"),
+    return Corpus(spec=spec, clips=tuple(clips), seed=_loaded_int(seed, "seed"),
                   generator=doc.get("generator"))
 
 

@@ -12,8 +12,8 @@ slot's predicted mask, average-pools the surviving cells into one spatial
 vector per slot, and cross-attends the propagated prototypes to those
 vectors. The positional embedding row k is added to both the query and
 the key of slot k (shared positional identity); values carry no
-positional term. With enhancement disabled, next-frame queries are the
-prototypes themselves.
+positional term. Without enhancement parameters, next-frame queries are
+the prototypes themselves.
 
 No training happens here: parameters are plain float64 arrays, seeded for
 reproducibility.
@@ -21,8 +21,9 @@ reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 import json
 
 import numpy as np
@@ -259,18 +260,16 @@ def segment_frame(mask_embeddings: np.ndarray, pixel_embeddings: np.ndarray) -> 
 
 
 def run_clip(initial_queries: np.ndarray, frames, params: RefDecoderParams,
-             ste_params: MhcaParams | None = None, ste_enabled: bool = False,
-             threshold: float = 0.5, collect_trace: bool = False):
+             ste_params: MhcaParams | None = None, threshold: float = 0.5,
+             collect_trace: bool = False):
     """Run the online loop over a clip.
 
     `frames` is a sequence of (frame_queries, pixel_embeddings) pairs.
     Per frame: propagate, segment, record. Between frames the queries for
-    t+1 are the prototypes (enhancement off) or the cross-attention update
-    of the prototypes against the pooled spatial features (enhancement on).
+    t+1 are the prototypes, or with `ste_params` given, the cross-attention
+    update of the prototypes against the pooled spatial features.
     Returns N_v PredictionTracks, plus a per-frame trace when requested.
     """
-    if ste_enabled and ste_params is None:
-        raise ValueError("ste_enabled requires ste_params")
     if len(frames) == 0:
         raise ValueError("need at least one frame")
 
@@ -295,7 +294,7 @@ def run_clip(initial_queries: np.ndarray, frames, params: RefDecoderParams,
             }
 
         if t + 1 < len(frames):
-            if ste_enabled:
+            if ste_params is not None:
                 feats = []
                 for k in range(n_slots):
                     matted = spatial_matting(pixels, masks[k], threshold)
@@ -365,53 +364,43 @@ def init_ref_decoder_params(c: int, n_classes: int, n_heads: int, seed: int) -> 
                             mask_head=mask_head, classifier=classifier)
 
 
-def _array_to_json(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "data": a.ravel(order="C").tolist()}
+def _to_json(value):
+    """A parameter bundle's JSON form, read off the dataclass fields: a
+    block becomes its fields, `n_heads` an int, the mask head a list of
+    {w, b} layers, and an array a {shape, data} object."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [{"w": _to_json(w), "b": _to_json(b)} for w, b in value]
+    if isinstance(value, np.ndarray):
+        return {"shape": list(value.shape), "data": value.ravel(order="C").tolist()}
+    return value
 
 
-def _array_from_json(d: dict) -> np.ndarray:
-    return np.asarray(d["data"], dtype=np.float64).reshape(d["shape"])
-
-
-def _block_to_json(block) -> dict:
-    """A parameter block's fields: `n_heads` as an int, every other field
-    as a {shape, data} array."""
-    return {f.name: block.n_heads if f.name == "n_heads"
-            else _array_to_json(getattr(block, f.name)) for f in fields(block)}
-
-
-def _block_from_json(cls, d: dict):
-    return cls(**{f.name: int(d[f.name]) if f.name == "n_heads"
-                  else _array_from_json(d[f.name]) for f in fields(cls)})
+def _from_json(kind, doc):
+    """The inverse of `_to_json` for a field annotated `kind`; a block
+    takes each field's kind from its type hints."""
+    if is_dataclass(kind):
+        hints = get_type_hints(kind)
+        return kind(**{f.name: _from_json(hints[f.name], doc[f.name]) for f in fields(kind)})
+    if kind is tuple:
+        return tuple((_from_json(np.ndarray, layer["w"]), _from_json(np.ndarray, layer["b"]))
+                     for layer in doc)
+    if kind is int:
+        return int(doc)
+    return np.asarray(doc["data"], dtype=np.float64).reshape(doc["shape"])
 
 
 def params_to_dict(decoder: RefDecoderParams, mhca: MhcaParams | None = None) -> dict:
-    doc = {
-        "ref_decoder": {
-            "encoder": _block_to_json(decoder.encoder),
-            "decoder": _block_to_json(decoder.decoder),
-            "ffn": _block_to_json(decoder.ffn),
-            "mask_head": [{"w": _array_to_json(w), "b": _array_to_json(b)}
-                          for w, b in decoder.mask_head],
-            "classifier": _array_to_json(decoder.classifier),
-        }
-    }
+    doc = {"ref_decoder": _to_json(decoder)}
     if mhca is not None:
-        doc["mhca"] = _block_to_json(mhca)
+        doc["mhca"] = _to_json(mhca)
     return doc
 
 
 def params_from_dict(doc: dict):
-    rd = doc["ref_decoder"]
-    decoder = RefDecoderParams(
-        encoder=_block_from_json(AttentionParams, rd["encoder"]),
-        decoder=_block_from_json(AttentionParams, rd["decoder"]),
-        ffn=_block_from_json(FeedForwardParams, rd["ffn"]),
-        mask_head=tuple((_array_from_json(layer["w"]), _array_from_json(layer["b"]))
-                        for layer in rd["mask_head"]),
-        classifier=_array_from_json(rd["classifier"]))
-    mhca = _block_from_json(MhcaParams, doc["mhca"]) if "mhca" in doc else None
-    return decoder, mhca
+    decoder = _from_json(RefDecoderParams, doc["ref_decoder"])
+    return decoder, _from_json(MhcaParams, doc["mhca"]) if "mhca" in doc else None
 
 
 def save_params(path, decoder: RefDecoderParams, mhca: MhcaParams | None = None) -> None:

@@ -173,8 +173,8 @@ def test_criterion_4_ste_invariants():
     mhca = init_mhca_params(slots, C, heads, seed=4999)
     queries = rng.normal(size=(slots, C))
     frames = [(rng.normal(size=(6, C)), rng.normal(size=(C, 8, 8)))]
-    plain = run_clip(queries, frames, decoder, ste_enabled=False)
-    enhanced = run_clip(queries, frames, decoder, ste_params=mhca, ste_enabled=True)
+    plain = run_clip(queries, frames, decoder)
+    enhanced = run_clip(queries, frames, decoder, ste_params=mhca)
     for a, b in zip(plain, enhanced):
         assert np.array_equal(a.class_probs, b.class_probs)
         assert np.array_equal(a.mask_probs, b.mask_probs)

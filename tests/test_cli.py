@@ -256,6 +256,15 @@ class TestAssign:
         assert "predictions" in capsys.readouterr().err
 
 
+def without(*path):
+    """A corpus mutation that deletes the key at `path`."""
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return mutate
+
+
 class TestMalformedCorpus:
     """Malformed corpora exit 1 with a named reason from both corpus
     subcommands, never a traceback."""
@@ -334,9 +343,20 @@ class TestMalformedCorpus:
         (huge_int_class_prob, ": clip 1 pred[0] class_probs: "),
         (ragged_mask_row, ": clip 0 pred[1] mask_probs: "),
         (no_mask_rows, ": clip 1 pred[2]: mask_probs shape (0, 16, 16) != (6, 16, 16)\n"),
+        (without("seed"), ": corpus document is missing field 'seed'\n"),
+        (without("clips", 0, "gt"), ": clip 0 is missing field 'gt'\n"),
+        (without("clips", 1, "gt", 0, "masks"), ": clip 1 gt[0] is missing field 'masks'\n"),
+        (without("clips", 0, "gt", 1, "class_id"),
+         ": clip 0 gt[1] is missing field 'class_id'\n"),
+        (without("clips", 0, "pred", 2, "class_probs"),
+         ": clip 0 pred[2] is missing field 'class_probs'\n"),
+        (without("clips", 1, "pred", 0, "mask_probs"),
+         ": clip 1 pred[0] is missing field 'mask_probs'\n"),
     ], ids=["clips", "gt", "mask_probs", "pred", "slots", "class_id-float", "class_id-bool",
             "seed-float", "rle-size-float", "rle-counts-located", "mask_probs-huge-int",
-            "class_probs-huge-int", "mask_probs-ragged", "mask_probs-empty"])
+            "class_probs-huge-int", "mask_probs-ragged", "mask_probs-empty", "seed-missing",
+            "gt-missing", "masks-missing", "class_id-missing", "class_probs-missing",
+            "mask_probs-missing"])
     def test_exits_one_with_reason(self, tmp_path, capsys, command, mutate, reason):
         corpus = gen_corpus(tmp_path, clips=2)
         doc = json.loads(corpus.read_text())
@@ -425,7 +445,7 @@ class TestEnhance:
                    rng.normal(size=(spec["C"], h, w)))
                   for _ in range(spec["T"])]
         _, lib_trace = ste.run_clip(queries, frames, decoder, ste_params=mhca,
-                                    ste_enabled=True, collect_trace=True)
+                                    collect_trace=True)
         assert len(trace["ste"]) == len(lib_trace)
         for entry, lib in zip(trace["ste"], lib_trace):
             assert np.array_equal(np.array(entry["prototypes"]), lib["prototypes"])

@@ -22,7 +22,8 @@ from tcovis.assignment import (BRUTE_FORCE_MAX_COLS, BRUTE_FORCE_MAX_ROWS,
                                brute_force_assign, build_global_cost_matrix,
                                global_instance_assignment, hungarian, locpro_assignment)
 from tcovis.cost import LossWeights
-from tcovis.evaluation import RECALL_POINTS, _interpolated_ap, compute_ap
+from tcovis.evaluation import (IOU_THRESHOLDS, RECALL_POINTS, EvalReport, _gather,
+                               _interpolated_ap, compute_ap)
 from tcovis.synth import NoiseConfig, SceneConfig, build_clip, generate_corpus
 from tcovis.model import (Clip, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
                           corpus_to_dict, decode_mask_rle, dump_json, encode_mask_rle,
@@ -189,6 +190,84 @@ def interpolated_ap_loop(flags, n_gt):
 def test_interpolated_ap_equals_the_walk(case):
     flags, n_gt = case
     assert _interpolated_ap(flags, n_gt) == interpolated_ap_loop(flags, n_gt)
+
+
+def greedy_match_at(ranked, clip_gts, threshold):
+    """Greedy matching at one threshold as a scalar walk: each prediction
+    takes the best still-free ground truth of its clip with IoU >=
+    threshold; ties keep the lowest ground-truth index."""
+    taken, flags = set(), []
+    for det in ranked:
+        best_iou, best_gi = -1.0, None
+        for gi in clip_gts.get(det["clip"], ()):
+            iou = float(det["ious"][gi])
+            if (det["clip"], gi) not in taken and iou >= threshold and iou > best_iou:
+                best_iou, best_gi = iou, gi
+        if best_gi is not None:
+            taken.add((det["clip"], best_gi))
+        flags.append(best_gi is not None)
+    return flags
+
+
+def compute_ap_per_threshold(corpus):
+    """compute_ap with the threshold loop outermost: every threshold ranks
+    each class again, caps the AR@k lists again and walks each list once."""
+    detections, gt_census = _gather(corpus)
+    per_threshold, ar_hits = [], {1: [], 10: []}
+    for threshold in IOU_THRESHOLDS:
+        class_aps = []
+        for cls in sorted(gt_census):
+            dets = sorted((d for d in detections if d["label"] == cls),
+                          key=lambda d: (-d["score"], d["clip_key"], d["slot_key"]))
+            clip_gts = gt_census[cls]
+            n_gt = sum(len(gis) for gis in clip_gts.values())
+            class_aps.append(_interpolated_ap(greedy_match_at(dets, clip_gts, threshold), n_gt))
+            for cap, hits in ar_hits.items():
+                kept, seen = [], {}
+                for det in dets:
+                    if seen.get(det["clip"], 0) < cap:
+                        kept.append(det)
+                        seen[det["clip"]] = seen.get(det["clip"], 0) + 1
+                hits.append(sum(greedy_match_at(kept, clip_gts, threshold)) / n_gt)
+        per_threshold.append(float(np.mean(class_aps)))
+    return EvalReport(ap=float(np.mean(per_threshold)), ap50=per_threshold[0],
+                      ap75=per_threshold[5], ar1=float(np.mean(ar_hits[1])),
+                      ar10=float(np.mean(ar_hits[10])), per_threshold=tuple(per_threshold))
+
+
+@st.composite
+def tied_corpora(draw):
+    """Clips of 2 x 2 x 2 masks with tied scores and tied IoUs: each slot's
+    no-object level comes from three values, and its mask is often a copy
+    of one ground-truth mask or the union of two. N_v runs past the AR@10
+    cap."""
+    K, n_v = draw(st.integers(1, 3)), draw(st.integers(1, 14))
+    spec = ClipSpec(T=2, H=2, W=2, S=1, K=K, N_v=n_v, C=4)
+    soft = arrays(np.float64, (2, 2, 2), elements=st.sampled_from((0.0, 0.4, 0.6, 1.0)))
+    clips = []
+    for ci in range(draw(st.integers(1, 3))):
+        gt = tuple(GroundTruthTrack(class_id=draw(st.integers(0, K - 1)),
+                                    masks=draw(arrays(np.uint8, (2, 2, 2),
+                                                      elements=st.integers(0, 1))))
+                   for _ in range(draw(st.integers(1 if ci == 0 else 0, min(n_v, 5)))))
+        masks = st.sampled_from([g.masks.astype(np.float64) for g in gt]) if gt else soft
+        pred = []
+        for _ in range(n_v):
+            probs = np.zeros(K + 1)
+            probs[K] = draw(st.sampled_from((0.125, 0.25, 0.5)))
+            probs[draw(st.integers(0, K - 1))] = 1.0 - probs[K]
+            mask = draw(st.one_of(soft, masks, st.tuples(masks, masks).map(np.maximum.reduce)))
+            pred.append(PredictionTrack(class_probs=np.tile(probs, (2, 1)), mask_probs=mask))
+        clips.append(Clip(gt=gt, pred=tuple(pred)))
+    return Corpus(spec=spec, clips=tuple(clips), seed=0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tied_corpora())
+def test_compute_ap_equals_the_per_threshold_walk(corpus):
+    # repr prints the shortest text that reads back to the same float64,
+    # so equal reprs mean bit-equal fields
+    assert repr(compute_ap(corpus)) == repr(compute_ap_per_threshold(corpus))
 
 
 # -- fail-closed loading ------------------------------------------------------------

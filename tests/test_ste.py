@@ -1,11 +1,13 @@
+import dataclasses
 import hashlib
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from tcovis.model import Clip, ClipSpec, Corpus, validate
+from tcovis.model import Clip, ClipSpec, Corpus, dump_json, validate
 from tcovis.ste import (LN_EPS, AttentionParams, FeedForwardParams, MhcaParams,
                         RefDecoderParams, SpatialFeature, cross_attention_update,
                         init_mhca_params, init_ref_decoder_params, layer_norm,
@@ -334,8 +336,8 @@ class TestRunClip:
         rng = np.random.default_rng(14)
         q = rng.normal(size=(N_SLOTS, C))
         frames = demo_frames(rng, T=1)
-        plain = run_clip(q, frames, decoder(), ste_enabled=False)
-        enhanced = run_clip(q, frames, decoder(), ste_params=mhca(), ste_enabled=True)
+        plain = run_clip(q, frames, decoder())
+        enhanced = run_clip(q, frames, decoder(), ste_params=mhca())
         for a, b in zip(plain, enhanced):
             assert np.array_equal(a.class_probs, b.class_probs)
             assert np.array_equal(a.mask_probs, b.mask_probs)
@@ -345,7 +347,7 @@ class TestRunClip:
         q = rng.normal(size=(N_SLOTS, C))
         frames = demo_frames(rng, T=2)
         params = decoder(seed=16)
-        tracks = run_clip(q, frames, params, ste_enabled=False)
+        tracks = run_clip(q, frames, params)
         protos, _, _ = propagate(q, frames[0][0], params)
         _, probs1, emb1 = propagate(protos, frames[1][0], params)
         assert np.array_equal(tracks[0].class_probs[1], probs1[0])
@@ -358,7 +360,7 @@ class TestRunClip:
         frames = demo_frames(rng, T=3)
         params = decoder(seed=18)
         enh = mhca(seed=19)
-        tracks = run_clip(q0, frames, params, ste_params=enh, ste_enabled=True)
+        tracks = run_clip(q0, frames, params, ste_params=enh)
 
         queries = q0
         for t in range(3):
@@ -379,7 +381,7 @@ class TestRunClip:
         rng = np.random.default_rng(20)
         q = rng.normal(size=(N_SLOTS, C))
         frames = demo_frames(rng, T=3, h=spec.h, w=spec.w)
-        tracks = run_clip(q, frames, decoder(), ste_params=mhca(), ste_enabled=True)
+        tracks = run_clip(q, frames, decoder(), ste_params=mhca())
         gt = np.zeros((3, spec.h, spec.w), np.uint8)
         gt[0, 0, 0] = 1
         from tcovis.model import GroundTruthTrack
@@ -391,8 +393,7 @@ class TestRunClip:
             rng = np.random.default_rng(21)
             q = rng.normal(size=(N_SLOTS, C))
             frames = demo_frames(rng, T=3)
-            tracks = run_clip(q, frames, decoder(seed=22), ste_params=mhca(seed=23),
-                              ste_enabled=True)
+            tracks = run_clip(q, frames, decoder(seed=22), ste_params=mhca(seed=23))
             return np.concatenate([t.mask_probs.ravel() for t in tracks])
 
         serial = [once(i) for i in range(2)]
@@ -406,18 +407,12 @@ class TestRunClip:
         q = rng.normal(size=(N_SLOTS, C))
         frames = demo_frames(rng, T=3)
         _, trace = run_clip(q, frames, decoder(), ste_params=mhca(),
-                            ste_enabled=True, collect_trace=True)
+                            collect_trace=True)
         for entry in trace:
             assert np.allclose(entry["encoder_row_sums"], 1.0, atol=1e-9)
             assert np.allclose(entry["decoder_row_sums"], 1.0, atol=1e-9)
             if "ste_row_sums" in entry:
                 assert np.allclose(entry["ste_row_sums"], 1.0, atol=1e-9)
-
-    def test_requires_params_when_enabled(self):
-        rng = np.random.default_rng(25)
-        with pytest.raises(ValueError, match="ste_params"):
-            run_clip(rng.normal(size=(N_SLOTS, C)), demo_frames(rng, 1),
-                     decoder(), ste_enabled=True)
 
 
 # -- parameters ----------------------------------------------------------------
@@ -447,6 +442,35 @@ class TestParams:
         assert np.array_equal(enh.e_pos, enh2.e_pos)
         for (w1, b1), (w2, b2) in zip(dec.mask_head, dec2.mask_head):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+
+    def test_round_trip_keeps_every_leaf(self):
+        def leaves(value, path=()):
+            # walks the dataclass fields and the mask head's (w, b) layers
+            if dataclasses.is_dataclass(value):
+                for f in dataclasses.fields(value):
+                    yield from leaves(getattr(value, f.name), path + (f.name,))
+            elif isinstance(value, tuple):
+                for i, item in enumerate(value):
+                    yield from leaves(item, path + (i,))
+            else:
+                yield path, value
+
+        dec, enh = decoder(seed=12), mhca(seed=12)
+        text = dump_json(params_to_dict(dec, enh))
+        dec2, enh2 = params_from_dict(json.loads(text))
+        # 7 + 7 attention, 6 feed-forward, 3 x 2 mask head, 1 classifier; 8 mhca
+        for before, after, count in ((dec, dec2, 27), (enh, enh2, 8)):
+            old, new = dict(leaves(before)), dict(leaves(after))
+            assert len(old) == count and new.keys() == old.keys()
+            for path, value in old.items():
+                assert type(new[path]) is type(value), path
+                if isinstance(value, np.ndarray):
+                    assert new[path].dtype == value.dtype, path
+                    assert not new[path].flags.writeable, path
+                    assert np.array_equal(new[path], value), path
+                else:
+                    assert new[path] == value, path
+        assert dump_json(params_to_dict(dec2, enh2)) == text
 
     def test_serialized_arrays_carry_shape(self):
         doc = params_to_dict(decoder(seed=10), mhca(seed=10))
