@@ -34,7 +34,7 @@ frames = [(rng.normal(size=(N_FQ, C)), rng.normal(size=(C, H, W)))
           for _ in range(T)]
 
 print("frame 1: decode and segment")
-protos, class_probs, mask_emb = propagate(queries, frames[0][0], decoder)
+protos, class_probs, mask_emb, _ = propagate(queries, frames[0][0], decoder)
 masks = segment_frame(mask_emb, frames[0][1])
 for k in range(N_SLOTS):
     area = int((masks[k] >= 0.5).sum())
@@ -50,15 +50,15 @@ for k in range(N_SLOTS):
     tag = "EMPTY" if pooled.empty_flag else f"|s| = {np.linalg.norm(pooled.vector):.3f}"
     print(f"  slot {k}: spatial vector {tag}")
 
-updated, weights = cross_attention_update(protos, feats, mhca, return_weights=True)
+updated, weights = cross_attention_update(protos, np.stack([f.vector for f in feats]), mhca)
 print(f"  attention weight rows sum to 1: "
       f"{np.allclose(weights.sum(axis=-1), 1.0, atol=1e-9)}")
 drift = np.linalg.norm(updated - protos, axis=1)
 print(f"  query drift per slot: {np.round(drift, 3)}")
 
 print("\nfull clip, enhancement on vs off:")
-plain = run_clip(queries, frames, decoder)
-enhanced = run_clip(queries, frames, decoder, ste_params=mhca)
+plain, _ = run_clip(queries, frames, decoder)
+enhanced, _ = run_clip(queries, frames, decoder, ste_params=mhca)
 for k in range(N_SLOTS):
     gap = np.abs(plain[k].mask_probs - enhanced[k].mask_probs).max()
     print(f"  slot {k}: max |mask difference| over the clip = {gap:.4f}")

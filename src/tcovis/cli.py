@@ -32,9 +32,9 @@ from . import evaluation, ste, synth
 from .assignment import (build_global_cost_matrix, global_instance_assignment,
                          hungarian, locpro_assignment)
 from .cost import LossWeights
-from .model import (ClipSpec, Corpus, GroundTruthTrack, PredictionTrack, _loaded_int,
-                    _positive_int, dump_json, field_names, load_corpus, record_dict,
-                    save_corpus, validate)
+from .model import (MASK_BINARIZE, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
+                    _loaded_int, _positive_int, dump_json, field_names, load_corpus,
+                    record_dict, save_corpus, validate)
 from .rng import stream
 
 
@@ -245,7 +245,7 @@ def _load_demo_config(path) -> dict:
             raise ValueError(f"n_heads {doc['n_heads']} must be a positive divisor of C={spec.C}")
         return {"spec": spec, "n_heads": n_heads, "n_fq": n_fq,
                 "seed": _loaded_int(doc["seed"], "seed"),
-                "threshold": float(doc.get("threshold", 0.5))}
+                "threshold": float(doc.get("threshold", MASK_BINARIZE))}
 
 
 def _demo_inputs(cfg: dict):
@@ -270,10 +270,10 @@ def _cmd_enhance(args) -> int:
     cfg = _load_demo_config(args.demo)
     _threads(args)      # one clip: the count is checked, not used
     decoder, mhca, queries, frames = _demo_inputs(cfg)
-    _, plain_trace = ste.run_clip(queries, frames, decoder, collect_trace=True)
+    _, plain_trace = ste.run_clip(queries, frames, decoder)
     try:
         _, ste_trace = ste.run_clip(queries, frames, decoder, ste_params=mhca,
-                                    threshold=cfg["threshold"], collect_trace=True)
+                                    threshold=cfg["threshold"])
     except ValueError as exc:   # e.g. a threshold outside (0, 1)
         raise CliError(str(exc)) from None
     doc = {"spec": cfg["spec"].to_dict(), "seed": cfg["seed"],

@@ -21,8 +21,9 @@ and move costs by a few ULPs, which can flip exactly tied pairs.
 ``global_matching_cost`` and ``frame_matching_cost`` are its 1x1 views;
 ``ce_cost``, ``bce_cost`` and ``dice_cost`` stay the independent primitives.
 
-All arithmetic is float64. Log arguments are clamped to [eps, 1] so every
-cost is finite and exactly nonnegative, including at perfect predictions.
+All arithmetic is float64. Log arguments are clamped to [EPS_LOG, 1] so
+every cost is finite and exactly nonnegative, including at perfect
+predictions. ``EPS_LOG`` and ``DICE_SMOOTH`` are constants, not parameters.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ class LossWeights:
             object.__setattr__(self, name, value)
 
 
-def _neg_log(x: np.ndarray, eps: float) -> np.ndarray:
+def _neg_log(x: np.ndarray) -> np.ndarray:
     # clamp to 1 so a probability of exactly 1 costs exactly 0
-    return -np.log(np.minimum(x + eps, 1.0))
+    return -np.log(np.minimum(x + EPS_LOG, 1.0))
 
 
 def average_class_prob(track: PredictionTrack) -> np.ndarray:
@@ -63,25 +64,25 @@ def average_class_prob(track: PredictionTrack) -> np.ndarray:
     return np.asarray(track.class_probs, dtype=np.float64).mean(axis=0)
 
 
-def ce_cost(gt_class: int, prob, eps: float = EPS_LOG) -> float:
+def ce_cost(gt_class: int, prob) -> float:
     """Cross-entropy of a probability vector against a class index."""
     prob = np.asarray(prob, dtype=np.float64)
     if not 0 <= gt_class < prob.shape[-1]:
         raise ValueError(f"gt_class {gt_class} out of range for {prob.shape[-1]} classes")
-    return float(_neg_log(prob[gt_class], eps))
+    return float(_neg_log(prob[gt_class]))
 
 
-def bce_cost(gt_masks, pred_masks, eps: float = EPS_LOG) -> float:
+def bce_cost(gt_masks, pred_masks) -> float:
     """Binary cross entropy, averaged over every cell of the mask stack."""
     y = np.asarray(gt_masks, dtype=np.float64)
     p = np.asarray(pred_masks, dtype=np.float64)
     if y.shape != p.shape:
         raise ValueError(f"mask shapes differ: {y.shape} vs {p.shape}")
-    terms = y * _neg_log(p, eps) + (1.0 - y) * _neg_log(1.0 - p, eps)
+    terms = y * _neg_log(p) + (1.0 - y) * _neg_log(1.0 - p)
     return float(terms.mean())
 
 
-def dice_cost(gt_masks, pred_masks, smooth: float = DICE_SMOOTH) -> float:
+def dice_cost(gt_masks, pred_masks) -> float:
     """Soft dice loss over the whole stack: 1 - (2*overlap + d)/(mass + d)."""
     y = np.asarray(gt_masks, dtype=np.float64)
     p = np.asarray(pred_masks, dtype=np.float64)
@@ -89,7 +90,7 @@ def dice_cost(gt_masks, pred_masks, smooth: float = DICE_SMOOTH) -> float:
         raise ValueError(f"mask shapes differ: {y.shape} vs {p.shape}")
     overlap = float((y * p).sum())
     mass = float(y.sum() + p.sum())
-    return float(1.0 - (2.0 * overlap + smooth) / (mass + smooth))
+    return float(1.0 - (2.0 * overlap + DICE_SMOOTH) / (mass + DICE_SMOOTH))
 
 
 def matching_cost_matrix(gt_tracks, pred_tracks, weights: LossWeights,
@@ -126,7 +127,7 @@ def matching_cost_matrix(gt_tracks, pred_tracks, weights: LossWeights,
     for class_id in class_ids:
         if not 0 <= class_id < probs.shape[-1]:
             raise ValueError(f"gt_class {class_id} out of range for {probs.shape[-1]} classes")
-    ce = _neg_log(probs.T[class_ids], EPS_LOG)
+    ce = _neg_log(probs.T[class_ids])
 
     shape = gt_masks[0].shape
     for masks in gt_masks + pred_masks:
@@ -139,8 +140,8 @@ def matching_cost_matrix(gt_tracks, pred_tracks, weights: LossWeights,
     if not (inside | (Y == 0.0)).all():
         raise ValueError("ground-truth mask entries must be 0 or 1")
     # + 0.0 turns the -0.0 of -log(1) into the 0.0 that y*A + (1-y)*B gives
-    A = _neg_log(P, EPS_LOG) + 0.0
-    B = _neg_log(1.0 - P, EPS_LOG) + 0.0
+    A = _neg_log(P) + 0.0
+    B = _neg_log(1.0 - P) + 0.0
 
     # contiguous row sums keep the primitives' pairwise order; mean is sum / count
     terms, overlaps = np.empty_like(P), np.empty_like(P)
@@ -207,8 +208,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def mask_loss_grad(gt_masks, pred_logits, weights: LossWeights,
-                   eps: float = EPS_LOG, smooth: float = DICE_SMOOTH) -> np.ndarray:
+def mask_loss_grad(gt_masks, pred_logits, weights: LossWeights) -> np.ndarray:
     """Analytic gradient of the weighted bce + dice mask loss w.r.t. logits.
 
     The loss being differentiated is exactly
@@ -225,12 +225,12 @@ def mask_loss_grad(gt_masks, pred_logits, weights: LossWeights,
     n = y.size
 
     # d(bce)/dp; the log clamp zeroes the term once its argument hits 1
-    pos_active = (p + eps) < 1.0
-    neg_active = (1.0 - p + eps) < 1.0
-    dbce = (-y / (p + eps) * pos_active + (1.0 - y) / (1.0 - p + eps) * neg_active) / n
+    pos_active = (p + EPS_LOG) < 1.0
+    neg_active = (1.0 - p + EPS_LOG) < 1.0
+    dbce = (-y / (p + EPS_LOG) * pos_active + (1.0 - y) / (1.0 - p + EPS_LOG) * neg_active) / n
 
-    overlap2 = 2.0 * float((y * p).sum()) + smooth
-    mass = float(y.sum() + p.sum()) + smooth
+    overlap2 = 2.0 * float((y * p).sum()) + DICE_SMOOTH
+    mass = float(y.sum() + p.sum()) + DICE_SMOOTH
     ddice = (overlap2 - 2.0 * y * mass) / (mass * mass)
 
     dp_dz = p * (1.0 - p)

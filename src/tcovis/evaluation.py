@@ -25,20 +25,18 @@ import numpy as np
 
 from .assignment import build_global_cost_matrix, hungarian, locpro_assignment
 from .cost import LossWeights
-from .model import Corpus, GroundTruthTrack, PredictionTrack, field_names
+from .model import MASK_BINARIZE, Corpus, GroundTruthTrack, PredictionTrack, field_names
 
 IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
 _THRESHOLD_COLUMN = np.array(IOU_THRESHOLDS)[:, None]
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
-MASK_BINARIZE = 0.5
 
 
-def video_iou(gt: GroundTruthTrack, pred: PredictionTrack,
-              threshold: float = MASK_BINARIZE) -> float:
+def video_iou(gt: GroundTruthTrack, pred: PredictionTrack) -> float:
     """Spatio-temporal IoU: frame-summed intersection over frame-summed
-    union, with the soft masks binarized at `threshold`; the 1x1 view of
-    :func:`video_iou_table`."""
-    return float(video_iou_table([gt], [pred], threshold)[0, 0])
+    union, with the soft masks binarized at `MASK_BINARIZE`; the 1x1 view
+    of :func:`video_iou_table`."""
+    return float(video_iou_table([gt], [pred])[0, 0])
 
 
 # set bits of every byte
@@ -51,7 +49,7 @@ def _packed(masks) -> np.ndarray:
     return np.packbits(np.stack(masks).reshape(len(masks), -1), axis=1)
 
 
-def video_iou_table(gt_tracks, pred_tracks, threshold: float = MASK_BINARIZE) -> np.ndarray:
+def video_iou_table(gt_tracks, pred_tracks) -> np.ndarray:
     """``video_iou`` of every (ground truth, slot) pair of a clip, as an
     (n_gt, n_slots) array.
 
@@ -64,7 +62,7 @@ def video_iou_table(gt_tracks, pred_tracks, threshold: float = MASK_BINARIZE) ->
     if not table.size:
         return table
     y = [np.asarray(gt.masks).astype(bool) for gt in gt_tracks]
-    p = [np.asarray(pred.mask_probs) >= threshold for pred in pred_tracks]
+    p = [np.asarray(pred.mask_probs) >= MASK_BINARIZE for pred in pred_tracks]
     for mask in y[1:] + p:
         if mask.shape != y[0].shape:
             raise ValueError(f"mask shapes differ: {y[0].shape} vs {mask.shape}")

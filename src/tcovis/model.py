@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 PROB_SUM_TOL = 1e-9
+MASK_BINARIZE = 0.5     # a soft mask cell at or above it is foreground
 
 
 def _positive_int(name: str, value) -> int:
@@ -414,13 +415,13 @@ def corpus_from_dict(doc: dict) -> Corpus:
                   generator=doc.get("generator"))
 
 
+# The canonical encoder, also for the pieces the corpus writer streams.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def dump_json(doc) -> str:
     """Canonical JSON text: sorted keys, no whitespace, trailing newline."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-# The encoder behind dump_json, for the pieces the corpus writer streams.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    return _encode(doc) + "\n"
 
 
 def _float_rows(rows: np.ndarray) -> str:

@@ -29,7 +29,7 @@ import json
 import numpy as np
 
 from .cost import _sigmoid
-from .model import PredictionTrack, _frozen, dump_json
+from .model import MASK_BINARIZE, PredictionTrack, _frozen, dump_json
 from .rng import stream
 
 LN_EPS = 1e-5
@@ -131,11 +131,10 @@ class RefDecoderParams:
             raise ValueError("mask head must have exactly 3 layers")
 
 
-def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
-               eps: float = LN_EPS) -> np.ndarray:
+def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * scale + shift
+    return (x - mean) / np.sqrt(var + LN_EPS) * scale + shift
 
 
 def _attend(q_in: np.ndarray, k_in: np.ndarray, v_in: np.ndarray,
@@ -165,7 +164,7 @@ def _attend(q_in: np.ndarray, k_in: np.ndarray, v_in: np.ndarray,
 
 
 def spatial_matting(pixel_embeddings: np.ndarray, mask_probs: np.ndarray,
-                    threshold: float = 0.5) -> np.ndarray:
+                    threshold: float = MASK_BINARIZE) -> np.ndarray:
     """Zero out pixel-embedding columns wherever the soft mask falls below
     the binarization threshold."""
     if not 0.0 < threshold < 1.0:
@@ -188,35 +187,28 @@ def masked_average_pool(matted: np.ndarray, binary_mask: np.ndarray) -> SpatialF
     return SpatialFeature(vector=r.sum(axis=(1, 2)) / count, empty_flag=False)
 
 
-def _spatial_matrix(spatial) -> np.ndarray:
-    if isinstance(spatial, np.ndarray):
-        return np.asarray(spatial, dtype=np.float64)
-    return np.stack([f.vector for f in spatial])
-
-
-def cross_attention_update(prototypes: np.ndarray, spatial, params: MhcaParams,
-                           return_weights: bool = False):
+def cross_attention_update(prototypes: np.ndarray, spatial: np.ndarray,
+                           params: MhcaParams) -> tuple:
     """Update each propagated query by attending to all slots' spatial
-    features, with slot k's positional row added to both its query and
-    its key; residual to the prototype, then layer norm."""
+    vectors (the rows of the (N_v, C) `spatial`), with slot k's positional
+    row added to both its query and its key; residual to the prototype,
+    then layer norm. Returns (updated, attention weights)."""
     protos = np.asarray(prototypes, dtype=np.float64)
-    feats = _spatial_matrix(spatial)
+    feats = np.asarray(spatial, dtype=np.float64)
     if protos.shape != feats.shape or protos.shape[0] != params.e_pos.shape[0]:
         raise ValueError(f"slot counts disagree: prototypes {protos.shape}, "
                          f"spatial {feats.shape}, e_pos {params.e_pos.shape}")
     context, weights = _attend(protos + params.e_pos, feats + params.e_pos,
                                feats, params)
-    updated = layer_norm(protos + context, params.ln_scale, params.ln_shift)
-    if return_weights:
-        return updated, weights
-    return updated
+    return layer_norm(protos + context, params.ln_scale, params.ln_shift), weights
 
 
 def propagate(queries: np.ndarray, frame_queries: np.ndarray,
-              params: RefDecoderParams, return_trace: bool = False):
+              params: RefDecoderParams) -> tuple:
     """One decoder step: encode the frame queries, decode the instance
     queries against them, and emit (prototypes, class_probs,
-    mask_embeddings)."""
+    mask_embeddings, weights); weights maps "encoder_weights" and
+    "decoder_weights" to the two attention maps."""
     q = np.asarray(queries, dtype=np.float64)
     f = np.asarray(frame_queries, dtype=np.float64)
     if q.ndim != 2 or f.ndim != 2 or q.shape[1] != f.shape[1]:
@@ -242,11 +234,8 @@ def propagate(queries: np.ndarray, frame_queries: np.ndarray,
         m = np.maximum(m @ w + b, 0.0)
     w, b = params.mask_head[-1]
     mask_embeddings = m @ w + b
-
-    if return_trace:
-        trace = {"encoder_weights": enc_w, "decoder_weights": dec_w}
-        return prototypes, class_probs, mask_embeddings, trace
-    return prototypes, class_probs, mask_embeddings
+    weights = {"encoder_weights": enc_w, "decoder_weights": dec_w}
+    return prototypes, class_probs, mask_embeddings, weights
 
 
 def segment_frame(mask_embeddings: np.ndarray, pixel_embeddings: np.ndarray) -> np.ndarray:
@@ -260,15 +249,16 @@ def segment_frame(mask_embeddings: np.ndarray, pixel_embeddings: np.ndarray) -> 
 
 
 def run_clip(initial_queries: np.ndarray, frames, params: RefDecoderParams,
-             ste_params: MhcaParams | None = None, threshold: float = 0.5,
-             collect_trace: bool = False):
+             ste_params: MhcaParams | None = None, threshold: float = MASK_BINARIZE):
     """Run the online loop over a clip.
 
     `frames` is a sequence of (frame_queries, pixel_embeddings) pairs.
     Per frame: propagate, segment, record. Between frames the queries for
     t+1 are the prototypes, or with `ste_params` given, the cross-attention
-    update of the prototypes against the pooled spatial features.
-    Returns N_v PredictionTracks, plus a per-frame trace when requested.
+    update of the prototypes against the (N_v, C) matrix of pooled spatial
+    vectors. Returns (tracks, trace): N_v PredictionTracks and one trace
+    entry per frame; with `ste_params`, each entry but the last also holds
+    the spatial matrix that the update consumed.
     """
     if len(frames) == 0:
         raise ValueError("need at least one frame")
@@ -278,46 +268,33 @@ def run_clip(initial_queries: np.ndarray, frames, params: RefDecoderParams,
     all_probs, all_masks, trace = [], [], []
 
     for t, (frame_queries, pixels) in enumerate(frames):
-        protos, class_probs, mask_emb, step = propagate(
-            queries, frame_queries, params, return_trace=True)
+        protos, class_probs, mask_emb, step = propagate(queries, frame_queries, params)
         masks = segment_frame(mask_emb, pixels)
         all_probs.append(class_probs)
         all_masks.append(masks)
-
-        entry = None
-        if collect_trace:
-            entry = {
-                "prototypes": protos,
-                "class_probs": class_probs,
-                "encoder_row_sums": step["encoder_weights"].sum(axis=-1),
-                "decoder_row_sums": step["decoder_weights"].sum(axis=-1),
-            }
+        entry = {"prototypes": protos, "class_probs": class_probs,
+                 "encoder_row_sums": step["encoder_weights"].sum(axis=-1),
+                 "decoder_row_sums": step["decoder_weights"].sum(axis=-1)}
+        trace.append(entry)
 
         if t + 1 < len(frames):
             if ste_params is not None:
-                feats = []
-                for k in range(n_slots):
-                    matted = spatial_matting(pixels, masks[k], threshold)
-                    binary = np.asarray(masks[k]) >= threshold
-                    feats.append(masked_average_pool(matted, binary))
-                queries, ste_w = cross_attention_update(
-                    protos, feats, ste_params, return_weights=True)
-                if collect_trace:
-                    entry["spatial_features"] = np.stack([f.vector for f in feats])
-                    entry["spatial_empty"] = [f.empty_flag for f in feats]
-                    entry["ste_row_sums"] = ste_w.sum(axis=-1)
+                pooled = [masked_average_pool(spatial_matting(pixels, mask, threshold),
+                                              mask >= threshold)
+                          for mask in masks]
+                spatial = np.stack([f.vector for f in pooled])
+                queries, ste_w = cross_attention_update(protos, spatial, ste_params)
+                entry["spatial_features"] = spatial
+                entry["spatial_empty"] = [f.empty_flag for f in pooled]
+                entry["ste_row_sums"] = ste_w.sum(axis=-1)
             else:
                 queries = protos
-        if collect_trace:
-            trace.append(entry)
 
     probs = np.stack(all_probs)   # (T, N_v, K+1)
     masks = np.stack(all_masks)   # (T, N_v, h, w)
     tracks = [PredictionTrack(class_probs=probs[:, k], mask_probs=masks[:, k])
               for k in range(n_slots)]
-    if collect_trace:
-        return tracks, trace
-    return tracks
+    return tracks, trace
 
 
 # ---------------------------------------------------------------------------

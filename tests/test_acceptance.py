@@ -143,7 +143,7 @@ def test_criterion_4_ste_invariants():
         rng = np.random.default_rng(4000 + seed)
         protos = rng.normal(size=(slots, C))
         feats = rng.normal(size=(slots, C))
-        out, w = cross_attention_update(protos, feats, params, return_weights=True)
+        out, w = cross_attention_update(protos, feats, params)
         assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-9)
 
         perm = rng.permutation(slots)
@@ -151,7 +151,7 @@ def test_criterion_4_ste_invariants():
                               w_v=params.w_v, w_o=params.w_o,
                               ln_scale=params.ln_scale, ln_shift=params.ln_shift,
                               e_pos=params.e_pos[perm])
-        moved = cross_attention_update(protos[perm], feats[perm], permuted)
+        moved, _ = cross_attention_update(protos[perm], feats[perm], permuted)
         assert np.allclose(moved, out[perm], atol=1e-9)
 
     # constant-field pooling
@@ -173,8 +173,8 @@ def test_criterion_4_ste_invariants():
     mhca = init_mhca_params(slots, C, heads, seed=4999)
     queries = rng.normal(size=(slots, C))
     frames = [(rng.normal(size=(6, C)), rng.normal(size=(C, 8, 8)))]
-    plain = run_clip(queries, frames, decoder)
-    enhanced = run_clip(queries, frames, decoder, ste_params=mhca)
+    plain, _ = run_clip(queries, frames, decoder)
+    enhanced, _ = run_clip(queries, frames, decoder, ste_params=mhca)
     for a, b in zip(plain, enhanced):
         assert np.array_equal(a.class_probs, b.class_probs)
         assert np.array_equal(a.mask_probs, b.mask_probs)

@@ -444,8 +444,7 @@ class TestEnhance:
         frames = [(rng.normal(size=(cfg["n_fq"], spec["C"])),
                    rng.normal(size=(spec["C"], h, w)))
                   for _ in range(spec["T"])]
-        _, lib_trace = ste.run_clip(queries, frames, decoder, ste_params=mhca,
-                                    collect_trace=True)
+        _, lib_trace = ste.run_clip(queries, frames, decoder, ste_params=mhca)
         assert len(trace["ste"]) == len(lib_trace)
         for entry, lib in zip(trace["ste"], lib_trace):
             assert np.array_equal(np.array(entry["prototypes"]), lib["prototypes"])

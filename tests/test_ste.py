@@ -9,7 +9,7 @@ import pytest
 
 from tcovis.model import Clip, ClipSpec, Corpus, dump_json, validate
 from tcovis.ste import (LN_EPS, AttentionParams, FeedForwardParams, MhcaParams,
-                        RefDecoderParams, SpatialFeature, cross_attention_update,
+                        RefDecoderParams, cross_attention_update,
                         init_mhca_params, init_ref_decoder_params, layer_norm,
                         load_params, masked_average_pool, params_from_dict,
                         params_to_dict, propagate, run_clip, save_params,
@@ -157,7 +157,7 @@ class TestCrossAttentionUpdate:
         rng = np.random.default_rng(4)
         protos = rng.normal(size=(N_SLOTS, C))
         feats = rng.normal(size=(N_SLOTS, C))
-        out = cross_attention_update(protos, feats, zeroed)
+        out, _ = cross_attention_update(protos, feats, zeroed)
         assert np.allclose(out, layer_norm(protos, params.ln_scale, params.ln_shift),
                            atol=1e-12)
 
@@ -172,7 +172,7 @@ class TestCrossAttentionUpdate:
         feats = np.tile(rng.normal(size=C), (N_SLOTS, 1))
         _, ctx, _ = naive_cross_attention_update(protos, feats, zero_pos)
         assert np.allclose(ctx, ctx[0], atol=1e-9)
-        out = cross_attention_update(protos, feats, zero_pos)
+        out, _ = cross_attention_update(protos, feats, zero_pos)
         naive_out, _, _ = naive_cross_attention_update(protos, feats, zero_pos)
         assert np.allclose(out, naive_out, atol=1e-9)
 
@@ -182,21 +182,11 @@ class TestCrossAttentionUpdate:
             rng = np.random.default_rng(100 + seed)
             protos = rng.normal(size=(N_SLOTS, C))
             feats = rng.normal(size=(N_SLOTS, C))
-            out, weights = cross_attention_update(protos, feats, params,
-                                                  return_weights=True)
+            out, weights = cross_attention_update(protos, feats, params)
             naive_out, _, naive_w = naive_cross_attention_update(protos, feats, params)
             assert np.allclose(out, naive_out, atol=1e-9)
             assert np.allclose(weights, naive_w, atol=1e-9)
             assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-9)
-
-    def test_accepts_spatial_feature_sequence(self):
-        params = mhca()
-        rng = np.random.default_rng(7)
-        protos = rng.normal(size=(N_SLOTS, C))
-        vectors = rng.normal(size=(N_SLOTS, C))
-        feats = [SpatialFeature(vector=v, empty_flag=False) for v in vectors]
-        assert np.array_equal(cross_attention_update(protos, feats, params),
-                              cross_attention_update(protos, vectors, params))
 
     def test_joint_permutation_equivariance(self):
         rng = np.random.default_rng(8)
@@ -208,8 +198,8 @@ class TestCrossAttentionUpdate:
                               w_v=params.w_v, w_o=params.w_o,
                               ln_scale=params.ln_scale, ln_shift=params.ln_shift,
                               e_pos=params.e_pos[perm])
-        base = cross_attention_update(protos, feats, params)
-        moved = cross_attention_update(protos[perm], feats[perm], permuted)
+        base, _ = cross_attention_update(protos, feats, params)
+        moved, _ = cross_attention_update(protos[perm], feats[perm], permuted)
         assert np.allclose(moved, base[perm], atol=1e-9)
 
     def test_swapping_positions_swaps_positional_identity(self):
@@ -225,7 +215,7 @@ class TestCrossAttentionUpdate:
                                  w_v=params.w_v, w_o=params.w_o,
                                  ln_scale=params.ln_scale, ln_shift=params.ln_shift,
                                  e_pos=params.e_pos[swap])
-        direct = cross_attention_update(protos, feats, swapped_pos)
+        direct, _ = cross_attention_update(protos, feats, swapped_pos)
         via_data, _, _ = naive_cross_attention_update(protos[swap], feats[swap], params)
         assert np.allclose(direct, via_data[swap], atol=1e-9)
 
@@ -252,8 +242,8 @@ class TestPropagate:
             mask_head=tuple((np.zeros((C, C)), np.zeros(C)) for _ in range(3)),
             classifier=np.zeros((C, 4)))
         rng = np.random.default_rng(10)
-        protos, probs, emb = propagate(rng.normal(size=(N_SLOTS, C)),
-                                       rng.normal(size=(N_FQ, C)), zero)
+        protos, probs, emb, _ = propagate(rng.normal(size=(N_SLOTS, C)),
+                                          rng.normal(size=(N_FQ, C)), zero)
         assert not protos.any()
         assert np.allclose(probs, 0.25, atol=1e-12)
         assert not emb.any()
@@ -262,8 +252,7 @@ class TestPropagate:
         params = decoder(seed=11)
         rng = np.random.default_rng(11)
         _, _, _, trace = propagate(rng.normal(size=(N_SLOTS, C)),
-                                   rng.normal(size=(1, C)), params,
-                                   return_trace=True)
+                                   rng.normal(size=(1, C)), params)
         assert np.array_equal(trace["decoder_weights"],
                               np.ones_like(trace["decoder_weights"]))
 
@@ -273,7 +262,7 @@ class TestPropagate:
             rng = np.random.default_rng(200 + seed)
             q = rng.normal(size=(N_SLOTS, C))
             f = rng.normal(size=(N_FQ, C))
-            protos, probs, emb = propagate(q, f, params)
+            protos, probs, emb, _ = propagate(q, f, params)
             n_protos, n_probs, n_emb = naive_propagate(q, f, params)
             assert np.allclose(protos, n_protos, atol=1e-9)
             assert np.allclose(probs, n_probs, atol=1e-9)
@@ -336,8 +325,8 @@ class TestRunClip:
         rng = np.random.default_rng(14)
         q = rng.normal(size=(N_SLOTS, C))
         frames = demo_frames(rng, T=1)
-        plain = run_clip(q, frames, decoder())
-        enhanced = run_clip(q, frames, decoder(), ste_params=mhca())
+        plain, _ = run_clip(q, frames, decoder())
+        enhanced, _ = run_clip(q, frames, decoder(), ste_params=mhca())
         for a, b in zip(plain, enhanced):
             assert np.array_equal(a.class_probs, b.class_probs)
             assert np.array_equal(a.mask_probs, b.mask_probs)
@@ -347,9 +336,9 @@ class TestRunClip:
         q = rng.normal(size=(N_SLOTS, C))
         frames = demo_frames(rng, T=2)
         params = decoder(seed=16)
-        tracks = run_clip(q, frames, params)
-        protos, _, _ = propagate(q, frames[0][0], params)
-        _, probs1, emb1 = propagate(protos, frames[1][0], params)
+        tracks, _ = run_clip(q, frames, params)
+        protos, _, _, _ = propagate(q, frames[0][0], params)
+        _, probs1, emb1, _ = propagate(protos, frames[1][0], params)
         assert np.array_equal(tracks[0].class_probs[1], probs1[0])
         assert np.array_equal(tracks[0].mask_probs[1],
                               segment_frame(emb1, frames[1][1])[0])
@@ -360,11 +349,11 @@ class TestRunClip:
         frames = demo_frames(rng, T=3)
         params = decoder(seed=18)
         enh = mhca(seed=19)
-        tracks = run_clip(q0, frames, params, ste_params=enh)
+        tracks, _ = run_clip(q0, frames, params, ste_params=enh)
 
         queries = q0
         for t in range(3):
-            protos, probs, emb = propagate(queries, frames[t][0], params)
+            protos, probs, emb, _ = propagate(queries, frames[t][0], params)
             masks = segment_frame(emb, frames[t][1])
             for k in range(N_SLOTS):
                 assert np.array_equal(tracks[k].class_probs[t], probs[k])
@@ -374,14 +363,15 @@ class TestRunClip:
                 for k in range(N_SLOTS):
                     matted = spatial_matting(frames[t][1], masks[k], 0.5)
                     feats.append(masked_average_pool(matted, masks[k] >= 0.5))
-                queries = cross_attention_update(protos, feats, enh)
+                queries, _ = cross_attention_update(
+                    protos, np.stack([f.vector for f in feats]), enh)
 
     def test_outputs_satisfy_model_invariants(self):
         spec = ClipSpec(T=3, H=32, W=32, S=4, K=3, N_v=N_SLOTS, C=C)
         rng = np.random.default_rng(20)
         q = rng.normal(size=(N_SLOTS, C))
         frames = demo_frames(rng, T=3, h=spec.h, w=spec.w)
-        tracks = run_clip(q, frames, decoder(), ste_params=mhca())
+        tracks, _ = run_clip(q, frames, decoder(), ste_params=mhca())
         gt = np.zeros((3, spec.h, spec.w), np.uint8)
         gt[0, 0, 0] = 1
         from tcovis.model import GroundTruthTrack
@@ -393,7 +383,7 @@ class TestRunClip:
             rng = np.random.default_rng(21)
             q = rng.normal(size=(N_SLOTS, C))
             frames = demo_frames(rng, T=3)
-            tracks = run_clip(q, frames, decoder(seed=22), ste_params=mhca(seed=23))
+            tracks, _ = run_clip(q, frames, decoder(seed=22), ste_params=mhca(seed=23))
             return np.concatenate([t.mask_probs.ravel() for t in tracks])
 
         serial = [once(i) for i in range(2)]
@@ -406,8 +396,7 @@ class TestRunClip:
         rng = np.random.default_rng(24)
         q = rng.normal(size=(N_SLOTS, C))
         frames = demo_frames(rng, T=3)
-        _, trace = run_clip(q, frames, decoder(), ste_params=mhca(),
-                            collect_trace=True)
+        _, trace = run_clip(q, frames, decoder(), ste_params=mhca())
         for entry in trace:
             assert np.allclose(entry["encoder_row_sums"], 1.0, atol=1e-9)
             assert np.allclose(entry["decoder_row_sums"], 1.0, atol=1e-9)
