@@ -33,7 +33,7 @@ from .assignment import (build_global_cost_matrix, global_instance_assignment,
                          hungarian, locpro_assignment)
 from .cost import LossWeights
 from .model import (MASK_BINARIZE, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
-                    _loaded_int, _positive_int, dump_json, field_names, load_corpus,
+                    _integer, _number, _positive_int, dump_json, field_names, load_corpus,
                     record_dict, save_corpus, validate)
 from .rng import stream
 
@@ -125,8 +125,8 @@ def _load_run_config(path) -> dict:
                                                 LossWeights))
         return {"spec": spec, "scene": scene, "noise": noise, "weights": weights,
                 "clips": _positive_int("clips", doc["clips"]),
-                "seed": _loaded_int(doc["seed"], "seed"),
-                "threads": _loaded_int(doc.get("threads", 1), "threads")}
+                "seed": _integer("seed", doc["seed"]),
+                "threads": _integer("threads", doc.get("threads", 1))}
 
 
 def _weights_from_args(args) -> LossWeights:
@@ -239,13 +239,13 @@ def _cmd_assign(args) -> int:
 def _load_demo_config(path) -> dict:
     with _config(path, "demo config", known={"n_heads", "n_fq", "threshold"},
                  required={"n_heads", "n_fq"}) as (doc, spec):
-        n_heads = _loaded_int(doc["n_heads"], "n_heads")
+        n_heads = _integer("n_heads", doc["n_heads"])
         n_fq = _positive_int("n_fq", doc["n_fq"])
         if n_heads < 1 or spec.C % n_heads != 0:
             raise ValueError(f"n_heads {doc['n_heads']} must be a positive divisor of C={spec.C}")
         return {"spec": spec, "n_heads": n_heads, "n_fq": n_fq,
-                "seed": _loaded_int(doc["seed"], "seed"),
-                "threshold": float(doc.get("threshold", MASK_BINARIZE))}
+                "seed": _integer("seed", doc["seed"]),
+                "threshold": _number("threshold", doc.get("threshold", MASK_BINARIZE))}
 
 
 def _demo_inputs(cfg: dict):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Assignment, GroundTruthTrack, PredictionTrack, field_names
+from .model import Assignment, GroundTruthTrack, PredictionTrack, _number, field_names
 
 EPS_LOG = 1e-12
 DICE_SMOOTH = 1.0
@@ -48,7 +48,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in field_names(LossWeights):
-            value = float(getattr(self, name))
+            value = _number(name, getattr(self, name))
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
             object.__setattr__(self, name, value)

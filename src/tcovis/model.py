@@ -15,6 +15,7 @@ disk may be malformed, and :func:`validate` reports violations as data.
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 import os
 from dataclasses import dataclass, fields
@@ -26,13 +27,25 @@ PROB_SUM_TOL = 1e-9
 MASK_BINARIZE = 0.5     # a soft mask cell at or above it is foreground
 
 
-def _positive_int(name: str, value) -> int:
+def _integer(name: str, value) -> int:
+    """`value` as an int: what `operator.index` takes (no float), less `bool`."""
     try:
         if isinstance(value, bool):
             raise TypeError
-        value = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _number(name: str, value) -> float:
+    """`value` as a float: any real number but a `bool`; a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _positive_int(name: str, value) -> int:
+    value = _integer(name, value)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     return value
@@ -356,13 +369,6 @@ def _field(record: dict, name: str, where: str):
     return record[name]
 
 
-def _loaded_int(value, where: str) -> int:
-    """A JSON integer; `bool` and `float` values are refused, not cast."""
-    if type(value) is not int:
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
 def _decoded(record, where: str) -> np.ndarray:
     """`decode_mask_rle`, with the record's location prefixed to its error."""
     try:
@@ -386,7 +392,7 @@ def corpus_from_dict(doc: dict) -> Corpus:
             where = f"clip {ci} gt[{ti}]"
             _need(rec, dict, where)
             masks = _need(_field(rec, "masks", where), list, f"{where} masks")
-            class_id = _loaded_int(_field(rec, "class_id", where), f"{where} class_id")
+            class_id = _integer(f"{where} class_id", _field(rec, "class_id", where))
             gt.append(GroundTruthTrack(class_id=class_id,
                                        masks=np.stack([_decoded(r, f"{where} masks[{k}]")
                                                        for k, r in enumerate(masks)])))
@@ -411,7 +417,7 @@ def corpus_from_dict(doc: dict) -> Corpus:
                 tracks.append(PredictionTrack(class_probs=probs, mask_probs=frames))
             pred = tuple(tracks)
         clips.append(Clip(gt=tuple(gt), pred=pred))
-    return Corpus(spec=spec, clips=tuple(clips), seed=_loaded_int(seed, "seed"),
+    return Corpus(spec=spec, clips=tuple(clips), seed=_integer("seed", seed),
                   generator=doc.get("generator"))
 
 

@@ -9,11 +9,14 @@ pixel-wise dot product with the pixel embeddings, through a sigmoid.
 
 Between frames, the enhancement step mats the pixel embeddings with each
 slot's predicted mask, average-pools the surviving cells into one spatial
-vector per slot, and cross-attends the propagated prototypes to those
-vectors. The positional embedding row k is added to both the query and
-the key of slot k (shared positional identity); values carry no
-positional term. Without enhancement parameters, next-frame queries are
-the prototypes themselves.
+vector per slot, and cross-attends the propagated prototypes to the
+(N_v, C) matrix of those vectors. The positional embedding row k is added
+to both the query and the key of slot k (shared positional identity);
+values carry no positional term. Without enhancement parameters,
+next-frame queries are the prototypes themselves. Each step has one
+return shape: `propagate` (prototypes, class_probs, mask_embeddings,
+weights), `cross_attention_update` (updated, weights), `run_clip`
+(tracks, trace). `LN_EPS` and `model.MASK_BINARIZE` are constants.
 
 No training happens here: parameters are plain float64 arrays, seeded for
 reproducibility.
@@ -29,7 +32,7 @@ import json
 import numpy as np
 
 from .cost import _sigmoid
-from .model import MASK_BINARIZE, PredictionTrack, _frozen, dump_json
+from .model import MASK_BINARIZE, PredictionTrack, _frozen, _integer, dump_json
 from .rng import stream
 
 LN_EPS = 1e-5
@@ -48,15 +51,19 @@ class SpatialFeature:
         object.__setattr__(self, "empty_flag", bool(self.empty_flag))
 
 
+def _finite(name: str, values) -> np.ndarray:
+    """A read-only float64 copy of `values`; a non-finite entry raises."""
+    value = _frozen(values, np.float64)
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
 def _freeze_fields(block) -> None:
-    """Store every array field of a parameter block (all but `n_heads`) as
-    a read-only float64 copy, rejecting non-finite entries."""
+    """Pass every array field of a parameter block (all but `n_heads`) through `_finite`."""
     for f in fields(block):
         if f.name != "n_heads":
-            value = _frozen(getattr(block, f.name), np.float64)
-            if not np.isfinite(value).all():
-                raise ValueError(f"{f.name} must be finite")
-            object.__setattr__(block, f.name, value)
+            object.__setattr__(block, f.name, _finite(f.name, getattr(block, f.name)))
 
 
 @dataclass(frozen=True)
@@ -123,9 +130,9 @@ class RefDecoderParams:
     classifier: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "classifier", _frozen(self.classifier, np.float64))
-        layers = tuple((_frozen(w, np.float64), _frozen(b, np.float64))
-                       for w, b in self.mask_head)
+        object.__setattr__(self, "classifier", _finite("classifier", self.classifier))
+        layers = tuple((_finite(f"mask_head[{i}].w", w), _finite(f"mask_head[{i}].b", b))
+                       for i, (w, b) in enumerate(self.mask_head))
         object.__setattr__(self, "mask_head", layers)
         if len(layers) != 3:
             raise ValueError("mask head must have exactly 3 layers")
@@ -354,17 +361,17 @@ def _to_json(value):
     return value
 
 
-def _from_json(kind, doc):
-    """The inverse of `_to_json` for a field annotated `kind`; a block
-    takes each field's kind from its type hints."""
+def _from_json(kind, doc, name: str):
+    """The inverse of `_to_json` for the field `name` annotated `kind`; a
+    block takes each field's kind from its type hints."""
     if is_dataclass(kind):
         hints = get_type_hints(kind)
-        return kind(**{f.name: _from_json(hints[f.name], doc[f.name]) for f in fields(kind)})
+        return kind(**{f.name: _from_json(hints[f.name], doc[f.name], f.name) for f in fields(kind)})
     if kind is tuple:
-        return tuple((_from_json(np.ndarray, layer["w"]), _from_json(np.ndarray, layer["b"]))
-                     for layer in doc)
+        return tuple((_from_json(np.ndarray, layer["w"], name),
+                      _from_json(np.ndarray, layer["b"], name)) for layer in doc)
     if kind is int:
-        return int(doc)
+        return _integer(name, doc)
     return np.asarray(doc["data"], dtype=np.float64).reshape(doc["shape"])
 
 
@@ -376,8 +383,8 @@ def params_to_dict(decoder: RefDecoderParams, mhca: MhcaParams | None = None) ->
 
 
 def params_from_dict(doc: dict):
-    decoder = _from_json(RefDecoderParams, doc["ref_decoder"])
-    return decoder, _from_json(MhcaParams, doc["mhca"]) if "mhca" in doc else None
+    decoder = _from_json(RefDecoderParams, doc["ref_decoder"], "ref_decoder")
+    return decoder, _from_json(MhcaParams, doc["mhca"], "mhca") if "mhca" in doc else None
 
 
 def save_params(path, decoder: RefDecoderParams, mhca: MhcaParams | None = None) -> None:

@@ -20,12 +20,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import _sigmoid
-from .model import Clip, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack, record_dict
+from .model import (Clip, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack, _integer,
+                    _number, record_dict)
 from .rng import GENERATOR_NAME, derive_seed, stream
 
 _SHAPES = ("rectangle", "disc")
 _SWAP_MODES = ("none", "early_swap")
 _MAX_SCENE_ATTEMPTS = 256
+
+
+def _pair(name: str, value, convert) -> tuple:
+    """A range field as a (lo, hi) tuple, each bound read by `convert`."""
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise ValueError(f"{name} must be a [lo, hi] pair, got {value!r}")
+    return tuple(convert(name, v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -46,11 +54,12 @@ class SceneConfig:
     size: tuple = (2, 3)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_objects", (int(self.n_objects[0]), int(self.n_objects[1])))
+        for name, convert in (("n_objects", _integer), ("velocity", _number),
+                              ("entry_frame", _integer), ("size", _integer)):
+            object.__setattr__(self, name, _pair(name, getattr(self, name), convert))
         object.__setattr__(self, "shapes", tuple(self.shapes))
-        object.__setattr__(self, "velocity", (float(self.velocity[0]), float(self.velocity[1])))
-        object.__setattr__(self, "entry_frame", (int(self.entry_frame[0]), int(self.entry_frame[1])))
-        object.__setattr__(self, "size", (int(self.size[0]), int(self.size[1])))
+        if not isinstance(self.allow_occlusion, bool):
+            raise ValueError(f"allow_occlusion must be true or false, got {self.allow_occlusion!r}")
         lo, hi = self.n_objects
         if not 1 <= lo <= hi:
             raise ValueError(f"n_objects range ({lo}, {hi}) must satisfy 1 <= lo <= hi")
@@ -90,16 +99,16 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name in ("mask_jitter", "class_confusion"):
-            value = float(getattr(self, name))
+            value = _number(name, getattr(self, name))
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
             object.__setattr__(self, name, value)
         if self.swap_mode not in _SWAP_MODES:
             raise ValueError(f"swap_mode must be one of {_SWAP_MODES}, got {self.swap_mode!r}")
-        object.__setattr__(self, "swap_frame", int(self.swap_frame))
+        object.__setattr__(self, "swap_frame", _integer("swap_frame", self.swap_frame))
         if self.swap_frame < 2:
             raise ValueError(f"swap_frame must be >= 2, got {self.swap_frame}")
-        object.__setattr__(self, "sharpness", float(self.sharpness))
+        object.__setattr__(self, "sharpness", _number("sharpness", self.sharpness))
         if not self.sharpness > 0:
             raise ValueError(f"sharpness must be > 0, got {self.sharpness}")
 

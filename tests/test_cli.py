@@ -125,7 +125,21 @@ class TestGen:
         ("spec", {"S": True}, "S must be an integer, got True"),
         ("seed", 7.0, "seed must be an integer, got 7.0"),
         ("threads", True, "threads must be an integer, got True"),
-    ], ids=["clips-float", "S-bool", "seed-float", "threads-bool"])
+        ("noise", {"swap_frame": 2.7}, "swap_frame must be an integer, got 2.7"),
+        ("scene", {"size": [1.9, 2]}, "size must be an integer, got 1.9"),
+        ("scene", {"n_objects": ["2", "3"]}, "n_objects must be an integer, got '2'"),
+        ("scene", {"velocity": ["0.5", 1.0]}, "velocity must be a number, got '0.5'"),
+        ("noise", {"mask_jitter": "0.1"}, "mask_jitter must be a number, got '0.1'"),
+        ("noise", {"sharpness": True}, "sharpness must be a number, got True"),
+        ("weights", {"lambda_cls": "2"}, "lambda_cls must be a number, got '2'"),
+        ("scene", {"allow_occlusion": "no"}, "allow_occlusion must be true or false, got 'no'"),
+        ("scene", {"n_objects": [2, 3, 9]}, "n_objects must be a [lo, hi] pair, got [2, 3, 9]"),
+        ("scene", {"n_objects": [2]}, "n_objects must be a [lo, hi] pair, got [2]"),
+        ("scene", {"size": []}, "size must be a [lo, hi] pair, got []"),
+    ], ids=["clips-float", "S-bool", "seed-float", "threads-bool", "swap_frame-float",
+            "size-float", "n_objects-strings", "velocity-string", "mask_jitter-string",
+            "sharpness-bool", "lambda_cls-string", "allow_occlusion-string",
+            "n_objects-three", "n_objects-one", "size-empty"])
     def test_non_integer_number_rejected(self, tmp_path, capsys, field, value, reason):
         doc = json.loads((CONFIG_DIR / "small.json").read_text())
         if isinstance(value, dict):
@@ -411,6 +425,16 @@ class TestEnhance:
         code = main(["enhance", "--demo", str(cfg), "--out", str(tmp_path / "t.json")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_string_threshold_rejected(self, tmp_path, capsys):
+        doc = json.loads((CONFIG_DIR / "enhance.json").read_text())
+        doc["threshold"] = "0.3"
+        cfg = tmp_path / "demo.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "t.json"
+        assert main(["enhance", "--demo", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: threshold must be a number, got '0.3'\n"
+        assert not out.exists()
 
     def test_golden_byte_equality(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

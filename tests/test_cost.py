@@ -526,7 +526,8 @@ class TestLossWeights:
         assert (w.lambda_cls, w.lambda_bce, w.lambda_dice) == (2.0, 5.0, 5.0)
 
     @pytest.mark.parametrize("bad", [dict(lambda_cls=-1.0), dict(lambda_bce=float("nan")),
-                                     dict(lambda_dice=float("inf"))])
+                                     dict(lambda_dice=float("inf")), dict(lambda_cls="2"),
+                                     dict(lambda_bce=True)])
     def test_rejects_bad_weights(self, bad):
         with pytest.raises(ValueError):
             LossWeights(**bad)

@@ -404,6 +404,23 @@ class TestRunClip:
                 assert np.allclose(entry["ste_row_sums"], 1.0, atol=1e-9)
 
 
+    def test_trace_records_what_the_update_consumed(self):
+        # the update of frame t, fed the traced matrix, gives the traced row
+        # sums and, decoded against frame t+1, the next traced prototypes
+        rng = np.random.default_rng(25)
+        q = rng.normal(size=(N_SLOTS, C))
+        frames = demo_frames(rng, T=4)
+        params, enh = decoder(seed=26), mhca(seed=27)
+        _, trace = run_clip(q, frames, params, ste_params=enh)
+        for t in range(len(frames) - 1):
+            updated, weights = cross_attention_update(
+                trace[t]["prototypes"], trace[t]["spatial_features"], enh)
+            assert np.array_equal(weights.sum(axis=-1), trace[t]["ste_row_sums"])
+            protos, _, _, _ = propagate(updated, frames[t + 1][0], params)
+            assert np.array_equal(protos, trace[t + 1]["prototypes"])
+        assert "spatial_features" not in trace[-1]
+
+
 # -- parameters ----------------------------------------------------------------
 
 class TestParams:
@@ -493,6 +510,38 @@ class TestParams:
     def test_mhca_checks_every_field(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             MhcaParams(**dict(vars(mhca()), **{field: value}))
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("classifier", "data", 0), float("nan"), r"classifier must be finite"),
+        (("mask_head", 1, "w", "data", 3), float("inf"), r"mask_head\[1\]\.w must be finite"),
+        (("mask_head", 2, "b", "data", 0), float("-inf"), r"mask_head\[2\]\.b must be finite"),
+        (("encoder", "n_heads"), "4", "n_heads must be an integer, got '4'"),
+        (("decoder", "n_heads"), 4.9, "n_heads must be an integer, got 4.9"),
+        (("encoder", "n_heads"), True, "n_heads must be an integer, got True"),
+    ], ids=["nan-classifier", "inf-mask-w", "inf-mask-b", "string-heads", "float-heads",
+            "bool-heads"])
+    def test_loaded_bundle_is_checked(self, path, value, message):
+        doc = json.loads(dump_json(params_to_dict(decoder(), mhca())))
+        node = doc["ref_decoder"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValueError, match=message):
+            params_from_dict(doc)
+
+    def test_loaded_mhca_heads_must_be_an_integer(self):
+        doc = json.loads(dump_json(params_to_dict(decoder(), mhca())))
+        doc["mhca"]["n_heads"] = 4.0
+        with pytest.raises(ValueError, match="n_heads must be an integer, got 4.0"):
+            params_from_dict(doc)
+
+    def test_decoder_heads_must_be_finite(self):
+        dec = decoder()
+        with pytest.raises(ValueError, match="classifier must be finite"):
+            RefDecoderParams(**dict(vars(dec), classifier=np.full((C, 4), np.nan)))
+        head = (dec.mask_head[0], (dec.mask_head[1][0], np.full(C, np.inf)), dec.mask_head[2])
+        with pytest.raises(ValueError, match=r"mask_head\[1\]\.b must be finite"):
+            RefDecoderParams(**dict(vars(dec), mask_head=head))
 
     def test_feed_forward_must_be_finite(self):
         ffn = decoder().ffn

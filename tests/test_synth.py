@@ -35,6 +35,23 @@ class TestSceneConfig:
         with pytest.raises(ValueError, match="entry_frame"):
             scene(entry_frame=(0, 3))
 
+    def test_numpy_scalars_read_as_python_numbers(self):
+        cfg = scene(n_objects=(np.int64(2), np.int32(3)), velocity=[np.float32(0.5), 1])
+        assert cfg.n_objects == (2, 3) and type(cfg.n_objects[0]) is int
+        assert cfg.velocity == (0.5, 1.0) and type(cfg.velocity[1]) is float
+        assert NoiseConfig(swap_frame=np.int64(3)).swap_frame == 3
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(entry_frame=(1.0, 2)), "entry_frame must be an integer, got 1.0"),
+        (dict(velocity=(0.5, None)), "velocity must be a number, got None"),
+        (dict(size=(2, 3, 3)), r"size must be a \[lo, hi\] pair"),
+        (dict(n_objects=2), r"n_objects must be a \[lo, hi\] pair, got 2"),
+        (dict(allow_occlusion=1), "allow_occlusion must be true or false, got 1"),
+    ])
+    def test_rejects_values_of_the_wrong_kind(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            scene(**overrides)
+
 
 class TestNoiseConfig:
     def test_rejects_bad_probability(self):
