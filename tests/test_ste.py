@@ -512,36 +512,25 @@ class TestParams:
             MhcaParams(**dict(vars(mhca()), **{field: value}))
 
     @pytest.mark.parametrize("path, value, message", [
-        (("classifier", "data", 0), float("nan"), r"classifier must be finite"),
-        (("mask_head", 1, "w", "data", 3), float("inf"), r"mask_head\[1\]\.w must be finite"),
-        (("mask_head", 2, "b", "data", 0), float("-inf"), r"mask_head\[2\]\.b must be finite"),
-        (("encoder", "n_heads"), "4", "n_heads must be an integer, got '4'"),
-        (("decoder", "n_heads"), 4.9, "n_heads must be an integer, got 4.9"),
-        (("encoder", "n_heads"), True, "n_heads must be an integer, got True"),
+        (("ref_decoder", "classifier", "data", 0), float("nan"), "classifier must be finite"),
+        (("ref_decoder", "mask_head", 1, "w", "data", 3), float("inf"),
+         r"mask_head\[1\]\.w must be finite"),
+        (("ref_decoder", "mask_head", 2, "b", "data", 0), float("-inf"),
+         r"mask_head\[2\]\.b must be finite"),
+        (("ref_decoder", "encoder", "n_heads"), "4", "n_heads must be an integer, got '4'"),
+        (("ref_decoder", "decoder", "n_heads"), 4.9, "n_heads must be an integer, got 4.9"),
+        (("ref_decoder", "encoder", "n_heads"), True, "n_heads must be an integer, got True"),
+        (("mhca", "n_heads"), 4.0, "n_heads must be an integer, got 4.0"),
     ], ids=["nan-classifier", "inf-mask-w", "inf-mask-b", "string-heads", "float-heads",
-            "bool-heads"])
+            "bool-heads", "float-mhca-heads"])
     def test_loaded_bundle_is_checked(self, path, value, message):
         doc = json.loads(dump_json(params_to_dict(decoder(), mhca())))
-        node = doc["ref_decoder"]
+        node = doc
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
         with pytest.raises(ValueError, match=message):
             params_from_dict(doc)
-
-    def test_loaded_mhca_heads_must_be_an_integer(self):
-        doc = json.loads(dump_json(params_to_dict(decoder(), mhca())))
-        doc["mhca"]["n_heads"] = 4.0
-        with pytest.raises(ValueError, match="n_heads must be an integer, got 4.0"):
-            params_from_dict(doc)
-
-    def test_decoder_heads_must_be_finite(self):
-        dec = decoder()
-        with pytest.raises(ValueError, match="classifier must be finite"):
-            RefDecoderParams(**dict(vars(dec), classifier=np.full((C, 4), np.nan)))
-        head = (dec.mask_head[0], (dec.mask_head[1][0], np.full(C, np.inf)), dec.mask_head[2])
-        with pytest.raises(ValueError, match=r"mask_head\[1\]\.b must be finite"):
-            RefDecoderParams(**dict(vars(dec), mask_head=head))
 
     def test_feed_forward_must_be_finite(self):
         ffn = decoder().ffn
