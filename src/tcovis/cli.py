@@ -34,7 +34,7 @@ from .assignment import (build_global_cost_matrix, global_instance_assignment,
 from .cost import LossWeights
 from .model import (MASK_BINARIZE, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
                     _integer, _number, _positive_int, dump_json, field_names, load_corpus,
-                    record_dict, save_corpus, validate)
+                    record_dict, save_corpus, validate, write_file)
 from .rng import stream
 
 
@@ -83,7 +83,7 @@ def _load_json(path) -> dict:
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise CliError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # json.JSONDecodeError, or text that is not UTF-8
         raise CliError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -141,13 +141,6 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write(path, text: str) -> None:
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -177,7 +170,7 @@ def _cmd_gen(args) -> int:
 def _load_predicted_corpus(path) -> Corpus:
     try:
         corpus = load_corpus(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot load corpus {path}: {exc}") from None
     violations = validate(corpus)
     if violations:
@@ -219,14 +212,14 @@ def _cmd_assign(args) -> int:
             "mean_agreement": float(np.mean([r["agreement"] for r in rows])) if rows else 1.0,
             "mean_delta": float(np.mean([r["delta"] for r in rows])) if rows else 0.0,
         }
-    _write(f"{args.out_prefix}.json", dump_json(doc))
+    write_file(f"{args.out_prefix}.json", [dump_json(doc)])
     # CSV columns are row keys; a strategy's column `<name>_cost` holds its cost
     strategies = ("gia", "locpro") if both else (args.strategy,)
     columns = ["clip", *strategies, *(("agreement", "delta") if both else ())]
     lines = [",".join(f"{c}_cost" if c in strategies else c for c in columns)]
     lines += [",".join(repr(row[c]["cost"] if c in strategies else row[c]) for c in columns)
               for row in rows]
-    _write(f"{args.out_prefix}.csv", "\n".join(lines) + "\n")
+    write_file(f"{args.out_prefix}.csv", ["\n".join(lines) + "\n"])
     print(f"clips={len(rows)} strategy={args.strategy} "
           f"sha256={_sha256(args.out_prefix + '.json')}")
     return 0
@@ -280,7 +273,7 @@ def _cmd_enhance(args) -> int:
            "n_heads": cfg["n_heads"], "n_fq": cfg["n_fq"],
            "threshold": cfg["threshold"],
            "plain": _trace_to_json(plain_trace), "ste": _trace_to_json(ste_trace)}
-    _write(args.out, dump_json(doc))
+    write_file(args.out, [dump_json(doc)])
     print(f"frames={cfg['spec'].T} sha256={_sha256(args.out)}")
     return 0
 
@@ -302,8 +295,8 @@ def _cmd_eval(args) -> int:
                                          corpus.clips[ci].pred, weights),
         range(len(corpus.clips)), threads)
     full = dataclasses.replace(report, clip_audits=tuple(audits))
-    _write(f"{args.out_prefix}.report.json", dump_json(full.to_dict()))
-    _write(f"{args.out_prefix}.audit.csv", evaluation.audits_to_csv(audits))
+    write_file(f"{args.out_prefix}.report.json", [dump_json(full.to_dict())])
+    write_file(f"{args.out_prefix}.audit.csv", [evaluation.audits_to_csv(audits)])
     print(f"AP={report.ap:.6f} AP50={report.ap50:.6f} AP75={report.ap75:.6f} "
           f"sha256={_sha256(args.out_prefix + '.report.json')}")
     return 0
@@ -363,7 +356,7 @@ def _cmd_bench(args) -> int:
     lines = ["size,hungarian_ms,cost_matrix_ms"]
     for n, lap_ms, cost_ms in rows:
         lines.append(f"{n},{lap_ms:.3f},{cost_ms:.3f}")
-    _write(args.out, "\n".join(lines) + "\n")
+    write_file(args.out, ["\n".join(lines) + "\n"])
 
     budget_matrix = stream(args.seed, "bench-budget").uniform(0, 10, (100, 120))
     budget_ms = _median_ms(lambda: hungarian(budget_matrix), args.repeats)
@@ -440,7 +433,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, OSError) as exc:  # an input or output file that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

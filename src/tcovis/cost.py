@@ -49,8 +49,8 @@ class LossWeights:
     def __post_init__(self):
         for name in field_names(LossWeights):
             value = _number(name, getattr(self, name))
-            if not np.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
             object.__setattr__(self, name, value)
 
 

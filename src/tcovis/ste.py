@@ -32,7 +32,7 @@ import json
 import numpy as np
 
 from .cost import _sigmoid
-from .model import MASK_BINARIZE, PredictionTrack, _frozen, _integer, dump_json
+from .model import MASK_BINARIZE, PredictionTrack, _frozen, _integer, dump_json, write_file
 from .rng import stream
 
 LN_EPS = 1e-5
@@ -388,7 +388,7 @@ def params_from_dict(doc: dict):
 
 
 def save_params(path, decoder: RefDecoderParams, mhca: MhcaParams | None = None) -> None:
-    Path(path).write_text(dump_json(params_to_dict(decoder, mhca)))
+    write_file(path, [dump_json(params_to_dict(decoder, mhca))])
 
 
 def load_params(path):

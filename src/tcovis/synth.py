@@ -57,6 +57,8 @@ class SceneConfig:
         for name, convert in (("n_objects", _integer), ("velocity", _number),
                               ("entry_frame", _integer), ("size", _integer)):
             object.__setattr__(self, name, _pair(name, getattr(self, name), convert))
+        if not isinstance(self.shapes, (tuple, list)):
+            raise ValueError(f"shapes must be a list of shape names, got {self.shapes!r}")
         object.__setattr__(self, "shapes", tuple(self.shapes))
         if not isinstance(self.allow_occlusion, bool):
             raise ValueError(f"allow_occlusion must be true or false, got {self.allow_occlusion!r}")

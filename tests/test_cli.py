@@ -136,10 +136,16 @@ class TestGen:
         ("scene", {"n_objects": [2, 3, 9]}, "n_objects must be a [lo, hi] pair, got [2, 3, 9]"),
         ("scene", {"n_objects": [2]}, "n_objects must be a [lo, hi] pair, got [2]"),
         ("scene", {"size": []}, "size must be a [lo, hi] pair, got []"),
+        ("scene", {"velocity": [0.5, float("inf")]}, "velocity must be finite, got inf"),
+        ("noise", {"sharpness": float("inf")}, "sharpness must be finite, got inf"),
+        ("noise", {"sharpness": 10**309}, f"sharpness must be finite, got {10**309}"),
+        ("scene", {"shapes": 5}, "shapes must be a list of shape names, got 5"),
+        ("scene", {"shapes": "disc"}, "shapes must be a list of shape names, got 'disc'"),
     ], ids=["clips-float", "S-bool", "seed-float", "threads-bool", "swap_frame-float",
             "size-float", "n_objects-strings", "velocity-string", "mask_jitter-string",
             "sharpness-bool", "lambda_cls-string", "allow_occlusion-string",
-            "n_objects-three", "n_objects-one", "size-empty"])
+            "n_objects-three", "n_objects-one", "size-empty", "velocity-infinite",
+            "sharpness-infinite", "sharpness-beyond-float64", "shapes-int", "shapes-string"])
     def test_non_integer_number_rejected(self, tmp_path, capsys, field, value, reason):
         doc = json.loads((CONFIG_DIR / "small.json").read_text())
         if isinstance(value, dict):
@@ -341,6 +347,20 @@ class TestMalformedCorpus:
     def no_mask_rows(doc):
         doc["clips"][1]["pred"][2]["mask_probs"] = []
 
+    @staticmethod
+    def quoted_class_prob(doc):
+        row = doc["clips"][0]["pred"][1]["class_probs"][0]
+        row[0] = str(row[0])
+
+    @staticmethod
+    def true_mask_prob(doc):
+        doc["clips"][1]["pred"][0]["mask_probs"][3][7] = True
+
+    @staticmethod
+    def boolean_class_row(doc):
+        row = doc["clips"][0]["pred"][2]["class_probs"][4]
+        row[:] = [k == 0 for k in range(len(row))]
+
     @pytest.mark.parametrize("command", ["assign", "eval"])
     @pytest.mark.parametrize("mutate, reason", [
         (clips_not_a_list, "clips must be a list, got int"),
@@ -366,11 +386,15 @@ class TestMalformedCorpus:
          ": clip 0 pred[2] is missing field 'class_probs'\n"),
         (without("clips", 1, "pred", 0, "mask_probs"),
          ": clip 1 pred[0] is missing field 'mask_probs'\n"),
+        (quoted_class_prob, ": clip 0 pred[1] class_probs: entries must be numbers"),
+        (true_mask_prob, ": clip 1 pred[0] mask_probs: entries must be numbers"),
+        (boolean_class_row, ": clip 0 pred[2] class_probs: entries must be numbers"),
     ], ids=["clips", "gt", "mask_probs", "pred", "slots", "class_id-float", "class_id-bool",
             "seed-float", "rle-size-float", "rle-counts-located", "mask_probs-huge-int",
             "class_probs-huge-int", "mask_probs-ragged", "mask_probs-empty", "seed-missing",
             "gt-missing", "masks-missing", "class_id-missing", "class_probs-missing",
-            "mask_probs-missing"])
+            "mask_probs-missing", "class_probs-quoted", "mask_probs-true",
+            "class_probs-boolean-row"])
     def test_exits_one_with_reason(self, tmp_path, capsys, command, mutate, reason):
         corpus = gen_corpus(tmp_path, clips=2)
         doc = json.loads(corpus.read_text())
@@ -401,6 +425,77 @@ class TestMalformedCorpus:
         assert decode_calls == ([True, False] if distinct else [True])
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot load corpus {corpus}: ")
+
+
+class TestOutputPaths:
+    """Every output goes through `model.write_file`: a missing directory is
+    made, and an input or output path that cannot be used exits 1 with
+    `error:`, never a traceback."""
+
+    # the files each subcommand writes, as suffixes of its --out or --out-prefix
+    OUTPUTS = {"gen": ("",), "assign": (".json", ".csv"), "eval": (".report.json", ".audit.csv"),
+               "enhance": ("",), "bench": ("",)}
+
+    @staticmethod
+    def argv(command, tmp_path, out):
+        if command == "gen":
+            return ["gen", str(write_config(tmp_path, clips=2)), "--out", str(out)]
+        if command == "enhance":
+            return ["enhance", "--demo", str(CONFIG_DIR / "enhance.json"), "--out", str(out)]
+        if command == "bench":
+            return ["bench", "--sizes", "2,3", "--repeats", "1", "--out", str(out)]
+        corpus = tmp_path / "corpus.json"
+        if not corpus.exists():
+            gen_corpus(tmp_path, clips=2)
+        return [command, str(corpus), "--out-prefix", str(out)]
+
+    @pytest.mark.parametrize("command", list(OUTPUTS))
+    def test_missing_directory_is_made(self, tmp_path, capsys, command):
+        flat, nested = tmp_path / "out", tmp_path / "new" / "deeper" / "out"
+        assert main(self.argv(command, tmp_path, flat)) == 0
+        assert main(self.argv(command, tmp_path, nested)) == 0
+        for suffix in self.OUTPUTS[command]:
+            made = Path(f"{nested}{suffix}").read_bytes()
+            if command == "bench":  # timings differ from run to run; the rows do not
+                assert made.split(b"\n")[0] == b"size,hungarian_ms,cost_matrix_ms"
+                assert len(made.splitlines()) == 3
+            else:
+                assert made == Path(f"{flat}{suffix}").read_bytes()
+        assert sorted(p.name for p in nested.parent.iterdir()) == sorted(
+            f"out{suffix}" for suffix in self.OUTPUTS[command])
+
+    @pytest.mark.parametrize("command", list(OUTPUTS))
+    def test_parent_that_is_a_file_exits_one(self, tmp_path, capsys, command):
+        blocker = tmp_path / "afile"
+        blocker.write_text("keep")
+        argv = self.argv(command, tmp_path, blocker / "out")
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(blocker) in err
+        assert blocker.read_text() == "keep"
+
+    def test_output_that_is_a_directory_exits_one(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main(self.argv("enhance", tmp_path, taken)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert taken.is_dir() and list(tmp_path.iterdir()) == [taken]
+
+    @pytest.mark.parametrize("command", ["gen", "enhance", "assign", "eval"])
+    def test_input_that_is_a_directory_exits_one(self, tmp_path, capsys, command):
+        argv = self.argv(command, tmp_path, tmp_path / "out")
+        argv[argv.index("--demo") + 1 if command == "enhance" else 1] = str(CONFIG_DIR)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+
+    def test_config_that_is_not_text_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"version": 1, "seed": "\xff"}')
+        assert main(["gen", str(cfg), "--out", str(tmp_path / "x.json")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg} is not valid JSON: ")
 
 
 class TestEnhance:

@@ -8,7 +8,7 @@ from tcovis.cli import main
 from tcovis.model import (_FLOAT_MEMO_BUDGET, Assignment, Clip, ClipSpec, Corpus,
                           GroundTruthTrack, PredictionTrack, corpus_from_dict,
                           corpus_to_dict, decode_mask_rle, dump_json, encode_mask_rle,
-                          load_corpus, save_corpus, validate)
+                          load_corpus, save_corpus, validate, write_file)
 
 
 def small_spec(**overrides):
@@ -358,6 +358,48 @@ class TestStreamingWriter:
             save_corpus(bad, path)
         assert path.read_text() == dump_json(corpus_to_dict(good))
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
+
+
+class TestWriteFile:
+    """`write_file` makes missing directories and replaces its target only
+    once the last chunk is written."""
+
+    def test_streams_chunks_into_a_missing_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.txt"
+        write_file(path, (part for part in ("x", "", "yz\n")))
+        assert path.read_text() == "xyz\n"
+        assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "replace"])
+    def test_failed_write_leaves_no_trace(self, tmp_path, existing):
+        path = tmp_path / "out.txt"
+        if existing:
+            path.write_text("old")
+
+        def chunks():
+            yield "new"
+            raise RuntimeError("encoder failed")
+
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            write_file(path, chunks())
+        assert [p.name for p in tmp_path.iterdir()] == (["out.txt"] if existing else [])
+        if existing:
+            assert path.read_text() == "old"
+
+    def test_directory_target_is_left_alone(self, tmp_path):
+        target = tmp_path / "taken"
+        (target / "inner").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            write_file(target, ["text"])
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert [p.name for p in target.iterdir()] == ["inner"]
+
+    def test_parent_that_is_a_file_raises(self, tmp_path):
+        blocker = tmp_path / "afile"
+        blocker.write_text("keep")
+        with pytest.raises(FileExistsError):
+            write_file(blocker / "out.txt", ["text"])
+        assert blocker.read_text() == "keep"
 
 
 class TestLoaderStructure:

@@ -26,8 +26,8 @@ from tcovis.evaluation import (IOU_THRESHOLDS, RECALL_POINTS, EvalReport, _gathe
                                _interpolated_ap, compute_ap)
 from tcovis.synth import NoiseConfig, SceneConfig, build_clip, generate_corpus
 from tcovis.model import (Clip, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
-                          corpus_to_dict, decode_mask_rle, dump_json, encode_mask_rle,
-                          save_corpus)
+                          _probabilities, corpus_to_dict, decode_mask_rle, dump_json,
+                          encode_mask_rle, save_corpus)
 
 
 def integer_matrices(max_rows, max_cols, low, high):
@@ -335,3 +335,48 @@ def test_single_mutation_loads_or_exits_one(path, value, delete, command):
     assert code in (0, 1)
     if code == 1:
         assert err.getvalue().startswith("error: ")
+
+
+def _probability_entries(doc):
+    """The path of every entry of every probability row in `doc`."""
+    for ci, clip in enumerate(doc["clips"]):
+        for ti, track in enumerate(clip["pred"]):
+            for field in ("class_probs", "mask_probs"):
+                for r, row in enumerate(track[field]):
+                    for k in range(len(row)):
+                        yield ("clips", ci, "pred", ti, field, r, k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example(("clips", 0, "pred", 0, "class_probs", 0, 0), "0.5", "assign")
+@example(("clips", 0, "pred", 1, "mask_probs", 1, 3), True, "eval")
+@example(("clips", 0, "pred", 2, "class_probs", 1, 2), False, "assign")
+@given(st.sampled_from(list(_probability_entries(VALID_DOC))), st.text() | st.booleans(),
+       st.sampled_from(("assign", "eval")))
+def test_string_or_boolean_probability_exits_one(path, value, command):
+    doc = copy.deepcopy(VALID_DOC)
+    row = doc
+    for key in path[:-1]:
+        row = row[key]
+    row[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus.json"
+        corpus.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, str(corpus), "--out-prefix", str(Path(tmp) / "out")])
+    assert code == 1
+    assert err.getvalue().startswith(
+        f"error: cannot load corpus {corpus}: clip {path[1]} pred[{path[3]}] {path[4]}: ")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example([[-0.0, 0.0, 5e-324, float("nan")], [2**53 + 1, -2**63, 2**64, float("-inf")]])
+@given(st.integers(0, 5).flatmap(lambda width: st.lists(
+    st.lists(st.floats() | st.integers(-2**70, 2**70), min_size=width, max_size=width),
+    max_size=4)))
+def test_probability_rows_read_like_numpy(rows):
+    # numpy's own float64 conversion is the oracle for rows of numbers
+    ours = _probabilities(rows, "rows")
+    assert ours.shape == (len(rows), len(rows[0]) if rows else 0)
+    assert ours.tobytes() == np.asarray(rows, dtype=np.float64).tobytes()

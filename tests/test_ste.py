@@ -502,6 +502,13 @@ class TestParams:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "c3a8617848d406eaf5522f85b425dbf05b18abf39b594c5612cb34ec40894dca")
 
+    def test_saves_into_a_missing_directory(self, tmp_path):
+        flat, nested = tmp_path / "params.json", tmp_path / "new" / "dir" / "params.json"
+        save_params(flat, decoder(seed=0), mhca(seed=0))
+        save_params(nested, decoder(seed=0), mhca(seed=0))
+        assert nested.read_bytes() == flat.read_bytes()
+        assert [p.name for p in nested.parent.iterdir()] == ["params.json"]
+
     @pytest.mark.parametrize("field, value, message", [
         ("w_v", np.full((C, C), np.nan), "w_v must be finite"),
         ("e_pos", np.full((N_SLOTS, C), np.nan), "e_pos must be finite"),
