@@ -19,7 +19,6 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
-import json
 import os
 import sys
 import time
@@ -34,7 +33,7 @@ from .assignment import (build_global_cost_matrix, global_instance_assignment,
 from .cost import LossWeights
 from .model import (MASK_BINARIZE, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
                     _integer, _number, _positive_int, dump_json, field_names, load_corpus,
-                    record_dict, save_corpus, validate, write_file)
+                    read_json, record_dict, save_corpus, validate, write_file)
 from .rng import stream
 
 
@@ -80,7 +79,7 @@ def _checked_section(name: str, data, known: set, required: set = frozenset()) -
 
 def _load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        return read_json(path)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}") from None
     except ValueError as exc:   # json.JSONDecodeError, or text that is not UTF-8

@@ -14,6 +14,7 @@ disk may be malformed, and :func:`validate` reports violations as data.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import numbers
@@ -192,7 +193,7 @@ class Corpus:
 
     def __post_init__(self):
         object.__setattr__(self, "clips", tuple(self.clips))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
 
 
 @dataclass(frozen=True)
@@ -216,9 +217,10 @@ class Violation:
 
 def _check_gt(spec: ClipSpec, ci: int, ti: int, track: GroundTruthTrack, out: list):
     masks = np.asarray(track.masks)
-    if not isinstance(track.class_id, (int, np.integer)) or not (0 <= track.class_id < spec.K):
+    cid = track.class_id    # the loader's integer rule: a bool is no class id
+    if isinstance(cid, bool) or not isinstance(cid, (int, np.integer)) or not 0 <= cid < spec.K:
         out.append(Violation(ci, "gt", ti, None,
-                             f"class_id {track.class_id!r} not in [0, {spec.K})"))
+                             f"class_id {cid!r} not in [0, {spec.K})"))
     if masks.ndim != 3 or masks.shape[0] != spec.T:
         count = masks.shape[0] if masks.ndim >= 1 else 0
         out.append(Violation(ci, "gt", ti, None, f"mask count {count} != T={spec.T}"))
@@ -390,14 +392,14 @@ def _decoded(record, where: str) -> np.ndarray:
 _NOT_NUMBERS = "entries must be numbers within the float64 range"
 
 
-def _probabilities(rows: list, where: str, frame_shape=()) -> np.ndarray:
+def _float_array(rows: list, where: str, shape=None) -> np.ndarray:
     """`rows`, a list of equally long lists of JSON numbers, as a float64
-    array of shape ``(len(rows), *frame_shape)``, by default ``(len(rows),
-    width)``; anything else raises ValueError naming `where`. numpy reads a
-    JSON string or boolean as a number, so the rows are packed as C doubles
-    instead: that refuses a string, a null, a list, an object and an integer
-    beyond float64. A boolean packs as 0 or 1, so only the rows holding a 0
-    or a 1 are scanned for one."""
+    array of `shape`, by default ``(len(rows), width)``; anything else, or
+    an entry count that does not fill `shape`, raises ValueError naming
+    `where`. numpy reads a JSON string or boolean as a number, so the rows
+    are packed as C doubles instead: that refuses a string, a null, a list,
+    an object and an integer beyond float64. A boolean packs as 0 or 1, so
+    only the rows holding a 0 or a 1 are scanned for one."""
     try:
         widths = set(map(len, rows))
         if len(widths) > 1:
@@ -412,7 +414,7 @@ def _probabilities(rows: list, where: str, frame_shape=()) -> np.ndarray:
         if np.count_nonzero(hits) and any(bool in map(type, rows[i]) for i in
                                           np.flatnonzero(hits.any(axis=1)).tolist()):
             raise ValueError(_NOT_NUMBERS)
-        return arr.reshape(len(rows), *frame_shape) if frame_shape else arr
+        return arr if shape is None else arr.reshape(shape)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
@@ -446,13 +448,12 @@ def corpus_from_dict(doc: dict) -> Corpus:
                 rows = _need(_field(rec, "mask_probs", where), list, f"{where} mask_probs")
                 # held in locals until the next track's replace them: freeing each
                 # array once copied fragmented the heap (+2.6% peak RSS on swap-corpus)
-                probs = _probabilities(probs, f"{where} class_probs")
-                frames = _probabilities(rows, f"{where} mask_probs", (spec.h, spec.w))
+                probs = _float_array(probs, f"{where} class_probs")
+                frames = _float_array(rows, f"{where} mask_probs", (len(rows), spec.h, spec.w))
                 tracks.append(PredictionTrack(class_probs=probs, mask_probs=frames))
             pred = tuple(tracks)
         clips.append(Clip(gt=tuple(gt), pred=pred))
-    return Corpus(spec=spec, clips=tuple(clips), seed=_integer("seed", seed),
-                  generator=doc.get("generator"))
+    return Corpus(spec=spec, clips=tuple(clips), seed=seed, generator=doc.get("generator"))
 
 
 # The canonical encoder, also for the pieces the corpus writer streams.
@@ -496,9 +497,12 @@ def write_file(path, chunks) -> None:
     """Write the text `chunks` to `path`, creating missing parent
     directories. The chunks are streamed to a temporary file beside `path`
     that replaces `path` only once the last chunk is written: on any
-    failure the temporary file is deleted and `path` is left as it was."""
+    failure the temporary file is deleted and `path` is left as it was. A
+    directory, such as ".", raises IsADirectoryError naming only `path`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     out = open(tmp, "x")    # outside the try: a file this call did not make stays
     try:
@@ -537,8 +541,8 @@ def _corpus_chunks(corpus: Corpus):
     yield f',"seed":{_encode(corpus.seed)},"spec":{_encode(corpus.spec.to_dict())}}}\n'
 
 
-# Distinct float texts one load_corpus call parses through its memo
-# before it falls back to plain json.loads. Without a budget, a corpus of
+# Distinct float texts one read_json call parses through its memo before
+# it falls back to plain json.loads. Without a budget, a corpus of
 # all-distinct floats decodes 2.4-2.8x slower than plain json.loads.
 _FLOAT_MEMO_BUDGET = 1024
 
@@ -561,8 +565,9 @@ class _FloatMemo(dict):
         return value
 
 
-def load_corpus(path) -> Corpus:
-    """Read a corpus JSON file and build it with :func:`corpus_from_dict`.
+def read_json(path):
+    """Decode the JSON file at `path`: every file tcovis reads (configs,
+    corpora, parameter bundles) goes through here.
 
     The text is decoded with ``json.loads(text, parse_float=memo.__getitem__)``
     over a fresh memo per call, so each distinct float text is parsed once
@@ -579,7 +584,12 @@ def load_corpus(path) -> Corpus:
     """
     text = Path(path).read_text()
     try:
-        doc = json.loads(text, parse_float=_FloatMemo().__getitem__)
+        return json.loads(text, parse_float=_FloatMemo().__getitem__)
     except _MemoFull:
-        doc = json.loads(text)
-    return corpus_from_dict(doc)
+        return json.loads(text)
+
+
+def load_corpus(path) -> Corpus:
+    """Read a corpus JSON file with :func:`read_json` and build it with
+    :func:`corpus_from_dict`."""
+    return corpus_from_dict(read_json(path))

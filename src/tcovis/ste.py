@@ -25,14 +25,13 @@ reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
-from pathlib import Path
 from typing import get_type_hints
-import json
 
 import numpy as np
 
 from .cost import _sigmoid
-from .model import MASK_BINARIZE, PredictionTrack, _frozen, _integer, dump_json, write_file
+from .model import (MASK_BINARIZE, PredictionTrack, _field, _float_array, _frozen, _integer,
+                    _need, dump_json, read_json, write_file)
 from .rng import stream
 
 LN_EPS = 1e-5
@@ -363,16 +362,25 @@ def _to_json(value):
 
 def _from_json(kind, doc, name: str):
     """The inverse of `_to_json` for the field `name` annotated `kind`; a
-    block takes each field's kind from its type hints."""
+    block takes each field's kind from its type hints. A wrong container or
+    missing field, a negative or non-integer `shape` entry, or `data` not a
+    flat list of numbers filling the shape raises ValueError naming it."""
     if is_dataclass(kind):
+        _need(doc, dict, name)
         hints = get_type_hints(kind)
-        return kind(**{f.name: _from_json(hints[f.name], doc[f.name], f.name) for f in fields(kind)})
+        return kind(**{f.name: _from_json(hints[f.name], _field(doc, f.name, name), f.name)
+                       for f in fields(kind)})
     if kind is tuple:
-        return tuple((_from_json(np.ndarray, layer["w"], name),
-                      _from_json(np.ndarray, layer["b"], name)) for layer in doc)
+        where = [f"{name}[{i}]" for i in range(len(_need(doc, list, name)))]
+        return tuple(tuple(_from_json(np.ndarray, _field(_need(rec, dict, at), k, at), f"{at}.{k}")
+                           for k in ("w", "b")) for at, rec in zip(where, doc))
     if kind is int:
         return _integer(name, doc)
-    return np.asarray(doc["data"], dtype=np.float64).reshape(doc["shape"])
+    shape = [_integer(f"{name} shape", n)
+             for n in _need(_field(_need(doc, dict, name), "shape", name), list, f"{name} shape")]
+    if min(shape, default=0) < 0:
+        raise ValueError(f"{name} shape must not be negative, got {shape}")
+    return _float_array([_need(_field(doc, "data", name), list, f"{name} data")], name, shape)
 
 
 def params_to_dict(decoder: RefDecoderParams, mhca: MhcaParams | None = None) -> dict:
@@ -383,7 +391,9 @@ def params_to_dict(decoder: RefDecoderParams, mhca: MhcaParams | None = None) ->
 
 
 def params_from_dict(doc: dict):
-    decoder = _from_json(RefDecoderParams, doc["ref_decoder"], "ref_decoder")
+    _need(doc, dict, "parameter bundle")
+    decoder = _from_json(RefDecoderParams, _field(doc, "ref_decoder", "parameter bundle"),
+                         "ref_decoder")
     return decoder, _from_json(MhcaParams, doc["mhca"], "mhca") if "mhca" in doc else None
 
 
@@ -392,4 +402,4 @@ def save_params(path, decoder: RefDecoderParams, mhca: MhcaParams | None = None)
 
 
 def load_params(path):
-    return params_from_dict(json.loads(Path(path).read_text()))
+    return params_from_dict(read_json(path))

@@ -476,12 +476,17 @@ class TestOutputPaths:
         assert str(blocker) in err
         assert blocker.read_text() == "keep"
 
-    def test_output_that_is_a_directory_exits_one(self, tmp_path, capsys):
+    def test_output_that_is_a_directory_exits_one(self, tmp_path, capsys, monkeypatch):
         taken = tmp_path / "taken"
         taken.mkdir()
-        assert main(self.argv("enhance", tmp_path, taken)) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-        assert taken.is_dir() and list(tmp_path.iterdir()) == [taken]
+        monkeypatch.chdir(taken)
+        for out in (taken, "."):
+            assert main(self.argv("enhance", tmp_path, out)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert err.rstrip().endswith(f"Is a directory: {str(out)!r}") and ".tmp" not in err
+            assert taken.is_dir() and list(tmp_path.iterdir()) == [taken]
+            assert list(taken.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["gen", "enhance", "assign", "eval"])
     def test_input_that_is_a_directory_exits_one(self, tmp_path, capsys, command):

@@ -9,6 +9,9 @@ from tcovis.model import (_FLOAT_MEMO_BUDGET, Assignment, Clip, ClipSpec, Corpus
                           GroundTruthTrack, PredictionTrack, corpus_from_dict,
                           corpus_to_dict, decode_mask_rle, dump_json, encode_mask_rle,
                           load_corpus, save_corpus, validate, write_file)
+from tcovis.ste import init_mhca_params, init_ref_decoder_params, load_params, save_params
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_spec(**overrides):
@@ -90,6 +93,14 @@ class TestValidate:
         clip = Clip(gt=(GroundTruthTrack(class_id=0, masks=masks),))
         violations = validate(Corpus(spec=spec, clips=(clip,), seed=0))
         assert [v.frame for v in violations] == [2]
+
+    @pytest.mark.parametrize("class_id, flagged", [
+        (1, False), (np.int64(1), False), (True, True), (1.0, True), (-1, True), (2, True)])
+    def test_class_id_is_an_integer_below_k(self, class_id, flagged):
+        spec = small_spec()
+        clip = Clip(gt=(make_gt(spec, class_id=class_id),), pred=None)
+        rules = [v.rule for v in validate(Corpus(spec=spec, clips=(clip,), seed=0))]
+        assert rules == ([f"class_id {class_id!r} not in [0, 2)"] if flagged else [])
 
     def test_all_empty_track_flagged(self):
         spec = small_spec()
@@ -247,6 +258,11 @@ class TestCorpusIo:
         clip = Clip(gt=(make_gt(spec),), pred=(make_pred(spec),))
         corpus = Corpus(spec=spec, clips=(clip,), seed=1)
         assert dump_json(corpus_to_dict(corpus)) == dump_json(corpus_to_dict(corpus))
+
+    @pytest.mark.parametrize("seed", [7.5, True])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            Corpus(spec=small_spec(), clips=(), seed=seed)
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="clips"):
@@ -515,6 +531,21 @@ class TestMemoDecoder:
         load_corpus(path)
         assert decode_calls == [True]
         assert_loads_like_plain_json(path)
+
+    def test_every_file_is_read_through_the_memo(self, tmp_path, decode_calls):
+        corpus, params = tmp_path / "corpus.json", tmp_path / "params.json"
+        save_params(params, init_ref_decoder_params(16, 3, 4, 0), init_mhca_params(5, 16, 4, 0))
+        assert distinct_float_texts(params.read_text()) > _FLOAT_MEMO_BUDGET
+        reads = [lambda: main(["gen", str(CONFIG_DIR / "small.json"), "--out", str(corpus)]),
+                 lambda: main(["enhance", "--demo", str(CONFIG_DIR / "enhance.json"),
+                               "--out", str(tmp_path / "trace.json")]),
+                 lambda: load_corpus(corpus), lambda: load_params(params)]
+        calls = []
+        for read in reads:
+            decode_calls.clear()
+            read()
+            calls.append(list(decode_calls))
+        assert calls == [[True], [True], [True], [True, False]]
 
     def test_more_distinct_floats_than_the_budget_fall_back(self, tmp_path, decode_calls):
         spec = small_spec()

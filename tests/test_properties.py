@@ -26,7 +26,7 @@ from tcovis.evaluation import (IOU_THRESHOLDS, RECALL_POINTS, EvalReport, _gathe
                                _interpolated_ap, compute_ap)
 from tcovis.synth import NoiseConfig, SceneConfig, build_clip, generate_corpus
 from tcovis.model import (Clip, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
-                          _probabilities, corpus_to_dict, decode_mask_rle, dump_json,
+                          _float_array, corpus_to_dict, decode_mask_rle, dump_json,
                           encode_mask_rle, save_corpus)
 
 
@@ -377,6 +377,6 @@ def test_string_or_boolean_probability_exits_one(path, value, command):
     max_size=4)))
 def test_probability_rows_read_like_numpy(rows):
     # numpy's own float64 conversion is the oracle for rows of numbers
-    ours = _probabilities(rows, "rows")
+    ours = _float_array(rows, "rows")
     assert ours.shape == (len(rows), len(rows[0]) if rows else 0)
     assert ours.tobytes() == np.asarray(rows, dtype=np.float64).tobytes()

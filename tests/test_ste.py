@@ -16,6 +16,7 @@ from tcovis.ste import (LN_EPS, AttentionParams, FeedForwardParams, MhcaParams,
                         segment_frame, spatial_matting)
 
 C, N_SLOTS, N_FQ, HEADS = 16, 5, 6, 4
+MISSING = object()  # a field value that deletes the field
 
 
 def mhca(seed=0):
@@ -528,14 +529,37 @@ class TestParams:
         (("ref_decoder", "decoder", "n_heads"), 4.9, "n_heads must be an integer, got 4.9"),
         (("ref_decoder", "encoder", "n_heads"), True, "n_heads must be an integer, got True"),
         (("mhca", "n_heads"), 4.0, "n_heads must be an integer, got 4.0"),
+        (("ref_decoder", "classifier", "data", 0), "0.25",
+         "classifier: entries must be numbers within the float64 range"),
+        (("ref_decoder", "classifier", "data", 5), True,
+         "classifier: entries must be numbers within the float64 range"),
+        (("ref_decoder", "classifier", "data"), [[0.0] * 4] * C,
+         "classifier: entries must be numbers within the float64 range"),
+        (("ref_decoder", "classifier", "data"), None,
+         "classifier data must be a list, got NoneType"),
+        (("ref_decoder", "classifier", "data"), [0.0] * (4 * C - 1),
+         r"classifier: cannot reshape array of size 63 into shape \(16,4\)"),
+        (("ref_decoder", "classifier", "shape", 0), 16.0,
+         "classifier shape must be an integer, got 16.0"),
+        (("ref_decoder", "classifier", "shape", 0), -1,
+         r"classifier shape must not be negative, got \[-1, 4\]"),
+        (("ref_decoder", "encoder", "w_q"), MISSING, "encoder is missing field 'w_q'"),
+        (("ref_decoder", "ffn"), [1], "ffn must be an object, got list"),
+        (("ref_decoder", "mask_head", 1), [1], r"mask_head\[1\] must be an object, got list"),
+        (("ref_decoder",), MISSING, "parameter bundle is missing field 'ref_decoder'"),
     ], ids=["nan-classifier", "inf-mask-w", "inf-mask-b", "string-heads", "float-heads",
-            "bool-heads", "float-mhca-heads"])
+            "bool-heads", "float-mhca-heads", "string-entry", "bool-entry", "nested-data",
+            "null-data", "short-data", "float-shape", "negative-shape", "missing-field",
+            "block-as-list", "layer-as-list", "missing-ref_decoder"])
     def test_loaded_bundle_is_checked(self, path, value, message):
         doc = json.loads(dump_json(params_to_dict(decoder(), mhca())))
         node = doc
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = value
+        if value is MISSING:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
         with pytest.raises(ValueError, match=message):
             params_from_dict(doc)
 
