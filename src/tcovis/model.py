@@ -57,8 +57,8 @@ def _number(name: str, value) -> float:
 
 def _positive_int(name: str, value) -> int:
     value = _integer(name, value)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if not 1 <= value < 2**63:     # numpy sizes, counts and seeds are int64
+        raise ValueError(f"{name} must be >= 1 and < 2**63, got {value}")
     return value
 
 

@@ -24,7 +24,8 @@ reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
 from typing import get_type_hints
 
 import numpy as np
@@ -35,6 +36,7 @@ from .model import (MASK_BINARIZE, PredictionTrack, _field, _float_array, _froze
 from .rng import stream
 
 LN_EPS = 1e-5
+_type_hints = cache(get_type_hints)     # a parameter class's field types, resolved once
 
 
 @dataclass(frozen=True)
@@ -50,19 +52,45 @@ class SpatialFeature:
         object.__setattr__(self, "empty_flag", bool(self.empty_flag))
 
 
-def _finite(name: str, values) -> np.ndarray:
-    """A read-only float64 copy of `values`; a non-finite entry raises."""
-    value = _frozen(values, np.float64)
-    if not np.isfinite(value).all():
-        raise ValueError(f"{name} must be finite")
-    return value
+def _declare(*shape, fill=None, layers=None):
+    """A parameter field of `shape` in the symbols C, 2C, K+1 and n_slots. `fill`
+    replaces its seeded draw; `layers` makes it that many (w, b) layers of those shapes."""
+    return field(metadata={"shape": shape, "fill": fill, "layers": layers})
 
 
-def _freeze_fields(block) -> None:
-    """Pass every array field of a parameter block (all but `n_heads`) through `_finite`."""
+def _freeze_fields(block, dims=None, where: str = "") -> dict:
+    """Store each declared field of a parameter block, nested blocks included, as a
+    read-only float64 copy of its declared shape; each symbol binds in `dims`, to a size
+    >= 1, where first met. Another shape or a non-finite entry raises ValueError."""
+    dims = {} if dims is None else dims
+
+    def checked(name, decl, values):
+        value = _frozen(values, np.float64)
+        for sym, n in zip(decl, value.shape):
+            if sym not in dims and n >= 1:
+                dims.update({sym: n, "2C": 2 * n} if sym == "C" else {sym: n})
+        want = tuple(dims.get(sym, sym) for sym in decl)
+        if value.shape != want:
+            shown = str(want).replace("'", "")     # an unbound symbol shows its name
+            raise ValueError(f"{name} must be {shown}, got {value.shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
+        return value
+
     for f in fields(block):
-        if f.name != "n_heads":
-            object.__setattr__(block, f.name, _finite(f.name, getattr(block, f.name)))
+        value, name, meta = getattr(block, f.name), where + f.name, f.metadata
+        if is_dataclass(value):
+            _freeze_fields(value, dims, name + ".")
+        elif meta.get("layers"):
+            if len(value) != meta["layers"]:
+                raise ValueError(f"{name} must have exactly {meta['layers']} layers")
+            object.__setattr__(block, f.name, tuple(
+                tuple(checked(f"{name}[{i}].{k}", decl, v)
+                      for k, decl, v in zip("wb", meta["shape"], layer, strict=True))
+                for i, layer in enumerate(value)))
+        elif meta:
+            object.__setattr__(block, f.name, checked(name, meta["shape"], value))
+    return dims
 
 
 @dataclass(frozen=True)
@@ -70,21 +98,17 @@ class AttentionParams:
     """One multi-head attention block with its post-norm parameters."""
 
     n_heads: int
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
-    ln_scale: np.ndarray
-    ln_shift: np.ndarray
+    w_q: np.ndarray = _declare("C", "C")
+    w_k: np.ndarray = _declare("C", "C")
+    w_v: np.ndarray = _declare("C", "C")
+    w_o: np.ndarray = _declare("C", "C")
+    ln_scale: np.ndarray = _declare("C", fill=np.ones)
+    ln_shift: np.ndarray = _declare("C", fill=np.zeros)
 
     def __post_init__(self):
-        _freeze_fields(self)
-        c = self.w_q.shape[0]
+        c = _freeze_fields(self)["C"]
         if self.n_heads < 1 or c % self.n_heads != 0:
             raise ValueError(f"n_heads={self.n_heads} must divide C={c}")
-        for f in fields(self):
-            if f.name.startswith("w_") and getattr(self, f.name).shape != (c, c):
-                raise ValueError(f"{f.name} must be ({c}, {c})")
 
 
 @dataclass(frozen=True)
@@ -92,49 +116,36 @@ class MhcaParams(AttentionParams):
     """Cross-attention block plus the per-slot positional table shared by
     each slot's query and key."""
 
-    e_pos: np.ndarray
-
-    def __post_init__(self):
-        super().__post_init__()
-        c = self.w_q.shape[0]
-        if self.e_pos.ndim != 2 or self.e_pos.shape[1] != c:
-            raise ValueError(f"e_pos must be (n_slots, {c})")
+    e_pos: np.ndarray = _declare("n_slots", "C")
 
 
 @dataclass(frozen=True)
 class FeedForwardParams:
     """Two-layer feed-forward block (hidden width 2C) with post-norm."""
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    ln_scale: np.ndarray
-    ln_shift: np.ndarray
+    w1: np.ndarray = _declare("C", "2C")
+    b1: np.ndarray = _declare("2C")
+    w2: np.ndarray = _declare("2C", "C")
+    b2: np.ndarray = _declare("C")
+    ln_scale: np.ndarray = _declare("C", fill=np.ones)
+    ln_shift: np.ndarray = _declare("C", fill=np.zeros)
 
-    def __post_init__(self):
-        _freeze_fields(self)
+    __post_init__ = _freeze_fields
 
 
 @dataclass(frozen=True)
 class RefDecoderParams:
     """Minimal reference decoder: encoder self-attention over frame
     queries, cross-attention of instance queries onto them, feed-forward,
-    then classifier and 3-layer mask head off the prototypes."""
+    then classifier and 3-layer mask head off the prototypes, all of one C."""
 
     encoder: AttentionParams
     decoder: AttentionParams
     ffn: FeedForwardParams
-    mask_head: tuple
-    classifier: np.ndarray
+    mask_head: tuple = _declare(("C", "C"), ("C",), layers=3)
+    classifier: np.ndarray = _declare("C", "K+1")
 
-    def __post_init__(self):
-        object.__setattr__(self, "classifier", _finite("classifier", self.classifier))
-        layers = tuple((_finite(f"mask_head[{i}].w", w), _finite(f"mask_head[{i}].b", b))
-                       for i, (w, b) in enumerate(self.mask_head))
-        object.__setattr__(self, "mask_head", layers)
-        if len(layers) != 3:
-            raise ValueError("mask head must have exactly 3 layers")
+    __post_init__ = _freeze_fields
 
 
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -201,9 +212,9 @@ def cross_attention_update(prototypes: np.ndarray, spatial: np.ndarray,
     then layer norm. Returns (updated, attention weights)."""
     protos = np.asarray(prototypes, dtype=np.float64)
     feats = np.asarray(spatial, dtype=np.float64)
-    if protos.shape != feats.shape or protos.shape[0] != params.e_pos.shape[0]:
-        raise ValueError(f"slot counts disagree: prototypes {protos.shape}, "
-                         f"spatial {feats.shape}, e_pos {params.e_pos.shape}")
+    if not protos.shape == feats.shape == params.e_pos.shape:
+        raise ValueError(f"shapes disagree: prototypes {protos.shape}, spatial {feats.shape} "
+                         f"and e_pos {params.e_pos.shape}, which is (n_slots, C)")
     context, weights = _attend(protos + params.e_pos, feats + params.e_pos,
                                feats, params)
     return layer_norm(protos + context, params.ln_scale, params.ln_shift), weights
@@ -307,44 +318,34 @@ def run_clip(initial_queries: np.ndarray, frames, params: RefDecoderParams,
 # Seeded initialization and JSON serialization of parameter bundles.
 # ---------------------------------------------------------------------------
 
-def _uniform(rng, bound, *shape) -> np.ndarray:
-    return rng.uniform(-bound, bound, shape)
+def _drawn(kind, meta, rng, dims: dict, n_heads: int):
+    """A `kind` value drawn on `rng` from its declaration `meta`: a block field by field in
+    order, an array uniform in [-1/sqrt(C), 1/sqrt(C)] unless it declares a fill."""
+    def draw(decl, fill=None):
+        shape, bound = tuple(dims[sym] for sym in decl), 1.0 / np.sqrt(dims["C"])
+        return fill(shape) if fill else rng.uniform(-bound, bound, shape)
+
+    if is_dataclass(kind):
+        return kind(**{f.name: _drawn(_type_hints(kind)[f.name], f.metadata, rng, dims, n_heads)
+                       for f in fields(kind)})
+    if kind is int:
+        return n_heads
+    if meta["layers"]:
+        return tuple(tuple(map(draw, meta["shape"])) for _ in range(meta["layers"]))
+    return draw(meta["shape"], meta["fill"])
 
 
 def init_mhca_params(n_slots: int, c: int, n_heads: int, seed: int) -> MhcaParams:
-    """Seeded enhancement block: `_init_attention`'s draws, then e_pos from
-    the same stream, uniform in [-1/sqrt(C), 1/sqrt(C)]."""
-    rng = stream(seed, "mhca")
-    block = _init_attention(rng, c, n_heads)
-    return MhcaParams(**vars(block), e_pos=_uniform(rng, 1.0 / np.sqrt(c), n_slots, c))
-
-
-def _init_attention(rng, c: int, n_heads: int) -> AttentionParams:
-    bound = 1.0 / np.sqrt(c)
-    return AttentionParams(
-        n_heads=n_heads,
-        w_q=_uniform(rng, bound, c, c), w_k=_uniform(rng, bound, c, c),
-        w_v=_uniform(rng, bound, c, c), w_o=_uniform(rng, bound, c, c),
-        ln_scale=np.ones(c), ln_shift=np.zeros(c))
+    """Seeded enhancement block, every field drawn on one stream."""
+    return _drawn(MhcaParams, {}, stream(seed, "mhca"), {"C": c, "n_slots": n_slots}, n_heads)
 
 
 def init_ref_decoder_params(c: int, n_classes: int, n_heads: int, seed: int) -> RefDecoderParams:
-    """Seeded reference decoder over C-dim embeddings and K real classes
-    (classifier emits K+1 logits)."""
-    bound = 1.0 / np.sqrt(c)
-    enc = _init_attention(stream(seed, "encoder"), c, n_heads)
-    dec = _init_attention(stream(seed, "decoder"), c, n_heads)
-    rng = stream(seed, "ffn")
-    ffn = FeedForwardParams(
-        w1=_uniform(rng, bound, c, 2 * c), b1=_uniform(rng, bound, 2 * c),
-        w2=_uniform(rng, bound, 2 * c, c), b2=_uniform(rng, bound, c),
-        ln_scale=np.ones(c), ln_shift=np.zeros(c))
-    rng = stream(seed, "mask_head")
-    mask_head = tuple((_uniform(rng, bound, c, c), _uniform(rng, bound, c))
-                      for _ in range(3))
-    classifier = _uniform(stream(seed, "classifier"), bound, c, n_classes + 1)
-    return RefDecoderParams(encoder=enc, decoder=dec, ffn=ffn,
-                            mask_head=mask_head, classifier=classifier)
+    """Seeded reference decoder over C-dim embeddings and K real classes (K+1
+    logits); each field draws on the stream named after it."""
+    dims, hints = {"C": c, "2C": 2 * c, "K+1": n_classes + 1}, _type_hints(RefDecoderParams)
+    return RefDecoderParams(**{f.name: _drawn(hints[f.name], f.metadata, stream(seed, f.name),
+                                              dims, n_heads) for f in fields(RefDecoderParams)})
 
 
 def _to_json(value):
@@ -367,9 +368,8 @@ def _from_json(kind, doc, name: str):
     flat list of numbers filling the shape raises ValueError naming it."""
     if is_dataclass(kind):
         _need(doc, dict, name)
-        hints = get_type_hints(kind)
-        return kind(**{f.name: _from_json(hints[f.name], _field(doc, f.name, name), f.name)
-                       for f in fields(kind)})
+        return kind(**{f.name: _from_json(_type_hints(kind)[f.name], _field(doc, f.name, name),
+                                          f.name) for f in fields(kind)})
     if kind is tuple:
         where = [f"{name}[{i}]" for i in range(len(_need(doc, list, name)))]
         return tuple(tuple(_from_json(np.ndarray, _field(_need(rec, dict, at), k, at), f"{at}.{k}")

@@ -75,9 +75,9 @@ class SceneConfig:
             raise ValueError(f"entry_frame range {self.entry_frame} must lie in [1, T={self.spec.T}]")
         if not 1 <= self.size[0] <= self.size[1]:
             raise ValueError(f"size range {self.size} must satisfy 1 <= lo <= hi")
-        if 2 * self.size[1] + 1 > min(self.spec.h, self.spec.w):
-            raise ValueError(f"size max {self.size[1]}: objects cannot fit the "
-                             f"{self.spec.h}x{self.spec.w} grid")
+        if self.velocity[1] > min(self.spec.h, self.spec.w) - 1 - 2 * self.size[1]:
+            raise ValueError(f"size max {self.size[1]} and velocity max {self.velocity[1]}: an "
+                             f"object and one step cannot fit the {self.spec.h}x{self.spec.w} grid")
 
     def to_dict(self) -> dict:
         return record_dict(self, skip=("spec",))
@@ -119,7 +119,7 @@ class NoiseConfig:
 
 
 def _reflect(pos: float, lo: float, hi: float):
-    """Fold a coordinate back into [lo, hi], flipping direction per bounce."""
+    """Fold a coordinate into [lo, hi], flipping direction per bounce; SceneConfig allows one."""
     flip = 1.0
     while pos < lo or pos > hi:
         if pos < lo:

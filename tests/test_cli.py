@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import json
+import signal
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +22,21 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the block runs longer than `seconds`."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(autouse=True)
@@ -141,11 +158,17 @@ class TestGen:
         ("noise", {"sharpness": 10**309}, f"sharpness must be finite, got {10**309}"),
         ("scene", {"shapes": 5}, "shapes must be a list of shape names, got 5"),
         ("scene", {"shapes": "disc"}, "shapes must be a list of shape names, got 'disc'"),
+        ("spec", {"H": 10**400}, f"H must be >= 1 and < 2**63, got {10**400}"),
+        ("spec", {"H": 28, "W": 28}, "size max 3 and velocity max 1.5: an object and one "
+         "step cannot fit the 7x7 grid"),
+        ("scene", {"velocity": [0.5, 1e9]}, "size max 3 and velocity max 1000000000.0: an "
+         "object and one step cannot fit the 16x16 grid"),
     ], ids=["clips-float", "S-bool", "seed-float", "threads-bool", "swap_frame-float",
             "size-float", "n_objects-strings", "velocity-string", "mask_jitter-string",
             "sharpness-bool", "lambda_cls-string", "allow_occlusion-string",
             "n_objects-three", "n_objects-one", "size-empty", "velocity-infinite",
-            "sharpness-infinite", "sharpness-beyond-float64", "shapes-int", "shapes-string"])
+            "sharpness-infinite", "sharpness-beyond-float64", "shapes-int", "shapes-string",
+            "H-beyond-int64", "no-room-to-move", "velocity-beyond-grid"])
     def test_non_integer_number_rejected(self, tmp_path, capsys, field, value, reason):
         doc = json.loads((CONFIG_DIR / "small.json").read_text())
         if isinstance(value, dict):
@@ -155,7 +178,8 @@ class TestGen:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "x.json"
-        assert main(["gen", str(cfg), "--out", str(out)]) == 1
+        with time_limit(10):    # `synth._reflect` loops long or forever on a step beyond its range
+            assert main(["gen", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {reason}\n"
         assert not out.exists()
 
@@ -516,7 +540,7 @@ class TestEnhance:
 
     @pytest.mark.parametrize("field, value", [("threshold", "abc"), ("threshold", 1.5),
                                               ("n_heads", 0), ("n_fq", 0), ("n_heads", 4.0),
-                                              ("n_fq", True), ("seed", 1.5)])
+                                              ("n_fq", True), ("seed", 1.5), ("n_fq", 2**64)])
     def test_bad_demo_value_fails(self, tmp_path, capsys, field, value):
         doc = json.loads((CONFIG_DIR / "enhance.json").read_text())
         doc[field] = value

@@ -1,6 +1,6 @@
 """Property tests drawn by hypothesis: the assignment solver, the two
-supervision strategies, the corpus writer and loader, the RLE codec and
-the AP envelope and its invariances.
+supervision strategies, the corpus writer and loader, the RLE codec, the
+AP envelope and its invariances, and the parameter-bundle loader.
 
 Solver entries are small integers, so every total is an exact sum and the
 properties can be checked with ``==``.
@@ -28,6 +28,8 @@ from tcovis.synth import NoiseConfig, SceneConfig, build_clip, generate_corpus
 from tcovis.model import (Clip, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
                           _float_array, corpus_to_dict, decode_mask_rle, dump_json,
                           encode_mask_rle, save_corpus)
+from tcovis.ste import (init_mhca_params, init_ref_decoder_params, params_from_dict,
+                        params_to_dict, run_clip)
 
 
 def integer_matrices(max_rows, max_cols, low, high):
@@ -380,3 +382,53 @@ def test_probability_rows_read_like_numpy(rows):
     ours = _float_array(rows, "rows")
     assert ours.shape == (len(rows), len(rows[0]) if rows else 0)
     assert ours.tobytes() == np.asarray(rows, dtype=np.float64).tobytes()
+
+
+# -- parameter bundles ---------------------------------------------------------
+
+BUNDLE_C, BUNDLE_SLOTS = 4, 3
+BUNDLE_DOC = json.loads(dump_json(params_to_dict(
+    init_ref_decoder_params(BUNDLE_C, 2, 2, 0), init_mhca_params(BUNDLE_SLOTS, BUNDLE_C, 2, 0))))
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _reshapes(count):
+    """Every shape of one to three dimensions that holds `count` entries."""
+    divisors = [d for d in range(1, count + 1) if count % d == 0]
+    return ([(count,)] + [(a, count // a) for a in divisors]
+            + [(a, b, count // (a * b)) for a in divisors for b in divisors if count % (a * b) == 0])
+
+
+BUNDLE_ARRAYS = [path for path in _paths(BUNDLE_DOC)
+                 if isinstance(_node(BUNDLE_DOC, path), dict) and "shape" in _node(BUNDLE_DOC, path)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example((("ref_decoder", "encoder", "w_q"), (16,)))
+@example((("ref_decoder", "ffn", "w1"), (8, 4)))
+@example((("mhca", "e_pos"), (BUNDLE_C, BUNDLE_SLOTS)))
+@given(st.sampled_from(BUNDLE_ARRAYS).flatmap(lambda path: st.tuples(
+    st.just(path), st.sampled_from(_reshapes(len(_node(BUNDLE_DOC, path)["data"]))))))
+def test_reshaped_bundle_array_is_refused_by_name_or_runs(case):
+    # a reshape keeps the entries in order; only the declared shape may load
+    path, shape = case
+    doc = copy.deepcopy(BUNDLE_DOC)
+    _node(doc, path)["shape"] = list(shape)
+    name = f"mask_head[{path[-2]}].{path[-1]}" if "mask_head" in path else path[-1]
+    try:
+        decoder, mhca = params_from_dict(doc)
+    except ValueError as exc:
+        assert name in str(exc)
+        return
+    rng = np.random.default_rng(0)
+    frames = [(rng.normal(size=(2, BUNDLE_C)), rng.normal(size=(BUNDLE_C, 3, 3)))
+              for _ in range(2)]
+    tracks, _ = run_clip(rng.normal(size=(BUNDLE_SLOTS, BUNDLE_C)), frames, decoder,
+                         ste_params=mhca)
+    assert all(np.isfinite(t.class_probs).all() and np.isfinite(t.mask_probs).all()
+               for t in tracks)

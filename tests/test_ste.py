@@ -27,6 +27,21 @@ def decoder(seed=0, k=3):
     return init_ref_decoder_params(C, k, HEADS, seed)
 
 
+def array_doc(shape, count=None):
+    """A bundle array of `shape` filled with `count` (by default, enough) zeros."""
+    return {"shape": shape, "data": [0.0] * (math.prod(shape) if count is None else count)}
+
+
+def zero_width(node):
+    """A copy of a bundle document with every C and 2C dimension set to 0."""
+    if isinstance(node, list):
+        return [zero_width(item) for item in node]
+    if "shape" in node:
+        return array_doc([0 if n in (C, 2 * C) else n for n in node["shape"]])
+    return {key: zero_width(value) if isinstance(value, (dict, list)) else value
+            for key, value in node.items()}
+
+
 # -- naive oracles -----------------------------------------------------------
 
 def naive_layer_norm(x, scale, shift):
@@ -322,6 +337,13 @@ def demo_frames(rng, T, h=8, w=8):
 
 
 class TestRunClip:
+    def test_enhancement_width_must_match_the_decoder(self):
+        rng = np.random.default_rng(13)
+        narrow = init_mhca_params(N_SLOTS, C // 2, HEADS, seed=0)
+        with pytest.raises(ValueError, match=r"e_pos \(5, 8\), which is \(n_slots, C\)"):
+            run_clip(rng.normal(size=(N_SLOTS, C)), demo_frames(rng, T=2), decoder(),
+                     ste_params=narrow)
+
     def test_single_frame_insensitive_to_enhancement(self):
         rng = np.random.default_rng(14)
         q = rng.normal(size=(N_SLOTS, C))
@@ -547,10 +569,25 @@ class TestParams:
         (("ref_decoder", "ffn"), [1], "ffn must be an object, got list"),
         (("ref_decoder", "mask_head", 1), [1], r"mask_head\[1\] must be an object, got list"),
         (("ref_decoder",), MISSING, "parameter bundle is missing field 'ref_decoder'"),
+        (("ref_decoder", "encoder", "w_q"), array_doc([], 1), r"w_q must be \(C, C\), got \(\)"),
+        (("ref_decoder", "ffn", "w1"), array_doc([C, 8]), r"w1 must be \(16, 32\), got \(16, 8\)"),
+        (("ref_decoder", "ffn", "b1"), array_doc([8]), r"b1 must be \(32,\), got \(8,\)"),
+        (("ref_decoder", "encoder", "ln_scale"), array_doc([8]),
+         r"ln_scale must be \(16,\), got \(8,\)"),
+        (("ref_decoder", "classifier"), array_doc([8, 4]),
+         r"classifier must be \(16, 4\), got \(8, 4\)"),
+        (("ref_decoder", "mask_head", 0, "w"), array_doc([C, 8]),
+         r"mask_head\[0\]\.w must be \(16, 16\), got \(16, 8\)"),
+        (("ref_decoder", "decoder"), params_to_dict(init_ref_decoder_params(8, 3, HEADS, 0))[
+            "ref_decoder"]["decoder"], r"decoder\.w_q must be \(16, 16\), got \(8, 8\)"),
+        (("ref_decoder",), zero_width(params_to_dict(decoder())["ref_decoder"]),
+         r"w_q must be \(C, C\), got \(0, 0\)"),
     ], ids=["nan-classifier", "inf-mask-w", "inf-mask-b", "string-heads", "float-heads",
             "bool-heads", "float-mhca-heads", "string-entry", "bool-entry", "nested-data",
             "null-data", "short-data", "float-shape", "negative-shape", "missing-field",
-            "block-as-list", "layer-as-list", "missing-ref_decoder"])
+            "block-as-list", "layer-as-list", "missing-ref_decoder", "scalar-w_q", "narrow-w1",
+            "narrow-b1", "narrow-ln_scale", "narrow-classifier", "narrow-mask-w",
+            "narrow-decoder-block", "zero-width"])
     def test_loaded_bundle_is_checked(self, path, value, message):
         doc = json.loads(dump_json(params_to_dict(decoder(), mhca())))
         node = doc

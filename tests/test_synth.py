@@ -47,6 +47,9 @@ class TestSceneConfig:
         (dict(size=(2, 3, 3)), r"size must be a \[lo, hi\] pair"),
         (dict(n_objects=2), r"n_objects must be a \[lo, hi\] pair, got 2"),
         (dict(allow_occlusion=1), "allow_occlusion must be true or false, got 1"),
+        (dict(spec=ClipSpec(T=6, H=28, W=28, S=4, K=3, N_v=6, C=16), size=(3, 3)),
+         r"size max 3 and velocity max 1.5: an object and one step cannot fit the 7x7 grid"),
+        (dict(velocity=(0.5, 1e9)), "velocity max 1000000000.0: an object and one step"),
     ])
     def test_rejects_values_of_the_wrong_kind(self, overrides, message):
         with pytest.raises(ValueError, match=message):
