@@ -11,12 +11,14 @@ Config files are JSON with a mandatory "version": 1 and are fail-closed:
 unknown fields are rejected by name. All randomness flows from a single
 seed; outputs are byte-identical for a fixed (config, seed) at any
 parallelism degree (flag --threads, overridden by TCOVIS_THREADS).
+`main` is the one place a failure becomes an exit code: a ValueError (bad
+input) or OSError (a file that cannot be used) prints `error: <message>`
+and exits 1; any other exception is a fault of the program and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
 import os
@@ -31,14 +33,10 @@ from . import evaluation, ste, synth
 from .assignment import (build_global_cost_matrix, global_instance_assignment,
                          hungarian, locpro_assignment)
 from .cost import LossWeights
-from .model import (MASK_BINARIZE, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
-                    _integer, _number, _positive_int, dump_json, field_names, load_corpus,
+from .model import (MASK_BINARIZE, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack, _field,
+                    _integer, _need, _number, _positive_int, dump_json, field_names, load_corpus,
                     read_json, record_dict, save_corpus, validate, write_file)
 from .rng import stream
-
-
-class CliError(Exception):
-    """User-facing failure; maps to exit code 1."""
 
 
 def _threads(args, config_default: int = 1) -> int:
@@ -48,13 +46,13 @@ def _threads(args, config_default: int = 1) -> int:
         try:
             value = int(env)
         except ValueError:
-            raise CliError(f"TCOVIS_THREADS must be an integer, got {env!r}") from None
+            raise ValueError(f"TCOVIS_THREADS must be an integer, got {env!r}") from None
     elif args.threads is not None:
         value = args.threads
     else:
         value = config_default
     if value < 1:
-        raise CliError(f"thread count must be >= 1, got {value}")
+        raise ValueError(f"thread count must be >= 1, got {value}")
     return value
 
 
@@ -65,15 +63,12 @@ def _pool_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _checked_section(name: str, data, known: set, required: set = frozenset()) -> dict:
-    if not isinstance(data, dict):
-        raise CliError(f"{name} must be an object")
-    unknown = set(data) - known
+def _checked_section(name: str, data, known: set, required=()) -> dict:
+    unknown = set(_need(data, dict, name)) - known
     if unknown:
-        raise CliError(f"unknown field {sorted(unknown)[0]!r} in {name}")
-    missing = required - set(data)
-    if missing:
-        raise CliError(f"missing field {sorted(missing)[0]!r} in {name}")
+        raise ValueError(f"unknown field {sorted(unknown)[0]!r} in {name}")
+    for key in sorted(required):
+        _field(data, key, name)
     return data
 
 
@@ -81,9 +76,9 @@ def _load_json(path) -> dict:
     try:
         return read_json(path)
     except FileNotFoundError:
-        raise CliError(f"no such file: {path}") from None
+        raise ValueError(f"no such file: {path}") from None
     except ValueError as exc:   # json.JSONDecodeError, or text that is not UTF-8
-        raise CliError(f"{path} is not valid JSON: {exc}") from None
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _record_section(name: str, data, cls, skip=()) -> dict:
@@ -95,45 +90,29 @@ def _record_section(name: str, data, cls, skip=()) -> dict:
 _CONFIG_KEYS = {"version", "spec", "seed"}
 
 
-@contextlib.contextmanager
 def _config(path, name: str, known: set, required: set):
     """Check a config file's keys (`known` and `required` besides
-    _CONFIG_KEYS) and version, then yield the document and its ClipSpec.
-    A TypeError or ValueError from the spec or the caller's own field
-    checks becomes a CliError."""
+    _CONFIG_KEYS) and version; return the document and its ClipSpec."""
     doc = _checked_section(name, _load_json(path), known=known | _CONFIG_KEYS,
                            required=required | _CONFIG_KEYS)
     if doc["version"] != 1:
-        raise CliError(f"unsupported config version {doc['version']!r}")
-    try:
-        yield doc, ClipSpec.from_dict(_record_section("spec", doc["spec"], ClipSpec))
-    except (TypeError, ValueError) as exc:
-        raise CliError(str(exc)) from None
+        raise ValueError(f"unsupported config version {doc['version']!r}")
+    return doc, ClipSpec.from_dict(_record_section("spec", doc["spec"], ClipSpec))
 
 
 def _load_run_config(path) -> dict:
-    with _config(path, "config", known={"scene", "noise", "weights", "clips", "threads"},
-                 required={"scene", "clips"}) as (doc, spec):
-        scene = synth.SceneConfig(spec=spec, **_record_section(
-            "scene", doc["scene"], synth.SceneConfig, skip=("spec",)))
-        noise = None
-        if doc.get("noise") is not None:
-            noise = synth.NoiseConfig(**_record_section("noise", doc["noise"],
-                                                        synth.NoiseConfig))
-        weights = LossWeights(**_record_section("weights", doc.get("weights", {}),
-                                                LossWeights))
-        return {"spec": spec, "scene": scene, "noise": noise, "weights": weights,
-                "clips": _positive_int("clips", doc["clips"]),
-                "seed": _integer("seed", doc["seed"]),
-                "threads": _integer("threads", doc.get("threads", 1))}
-
-
-def _weights_from_args(args) -> LossWeights:
-    # --weights CLS BCE DICE are the LossWeights fields in declaration order
-    try:
-        return LossWeights(*args.weights)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    doc, spec = _config(path, "config", known={"scene", "noise", "weights", "clips", "threads"},
+                        required={"scene", "clips"})
+    scene = synth.SceneConfig(spec=spec, **_record_section(
+        "scene", doc["scene"], synth.SceneConfig, skip=("spec",)))
+    noise = None
+    if doc.get("noise") is not None:
+        noise = synth.NoiseConfig(**_record_section("noise", doc["noise"], synth.NoiseConfig))
+    weights = LossWeights(**_record_section("weights", doc.get("weights", {}), LossWeights))
+    return {"spec": spec, "scene": scene, "noise": noise, "weights": weights,
+            "clips": _positive_int("clips", doc["clips"]),
+            "seed": _integer("seed", doc["seed"]),
+            "threads": _integer("threads", doc.get("threads", 1))}
 
 
 def _sha256(path) -> str:
@@ -156,7 +135,7 @@ def _cmd_gen(args) -> int:
                     generator=synth.corpus_header(cfg["scene"], cfg["noise"], cfg["clips"]))
     violations = validate(corpus)
     if violations:
-        raise CliError(f"generated corpus failed validation: {violations[0]}")
+        raise ValueError(f"generated corpus failed validation: {violations[0]}")
     save_corpus(corpus, args.out)
     print(f"clips={cfg['clips']} sha256={_sha256(args.out)}")
     return 0
@@ -170,13 +149,13 @@ def _load_predicted_corpus(path) -> Corpus:
     try:
         corpus = load_corpus(path)
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot load corpus {path}: {exc}") from None
+        raise ValueError(f"cannot load corpus {path}: {exc}") from None
     violations = validate(corpus)
     if violations:
-        raise CliError(f"corpus failed validation: {violations[0]}")
+        raise ValueError(f"corpus failed validation: {violations[0]}")
     for ci, clip in enumerate(corpus.clips):
         if clip.pred is None:
-            raise CliError(f"corpus has no predictions (clip {ci})")
+            raise ValueError(f"corpus has no predictions (clip {ci})")
     return corpus
 
 
@@ -200,7 +179,7 @@ def _assign_row(corpus: Corpus, weights: LossWeights, strategy: str, ci: int) ->
 
 def _cmd_assign(args) -> int:
     corpus = _load_predicted_corpus(args.corpus)
-    weights = _weights_from_args(args)
+    weights = LossWeights(*args.weights)   # --weights CLS BCE DICE, in field order
     threads = _threads(args)
     rows = _pool_map(lambda ci: _assign_row(corpus, weights, args.strategy, ci),
                      range(len(corpus.clips)), threads)
@@ -229,15 +208,13 @@ def _cmd_assign(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_demo_config(path) -> dict:
-    with _config(path, "demo config", known={"n_heads", "n_fq", "threshold"},
-                 required={"n_heads", "n_fq"}) as (doc, spec):
-        n_heads = _integer("n_heads", doc["n_heads"])
-        n_fq = _positive_int("n_fq", doc["n_fq"])
-        if n_heads < 1 or spec.C % n_heads != 0:
-            raise ValueError(f"n_heads {doc['n_heads']} must be a positive divisor of C={spec.C}")
-        return {"spec": spec, "n_heads": n_heads, "n_fq": n_fq,
-                "seed": _integer("seed", doc["seed"]),
-                "threshold": _number("threshold", doc.get("threshold", MASK_BINARIZE))}
+    # `n_heads` is checked against C where the parameters are made
+    doc, spec = _config(path, "demo config", known={"n_heads", "n_fq", "threshold"},
+                        required={"n_heads", "n_fq"})
+    return {"spec": spec, "n_heads": _integer("n_heads", doc["n_heads"]),
+            "n_fq": _positive_int("n_fq", doc["n_fq"]),
+            "seed": _integer("seed", doc["seed"]),
+            "threshold": _number("threshold", doc.get("threshold", MASK_BINARIZE))}
 
 
 def _demo_inputs(cfg: dict):
@@ -263,11 +240,8 @@ def _cmd_enhance(args) -> int:
     _threads(args)      # one clip: the count is checked, not used
     decoder, mhca, queries, frames = _demo_inputs(cfg)
     _, plain_trace = ste.run_clip(queries, frames, decoder)
-    try:
-        _, ste_trace = ste.run_clip(queries, frames, decoder, ste_params=mhca,
-                                    threshold=cfg["threshold"])
-    except ValueError as exc:   # e.g. a threshold outside (0, 1)
-        raise CliError(str(exc)) from None
+    _, ste_trace = ste.run_clip(queries, frames, decoder, ste_params=mhca,
+                                threshold=cfg["threshold"])
     doc = {"spec": cfg["spec"].to_dict(), "seed": cfg["seed"],
            "n_heads": cfg["n_heads"], "n_fq": cfg["n_fq"],
            "threshold": cfg["threshold"],
@@ -283,12 +257,9 @@ def _cmd_enhance(args) -> int:
 
 def _cmd_eval(args) -> int:
     corpus = _load_predicted_corpus(args.corpus)
-    weights = _weights_from_args(args)
+    weights = LossWeights(*args.weights)
     threads = _threads(args)
-    try:
-        report = evaluation.compute_ap(corpus)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    report = evaluation.compute_ap(corpus)
     audits = _pool_map(
         lambda ci: evaluation.audit_clip(ci, corpus.clips[ci].gt,
                                          corpus.clips[ci].pred, weights),
@@ -364,8 +335,8 @@ def _cmd_bench(args) -> int:
     ties_ms = _median_ms(lambda: hungarian(ties_matrix), args.repeats)
     print(f"sizes={args.sizes} budget_100x120_ms={budget_ms:.3f} ties_100x120_ms={ties_ms:.3f}")
     if budget_ms > args.budget_ms:
-        raise CliError(f"100x120 solve took {budget_ms:.1f} ms, "
-                       f"budget is {args.budget_ms:.1f} ms")
+        raise ValueError(f"100x120 solve took {budget_ms:.1f} ms, "
+                         f"budget is {args.budget_ms:.1f} ms")
     return 0
 
 
@@ -432,7 +403,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CliError, OSError) as exc:  # an input or output file that cannot be used
+    except (ValueError, OSError) as exc:   # bad input, or a file that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -120,11 +120,7 @@ class ClipSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClipSpec":
-        names = field_names(cls)
-        missing = set(names) - set(data)
-        if missing:
-            raise ValueError(f"spec is missing fields: {sorted(missing)}")
-        return cls(**{name: data[name] for name in names})
+        return cls(**{name: _field(data, name, "spec") for name in field_names(cls)})
 
 
 @dataclass(frozen=True)

@@ -60,18 +60,24 @@ def _declare(*shape, fill=None, layers=None):
 
 def _freeze_fields(block, dims=None, where: str = "") -> dict:
     """Store each declared field of a parameter block, nested blocks included, as a
-    read-only float64 copy of its declared shape; each symbol binds in `dims`, to a size
-    >= 1, where first met. Another shape or a non-finite entry raises ValueError."""
+    read-only float64 copy of its declared shape; each symbol binds in `dims`, to a
+    (size >= 1, field name) pair, where first met. Another shape or a non-finite entry
+    raises ValueError, which names the fields that bound the symbols it breaks."""
     dims = {} if dims is None else dims
 
     def checked(name, decl, values):
         value = _frozen(values, np.float64)
         for sym, n in zip(decl, value.shape):
             if sym not in dims and n >= 1:
-                dims.update({sym: n, "2C": 2 * n} if sym == "C" else {sym: n})
-        want = tuple(dims.get(sym, sym) for sym in decl)
+                dims.update({sym: (n, name), "2C": (2 * n, name)} if sym == "C" else
+                            {sym: (n, name)})
+        want = tuple(dims[sym][0] if sym in dims else sym for sym in decl)
         if value.shape != want:
             shown = str(want).replace("'", "")     # an unbound symbol shows its name
+            bound = [f"{sym}={dims[sym][0]} from {dims[sym][1]}" for sym in dict.fromkeys(decl)
+                     if sym in dims and dims[sym][1] != name]
+            if bound:
+                shown += f" ({', '.join(bound)})"
             raise ValueError(f"{name} must be {shown}, got {value.shape}")
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
@@ -106,7 +112,7 @@ class AttentionParams:
     ln_shift: np.ndarray = _declare("C", fill=np.zeros)
 
     def __post_init__(self):
-        c = _freeze_fields(self)["C"]
+        c = _freeze_fields(self)["C"][0]
         if self.n_heads < 1 or c % self.n_heads != 0:
             raise ValueError(f"n_heads={self.n_heads} must divide C={c}")
 

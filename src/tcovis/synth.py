@@ -200,7 +200,7 @@ def generate_clip(cfg: SceneConfig, seed: int) -> list:
         if all(visible[i].any() for i in range(n)):
             return [GroundTruthTrack(class_id=classes[i], masks=visible[i])
                     for i in range(n)]
-    raise RuntimeError(f"could not generate a valid scene in {_MAX_SCENE_ATTEMPTS} attempts")
+    raise ValueError(f"could not generate a valid scene in {_MAX_SCENE_ATTEMPTS} attempts")
 
 
 def _class_vector(n_classes: int, label: int, confusion: float) -> np.ndarray:

@@ -127,7 +127,7 @@ class TestGen:
         cfg.write_text("5")
         code = main(["gen", str(cfg), "--out", str(tmp_path / "x.json")])
         assert code == 1
-        assert "config must be an object" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: config must be an object, got int\n"
 
     @pytest.mark.parametrize("clips", [0, -2])
     def test_non_positive_clip_count_rejected(self, tmp_path, capsys, clips):
@@ -163,18 +163,26 @@ class TestGen:
          "step cannot fit the 7x7 grid"),
         ("scene", {"velocity": [0.5, 1e9]}, "size max 3 and velocity max 1000000000.0: an "
          "object and one step cannot fit the 16x16 grid"),
+        ("noise", {"swap_mode": "early_swap", "swap_frame": 7}, "swap_frame 7 exceeds T=6"),
+        (("scene", "noise"), ({"n_objects": [1, 1]}, {"swap_mode": "early_swap"}),
+         "early_swap needs at least two ground-truth tracks"),
+        ("scene", {"n_objects": [6, 6], "size": [6, 6], "velocity": [0, 0.5],
+                   "allow_occlusion": False}, "could not generate a valid scene in 256 attempts"),
     ], ids=["clips-float", "S-bool", "seed-float", "threads-bool", "swap_frame-float",
             "size-float", "n_objects-strings", "velocity-string", "mask_jitter-string",
             "sharpness-bool", "lambda_cls-string", "allow_occlusion-string",
             "n_objects-three", "n_objects-one", "size-empty", "velocity-infinite",
             "sharpness-infinite", "sharpness-beyond-float64", "shapes-int", "shapes-string",
-            "H-beyond-int64", "no-room-to-move", "velocity-beyond-grid"])
+            "H-beyond-int64", "no-room-to-move", "velocity-beyond-grid", "swap_frame-beyond-T",
+            "early_swap-one-object", "scene-unsatisfiable"])
     def test_non_integer_number_rejected(self, tmp_path, capsys, field, value, reason):
+        # `field` names one section, or a tuple of sections each with its own value
         doc = json.loads((CONFIG_DIR / "small.json").read_text())
-        if isinstance(value, dict):
-            doc[field].update(value)
-        else:
-            doc[field] = value
+        for section, update in zip(field, value) if isinstance(field, tuple) else [(field, value)]:
+            if isinstance(update, dict):
+                doc[section].update(update)
+            else:
+                doc[section] = update
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "x.json"
@@ -451,6 +459,19 @@ class TestMalformedCorpus:
         assert err.startswith(f"error: cannot load corpus {corpus}: ")
 
 
+class TestErrorBoundary:
+    """`main` turns only a ValueError or OSError into `error:` and exit 1; any
+    other exception is a fault of the program and propagates."""
+
+    @pytest.mark.parametrize("exc", [TypeError, KeyError, IndexError, RuntimeError])
+    def test_program_fault_propagates(self, tmp_path, monkeypatch, exc):
+        def fail(*args):
+            raise exc("fault")
+        monkeypatch.setattr(synth, "build_clip", fail)
+        with pytest.raises(exc, match="fault"):
+            main(["gen", str(write_config(tmp_path, clips=2)), "--out", str(tmp_path / "x.json")])
+
+
 class TestOutputPaths:
     """Every output goes through `model.write_file`: a missing directory is
     made, and an input or output path that cannot be used exits 1 with
@@ -538,17 +559,27 @@ class TestEnhance:
         trace = json.loads(out.read_text())
         assert trace["plain"] == trace["ste"]
 
-    @pytest.mark.parametrize("field, value", [("threshold", "abc"), ("threshold", 1.5),
-                                              ("n_heads", 0), ("n_fq", 0), ("n_heads", 4.0),
-                                              ("n_fq", True), ("seed", 1.5), ("n_fq", 2**64)])
-    def test_bad_demo_value_fails(self, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize("field, value, reason", [
+        ("threshold", "abc", "threshold must be a number, got 'abc'"),
+        ("threshold", 1.5, "threshold must be in (0, 1), got 1.5"),
+        ("n_heads", 0, "n_heads=0 must divide C=16"),
+        ("n_fq", 0, "n_fq must be >= 1 and < 2**63, got 0"),
+        ("n_heads", 4.0, "n_heads must be an integer, got 4.0"),
+        ("n_fq", True, "n_fq must be an integer, got True"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("n_fq", 2**64, f"n_fq must be >= 1 and < 2**63, got {2**64}"),
+        ("n_heads", 3, "n_heads=3 must divide C=16"),
+    ], ids=["threshold-abc", "threshold-1.5", "n_heads-0", "n_fq-0", "n_heads-4.0", "n_fq-True",
+            "seed-1.5", f"n_fq-{2**64}", "n_heads-3"])
+    def test_bad_demo_value_fails(self, tmp_path, capsys, field, value, reason):
         doc = json.loads((CONFIG_DIR / "enhance.json").read_text())
         doc[field] = value
         cfg = tmp_path / "demo.json"
         cfg.write_text(json.dumps(doc))
-        code = main(["enhance", "--demo", str(cfg), "--out", str(tmp_path / "t.json")])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        out = tmp_path / "t.json"
+        assert main(["enhance", "--demo", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not out.exists()
 
     def test_string_threshold_rejected(self, tmp_path, capsys):
         doc = json.loads((CONFIG_DIR / "enhance.json").read_text())

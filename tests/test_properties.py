@@ -1,6 +1,7 @@
 """Property tests drawn by hypothesis: the assignment solver, the two
 supervision strategies, the corpus writer and loader, the RLE codec, the
-AP envelope and its invariances, and the parameter-bundle loader.
+AP envelope and its invariances, the parameter-bundle loader, and the
+CLI's handling of malformed config files.
 
 Solver entries are small integers, so every total is an exact sum and the
 properties can be checked with ``==``.
@@ -27,7 +28,7 @@ from tcovis.evaluation import (IOU_THRESHOLDS, RECALL_POINTS, EvalReport, _gathe
 from tcovis.synth import NoiseConfig, SceneConfig, build_clip, generate_corpus
 from tcovis.model import (Clip, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
                           _float_array, corpus_to_dict, decode_mask_rle, dump_json,
-                          encode_mask_rle, save_corpus)
+                          encode_mask_rle, load_corpus, save_corpus, validate)
 from tcovis.ste import (init_mhca_params, init_ref_decoder_params, params_from_dict,
                         params_to_dict, run_clip)
 
@@ -432,3 +433,78 @@ def test_reshaped_bundle_array_is_refused_by_name_or_runs(case):
                          ste_params=mhca)
     assert all(np.isfinite(t.class_probs).all() and np.isfinite(t.mask_probs).all()
                for t in tracks)
+
+
+# -- config files --------------------------------------------------------------------
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+RUN_DOC = dict(json.loads((CONFIG_DIR / "swap.json").read_text()), clips=1)
+DEMO_DOC = json.loads((CONFIG_DIR / "enhance.json").read_text())
+DELETE = object()   # a mutation that deletes the node
+# Every integer is <= 64 or >= 2**63: a valid grid stays <= 64 cells a side, nothing
+# large is allocated, and a large `threads` never meets a large `clips`.
+CONFIG_VALUES = ("s", True, None, [], {}, [[1]], -1, 0, 1, 2, 3, 7, 64, 1.5, float("nan"),
+                 float("inf"), 2**63, 2**70, DELETE)
+
+
+def _config_text(doc, path, value) -> str:
+    """JSON text of `doc` with the node at `path` replaced by `value`, or deleted if
+    `value` is DELETE; deleting the root leaves an empty file."""
+    if not path:
+        return "" if value is DELETE else json.dumps(value)
+    doc = copy.deepcopy(doc)
+    parent = _node(doc, path[:-1])
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _run_on_config(command, doc, path, value, check_output):
+    """Run `command` on a mutated config: it either exits 0 with an output that
+    `check_output` accepts, or exits 1 with one `error:` line and no output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out.json"
+        cfg.write_text(_config_text(doc, path, value))
+        argv = [command, str(cfg)] if command == "gen" else [command, "--demo", str(cfg)]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv + ["--out", str(out)])
+        if code == 0:
+            check_output(out)
+        else:
+            assert code == 1
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not out.exists()
+
+
+def _corpus_is_valid(path):
+    assert validate(load_corpus(path)) == []
+
+
+def _trace_is_whole(path):
+    trace = json.loads(path.read_text())
+    assert len(trace["plain"]) == len(trace["ste"]) == trace["spec"]["T"]
+
+
+# each list in a config has two entries, so `_paths` walks the first two of each
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(("noise", "swap_frame"), 7)
+@example(("noise", "swap_frame"), 2**70)
+@example(("spec", "T"), 1)
+@example(("scene", "n_objects", 1), DELETE)
+@example((), DELETE)
+@given(st.sampled_from(list(_paths(RUN_DOC))), st.sampled_from(CONFIG_VALUES))
+def test_run_config_mutation_generates_or_exits_one(path, value):
+    _run_on_config("gen", RUN_DOC, path, value, _corpus_is_valid)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@example(("n_heads",), 3)
+@example(("spec", "C"), 7)
+@example(("threshold",), 1)
+@example(("spec", "T"), 64)
+@given(st.sampled_from(list(_paths(DEMO_DOC))), st.sampled_from(CONFIG_VALUES))
+def test_demo_config_mutation_traces_or_exits_one(path, value):
+    _run_on_config("enhance", DEMO_DOC, path, value, _trace_is_whole)

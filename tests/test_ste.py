@@ -571,23 +571,28 @@ class TestParams:
         (("ref_decoder",), MISSING, "parameter bundle is missing field 'ref_decoder'"),
         (("ref_decoder", "encoder", "w_q"), array_doc([], 1), r"w_q must be \(C, C\), got \(\)"),
         (("ref_decoder", "ffn", "w1"), array_doc([C, 8]), r"w1 must be \(16, 32\), got \(16, 8\)"),
-        (("ref_decoder", "ffn", "b1"), array_doc([8]), r"b1 must be \(32,\), got \(8,\)"),
+        (("ref_decoder", "ffn", "b1"), array_doc([8]),
+         r"b1 must be \(32,\) \(2C=32 from w1\), got \(8,\)"),
         (("ref_decoder", "encoder", "ln_scale"), array_doc([8]),
-         r"ln_scale must be \(16,\), got \(8,\)"),
+         r"ln_scale must be \(16,\) \(C=16 from w_q\), got \(8,\)"),
         (("ref_decoder", "classifier"), array_doc([8, 4]),
-         r"classifier must be \(16, 4\), got \(8, 4\)"),
+         r"classifier must be \(16, 4\) \(C=16 from encoder\.w_q\), got \(8, 4\)"),
         (("ref_decoder", "mask_head", 0, "w"), array_doc([C, 8]),
-         r"mask_head\[0\]\.w must be \(16, 16\), got \(16, 8\)"),
+         r"mask_head\[0\]\.w must be \(16, 16\) \(C=16 from encoder\.w_q\), got \(16, 8\)"),
         (("ref_decoder", "decoder"), params_to_dict(init_ref_decoder_params(8, 3, HEADS, 0))[
-            "ref_decoder"]["decoder"], r"decoder\.w_q must be \(16, 16\), got \(8, 8\)"),
+            "ref_decoder"]["decoder"],
+         r"decoder\.w_q must be \(16, 16\) \(C=16 from encoder\.w_q\), got \(8, 8\)"),
         (("ref_decoder",), zero_width(params_to_dict(decoder())["ref_decoder"]),
          r"w_q must be \(C, C\), got \(0, 0\)"),
+        # a wrong first array binds C; the fault shows on the next array, which names it
+        (("ref_decoder", "encoder", "w_q"), array_doc([2 * C, 2 * C]),
+         r"^w_k must be \(32, 32\) \(C=32 from w_q\), got \(16, 16\)$"),
     ], ids=["nan-classifier", "inf-mask-w", "inf-mask-b", "string-heads", "float-heads",
             "bool-heads", "float-mhca-heads", "string-entry", "bool-entry", "nested-data",
             "null-data", "short-data", "float-shape", "negative-shape", "missing-field",
             "block-as-list", "layer-as-list", "missing-ref_decoder", "scalar-w_q", "narrow-w1",
             "narrow-b1", "narrow-ln_scale", "narrow-classifier", "narrow-mask-w",
-            "narrow-decoder-block", "zero-width"])
+            "narrow-decoder-block", "zero-width", "wide-first-w_q"])
     def test_loaded_bundle_is_checked(self, path, value, message):
         doc = json.loads(dump_json(params_to_dict(decoder(), mhca())))
         node = doc
