@@ -21,6 +21,7 @@ its whole-clip total so the two strategies are directly comparable.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -29,17 +30,21 @@ from .model import Assignment
 
 BRUTE_FORCE_MAX_ROWS = 8
 BRUTE_FORCE_MAX_COLS = 10
+# tight-edge tolerance per unit of scale and row, in `_lexicographic_pairs`
+_TAU_FACTOR = 64.0 * np.finfo(np.float64).eps
 
 
-def _as_cost_matrix(matrix) -> np.ndarray:
+def _as_cost_matrix(matrix):
+    """The float64 matrix and its largest |entry| (0.0 if empty), finite only if every entry is."""
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {a.shape}")
-    if a.size and not np.isfinite(a).all():
+    abs_max = float(np.abs(a).max()) if a.size else 0.0
+    if not math.isfinite(abs_max):
         raise ValueError("cost matrix entries must be finite")
     if a.shape[0] > a.shape[1]:
         raise ValueError(f"need rows <= cols, got shape {a.shape}")
-    return a
+    return a, abs_max
 
 
 def _pairs_total(cost: np.ndarray, cols) -> float:
@@ -85,9 +90,12 @@ def _sap_solve(cost: np.ndarray):
                 continue
         col4row[r] = j
         row4col[j] = r
+    unmatched = [r for r in range(nr) if col4row[r] == -1]
+    if not unmatched:
+        return np.array(col4row, dtype=np.int64), u, v
 
     d = np.empty(nc)
-    for cur_row in [r for r in range(nr) if col4row[r] == -1]:
+    for cur_row in unmatched:
         shortest = np.full(nc, np.inf)
         closed_v = v.copy()
         rows, cols, dists, offsets = [cur_row], [], [], []
@@ -137,7 +145,7 @@ def _adjacency(mask: np.ndarray) -> list:
     return [cols[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
-def _lexicographic_pairs(cost: np.ndarray, col4row: np.ndarray,
+def _lexicographic_pairs(cost: np.ndarray, abs_max: float, col4row: np.ndarray,
                          u: np.ndarray, v: np.ndarray) -> list:
     """Smallest pair list (rows ascending) among optimal assignments,
     read off the tight-edge graph of the optimal duals.
@@ -151,18 +159,17 @@ def _lexicographic_pairs(cost: np.ndarray, col4row: np.ndarray,
     path shifts the column's owner, and the owners after it, along tight
     edges until the row's old column is taken over.
 
-    When every real row has a single tight column, its own, every tight
-    perfect matching is the incumbent, which is then returned at once.
+    With nr tight edges in all (each row keeps its own), every tight perfect
+    matching is the incumbent, which is then returned at once.
     """
     nr, nc = cost.shape
-    scale = max(1.0, float(np.abs(cost).max()))
-    tau = 64.0 * np.finfo(np.float64).eps * scale * max(nr, 4)
+    tau = _TAU_FACTOR * max(1.0, abs_max) * max(nr, 4)
 
     reduced = cost - u[:, None] - v[None, :]
     tight = reduced <= tau
     tight[np.arange(nr), col4row] = True
-    if tight.sum(axis=1).max() <= 1:
-        return [(r, j) for r, j in enumerate(col4row.tolist())]
+    if np.count_nonzero(tight) == nr:
+        return list(enumerate(col4row.tolist()))
     row_adj = _adjacency(tight)
     col_adj = _adjacency(tight.T)
     dummy_tight = (v >= -tau).tolist()
@@ -217,16 +224,17 @@ def hungarian(cost_matrix) -> Assignment:
     Ties between equally cheap assignments are broken in favor of the
     lexicographically smallest pair list.
     """
-    cost = _as_cost_matrix(cost_matrix)
+    cost, abs_max = _as_cost_matrix(cost_matrix)
     nr = cost.shape[0]
     if nr == 0:
         return Assignment(pairs=(), total_cost=0.0)
 
     col4row, u, v = _sap_solve(cost)
-    incumbent = [(r, int(col4row[r])) for r in range(nr)]
-    best_total = _pairs_total(cost, col4row)
+    cols = col4row.tolist()
+    incumbent = list(enumerate(cols))
+    best_total = _pairs_total(cost, cols)
 
-    refined = _lexicographic_pairs(cost, col4row, u, v)
+    refined = _lexicographic_pairs(cost, abs_max, col4row, u, v)
     if refined != incumbent:
         refined_total = _pairs_total(cost, [c for _, c in refined])
         if refined_total == best_total:
@@ -256,7 +264,7 @@ def brute_force_assign(cost_matrix) -> Assignment:
     improvements replace the incumbent, so ties resolve identically to
     ``hungarian``.
     """
-    cost = _as_cost_matrix(cost_matrix)
+    cost, _ = _as_cost_matrix(cost_matrix)
     nr, nc = cost.shape
     if nr > BRUTE_FORCE_MAX_ROWS or nc > BRUTE_FORCE_MAX_COLS:
         raise ValueError(f"brute force guard: shape {cost.shape} exceeds "

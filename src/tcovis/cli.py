@@ -95,7 +95,7 @@ def _config(path, name: str, known: set, required: set):
     _CONFIG_KEYS) and version; return the document and its ClipSpec."""
     doc = _checked_section(name, _load_json(path), known=known | _CONFIG_KEYS,
                            required=required | _CONFIG_KEYS)
-    if doc["version"] != 1:
+    if _integer("version", doc["version"]) != 1:
         raise ValueError(f"unsupported config version {doc['version']!r}")
     return doc, ClipSpec.from_dict(_record_section("spec", doc["spec"], ClipSpec))
 

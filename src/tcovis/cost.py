@@ -200,12 +200,9 @@ def overall_loss(gt_tracks, pred_tracks, assignment: Assignment,
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows: 1/(1+e) for z >= 0, e/(1+e) below
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def mask_loss_grad(gt_masks, pred_logits, weights: LossWeights) -> np.ndarray:

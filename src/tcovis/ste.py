@@ -186,12 +186,16 @@ def _attend(q_in: np.ndarray, k_in: np.ndarray, v_in: np.ndarray,
     return merged @ params.w_o, weights
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+
+
 def spatial_matting(pixel_embeddings: np.ndarray, mask_probs: np.ndarray,
                     threshold: float = MASK_BINARIZE) -> np.ndarray:
     """Zero out pixel-embedding columns wherever the soft mask falls below
     the binarization threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    _check_threshold(threshold)
     p = np.asarray(pixel_embeddings, dtype=np.float64)
     m = np.asarray(mask_probs, dtype=np.float64)
     if p.ndim != 3 or p.shape[1:] != m.shape:
@@ -285,6 +289,7 @@ def run_clip(initial_queries: np.ndarray, frames, params: RefDecoderParams,
     """
     if len(frames) == 0:
         raise ValueError("need at least one frame")
+    _check_threshold(threshold)
 
     queries = np.asarray(initial_queries, dtype=np.float64)
     n_slots = queries.shape[0]

@@ -126,9 +126,14 @@ class TestHungarian:
         with pytest.raises(ValueError, match="rows <= cols"):
             hungarian(np.zeros((3, 2)))
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            hungarian([[np.nan, 1.0]])
+    @pytest.mark.parametrize("solver", [hungarian, brute_force_assign],
+                             ids=["hungarian", "brute_force_assign"])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite(self, solver, entry):
+        # the check is the finiteness of the largest |entry|, which NaN and
+        # both infinities reach wherever they sit
+        with pytest.raises(ValueError, match="^cost matrix entries must be finite$"):
+            solver([[0.5, 1.0, 2.0], [3.0, entry, -1.0]])
 
     def test_dense_tie_graph_needs_no_deep_recursion(self):
         linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
@@ -226,6 +231,27 @@ class TestRefinementEarlyExit:
             assert a.pairs == scipy_lexicographic_pairs(matrix)
             if nr <= BRUTE_FORCE_MAX_ROWS and nc <= BRUTE_FORCE_MAX_COLS:
                 assert agree(a, brute_force_assign(matrix))
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["unique", "tied"])
+    def test_adjacency_only_for_ties(self, monkeypatch, tied):
+        # a corpus-sized matrix whose warm start matches every row; the tied
+        # variant gives row 0 a second minimum in a free column
+        matrix = np.array([[0.1, 0.9, 0.8, 0.7, 0.9, 0.6],
+                           [0.8, 0.2, 0.9, 0.9, 0.7, 0.8],
+                           [0.9, 0.8, 0.3, 0.9, 0.9, 0.7],
+                           [0.7, 0.9, 0.8, 0.1, 0.6, 0.9]])
+        if tied:
+            matrix[0, 5] = 0.1
+
+        def refuse(mask):
+            raise AssertionError("adjacency built")
+
+        monkeypatch.setattr(assignment, "_adjacency", refuse)
+        if tied:
+            with pytest.raises(AssertionError, match="adjacency built"):
+                hungarian(matrix)
+        else:
+            assert hungarian(matrix).pairs == ((0, 0), (1, 1), (2, 2), (3, 3))
 
 
 def _sap_cases():

@@ -141,6 +141,8 @@ class TestGen:
         ("clips", 2.7, "clips must be an integer, got 2.7"),
         ("spec", {"S": True}, "S must be an integer, got True"),
         ("seed", 7.0, "seed must be an integer, got 7.0"),
+        ("version", True, "version must be an integer, got True"),
+        ("version", 1.0, "version must be an integer, got 1.0"),
         ("threads", True, "threads must be an integer, got True"),
         ("noise", {"swap_frame": 2.7}, "swap_frame must be an integer, got 2.7"),
         ("scene", {"size": [1.9, 2]}, "size must be an integer, got 1.9"),
@@ -168,10 +170,10 @@ class TestGen:
          "early_swap needs at least two ground-truth tracks"),
         ("scene", {"n_objects": [6, 6], "size": [6, 6], "velocity": [0, 0.5],
                    "allow_occlusion": False}, "could not generate a valid scene in 256 attempts"),
-    ], ids=["clips-float", "S-bool", "seed-float", "threads-bool", "swap_frame-float",
-            "size-float", "n_objects-strings", "velocity-string", "mask_jitter-string",
-            "sharpness-bool", "lambda_cls-string", "allow_occlusion-string",
-            "n_objects-three", "n_objects-one", "size-empty", "velocity-infinite",
+    ], ids=["clips-float", "S-bool", "seed-float", "version-bool", "version-float",
+            "threads-bool", "swap_frame-float", "size-float", "n_objects-strings",
+            "velocity-string", "mask_jitter-string", "sharpness-bool", "lambda_cls-string",
+            "allow_occlusion-string", "n_objects-three", "n_objects-one", "size-empty", "velocity-infinite",
             "sharpness-infinite", "sharpness-beyond-float64", "shapes-int", "shapes-string",
             "H-beyond-int64", "no-room-to-move", "velocity-beyond-grid", "swap_frame-beyond-T",
             "early_swap-one-object", "scene-unsatisfiable"])
@@ -569,11 +571,21 @@ class TestEnhance:
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("n_fq", 2**64, f"n_fq must be >= 1 and < 2**63, got {2**64}"),
         ("n_heads", 3, "n_heads=3 must divide C=16"),
+        ("version", True, "version must be an integer, got True"),
+        ("version", 1.0, "version must be an integer, got 1.0"),
+        # one frame: the threshold is never used between frames
+        (("spec", "threshold"), ({"T": 1}, 7), "threshold must be in (0, 1), got 7.0"),
     ], ids=["threshold-abc", "threshold-1.5", "n_heads-0", "n_fq-0", "n_heads-4.0", "n_fq-True",
-            "seed-1.5", f"n_fq-{2**64}", "n_heads-3"])
+            "seed-1.5", f"n_fq-{2**64}", "n_heads-3", "version-bool", "version-float",
+            "threshold-7-one-frame"])
     def test_bad_demo_value_fails(self, tmp_path, capsys, field, value, reason):
+        # `field` names one key, or a tuple of keys each with its own value
         doc = json.loads((CONFIG_DIR / "enhance.json").read_text())
-        doc[field] = value
+        for key, update in zip(field, value) if isinstance(field, tuple) else [(field, value)]:
+            if isinstance(update, dict):
+                doc[key].update(update)
+            else:
+                doc[key] = update
         cfg = tmp_path / "demo.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "t.json"

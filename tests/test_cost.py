@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tcovis import assignment
-from tcovis.cost import (LossWeights, average_class_prob, bce_cost, ce_cost,
+from tcovis.cost import (LossWeights, _sigmoid, average_class_prob, bce_cost, ce_cost,
                          dice_cost, frame_matching_cost, global_matching_cost,
                          mask_loss_grad, matching_cost_matrix, overall_loss)
 from tcovis.model import Assignment, GroundTruthTrack, PredictionTrack
@@ -518,6 +518,19 @@ class TestMaskLossGrad:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="differ"):
             mask_loss_grad(np.zeros((2, 2)), np.zeros((2, 3)), LossWeights())
+
+
+def test_sigmoid_matches_the_two_branch_formula():
+    # bit-equal to 1/(1+exp(-z)) on z >= 0 and exp(z)/(1+exp(z)) below, each
+    # branch on its own gathered entries; neither overflows at the extremes
+    z = np.concatenate([np.random.default_rng(8).normal(0, 6, 500),
+                        [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300]]).reshape(2, -1)
+    expected = np.empty_like(z)
+    pos = z >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    expected[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+    assert _sigmoid(z).tobytes() == expected.tobytes()
+    assert _sigmoid(z)[1, 249:251].tolist() == [1.0, 0.0]    # z = 800 and -800
 
 
 class TestLossWeights:
