@@ -8,9 +8,11 @@ rows left unmatched run a Dijkstra search. It then refines ties so the
 returned pair list is the lexicographically smallest one among all
 optimal assignments: zero-cost dummy rows square the problem, and each
 row in turn takes the smallest column that one alternating path over the
-tight edges of the optimal duals can clear for it. ``brute_force_assign``
-is the independent oracle: exhaustive enumeration under a factorial
-guard, with the same tie rule.
+tight edges of the optimal duals can clear for it. It is skipped when
+each row has one tight edge, its own: after the warm start alone, when
+every row's other entries exceed its minimum by more than tau.
+``brute_force_assign`` is the independent oracle: exhaustive enumeration
+under a factorial guard, with the same tie rule.
 
 ``global_instance_assignment`` matches ground truth to prediction slots
 on whole-clip costs; ``locpro_assignment`` is the local-matching baseline
@@ -20,6 +22,7 @@ its whole-clip total so the two strategies are directly comparable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -80,9 +83,12 @@ def _sap_solve(cost: np.ndarray):
     nr, nc = cost.shape
     u = cost.min(axis=1)
     v = np.zeros(nc)
+    first = cost.argmin(axis=1).astype(np.int64, copy=False)
+    if len(set(first.tolist())) == nr:
+        return first, u, v          # distinct argmins: the loop below keeps them all
     col4row = [-1] * nr
     row4col = [-1] * nc
-    for r, j in enumerate(cost.argmin(axis=1).tolist()):
+    for r, j in enumerate(first.tolist()):
         if row4col[j] != -1:
             j = next((k for k in np.flatnonzero(cost[r] == u[r]).tolist()
                       if row4col[k] == -1), -1)
@@ -90,12 +96,9 @@ def _sap_solve(cost: np.ndarray):
                 continue
         col4row[r] = j
         row4col[j] = r
-    unmatched = [r for r in range(nr) if col4row[r] == -1]
-    if not unmatched:
-        return np.array(col4row, dtype=np.int64), u, v
 
     d = np.empty(nc)
-    for cur_row in unmatched:
+    for cur_row in [r for r in range(nr) if col4row[r] == -1]:
         shortest = np.full(nc, np.inf)
         closed_v = v.copy()
         rows, cols, dists, offsets = [cur_row], [], [], []
@@ -145,8 +148,20 @@ def _adjacency(mask: np.ndarray) -> list:
     return [cols[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
+def _tight_edges(cost: np.ndarray, tau: float, col4row: np.ndarray,
+                 u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """cost - u - v <= tau, with every matched edge. While v == 0 the duals
+    are the warm start's (a search that lowers no v leaves u too), so cost - u
+    is the reduced matrix bit for bit and each matched edge is exactly tight."""
+    if np.count_nonzero(v):
+        tight = cost - u[:, None] - v[None, :] <= tau
+        tight[np.arange(len(u)), col4row] = True   # tight up to the searches' rounding
+        return tight
+    return cost - u[:, None] <= tau
+
+
 def _lexicographic_pairs(cost: np.ndarray, abs_max: float, col4row: np.ndarray,
-                         u: np.ndarray, v: np.ndarray) -> list:
+                         u: np.ndarray, v: np.ndarray) -> tuple:
     """Smallest pair list (rows ascending) among optimal assignments,
     read off the tight-edge graph of the optimal duals.
 
@@ -165,11 +180,9 @@ def _lexicographic_pairs(cost: np.ndarray, abs_max: float, col4row: np.ndarray,
     nr, nc = cost.shape
     tau = _TAU_FACTOR * max(1.0, abs_max) * max(nr, 4)
 
-    reduced = cost - u[:, None] - v[None, :]
-    tight = reduced <= tau
-    tight[np.arange(nr), col4row] = True
+    tight = _tight_edges(cost, tau, col4row, u, v)
     if np.count_nonzero(tight) == nr:
-        return list(enumerate(col4row.tolist()))
+        return tuple(enumerate(col4row.tolist()))
     row_adj = _adjacency(tight)
     col_adj = _adjacency(tight.T)
     dummy_tight = (v >= -tau).tolist()
@@ -215,7 +228,7 @@ def _lexicographic_pairs(cost: np.ndarray, abs_max: float, col4row: np.ndarray,
                 col4row[owner] = j
             owner, j = holder, came_from[j]
         pairs.append((r, chosen))
-    return pairs
+    return tuple(pairs)
 
 
 def hungarian(cost_matrix) -> Assignment:
@@ -225,36 +238,25 @@ def hungarian(cost_matrix) -> Assignment:
     lexicographically smallest pair list.
     """
     cost, abs_max = _as_cost_matrix(cost_matrix)
-    nr = cost.shape[0]
-    if nr == 0:
-        return Assignment(pairs=(), total_cost=0.0)
+    if cost.shape[0] == 0:
+        return Assignment._of((), 0.0)
 
     col4row, u, v = _sap_solve(cost)
     cols = col4row.tolist()
-    incumbent = list(enumerate(cols))
+    incumbent = tuple(enumerate(cols))
     best_total = _pairs_total(cost, cols)
 
     refined = _lexicographic_pairs(cost, abs_max, col4row, u, v)
-    if refined != incumbent:
-        refined_total = _pairs_total(cost, [c for _, c in refined])
-        if refined_total == best_total:
-            return Assignment(pairs=tuple(refined), total_cost=best_total)
-    return Assignment(pairs=tuple(incumbent), total_cost=best_total)
+    if refined != incumbent and _pairs_total(cost, [c for _, c in refined]) == best_total:
+        return Assignment._of(refined, best_total)
+    return Assignment._of(incumbent, best_total)
 
 
-_INJECTION_CACHE: dict = {}
-
-
+@functools.cache
 def _injections(nr: int, nc: int) -> np.ndarray:
-    key = (nr, nc)
-    if key not in _INJECTION_CACHE:
-        count = 1
-        for k in range(nc, nc - nr, -1):
-            count *= k
-        flat = np.fromiter(itertools.chain.from_iterable(
-            itertools.permutations(range(nc), nr)), dtype=np.int8, count=count * nr)
-        _INJECTION_CACHE[key] = flat.reshape(count, nr)
-    return _INJECTION_CACHE[key]
+    flat = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(nc), nr)),
+                       dtype=np.int8, count=math.perm(nc, nr) * nr)
+    return flat.reshape(-1, nr)
 
 
 def brute_force_assign(cost_matrix) -> Assignment:
@@ -270,12 +272,11 @@ def brute_force_assign(cost_matrix) -> Assignment:
         raise ValueError(f"brute force guard: shape {cost.shape} exceeds "
                          f"({BRUTE_FORCE_MAX_ROWS}, {BRUTE_FORCE_MAX_COLS})")
     if nr == 0:
-        return Assignment(pairs=(), total_cost=0.0)
+        return Assignment._of((), 0.0)
     injections = _injections(nr, nc)
     totals = cost[np.arange(nr)[None, :], injections].sum(axis=1)
-    winner = injections[int(totals.argmin())]
-    return Assignment(pairs=tuple((r, int(c)) for r, c in enumerate(winner)),
-                      total_cost=_pairs_total(cost, winner))
+    winner = injections[int(totals.argmin())].tolist()
+    return Assignment._of(tuple(enumerate(winner)), _pairs_total(cost, winner))
 
 
 def build_global_cost_matrix(gt_tracks, pred_tracks, weights: LossWeights) -> np.ndarray:
@@ -320,20 +321,17 @@ def locpro_assignment(gt_tracks, pred_tracks, weights: LossWeights,
         rows = [g for g in range(n_gt) if first[g] == t]
         stage = matching_cost_matrix([gt_tracks[g] for g in rows],
                                      [pred_tracks[s] for s in free_slots], weights, frame=t)
-        local = hungarian(stage)
-        taken = [free_slots[ci] for _, ci in local.pairs]
-        for ri, ci in local.pairs:
-            pairs.append((rows[ri], free_slots[ci]))
-        for s in taken:
-            free_slots.remove(s)
+        # hungarian pairs every row of the stage, in ascending order
+        taken = [free_slots[ci] for _, ci in hungarian(stage).pairs]
+        pairs.extend(zip(rows, taken))
+        free_slots = [s for s in free_slots if s not in taken]
     pairs.sort()
     if global_costs is None:
         global_costs = build_global_cost_matrix(gt_tracks, pred_tracks, weights)
     elif np.shape(global_costs) != (n_gt, n_slots):
         raise ValueError(f"global cost matrix has shape {np.shape(global_costs)}, "
                          f"expected {(n_gt, n_slots)}")
-    return Assignment(pairs=tuple(pairs),
-                      total_cost=_pairs_total(global_costs, [s for _, s in pairs]))
+    return Assignment._of(tuple(pairs), _pairs_total(global_costs, [s for _, s in pairs]))
 
 
 def assignment_total_global_cost(assignment: Assignment, gt_tracks, pred_tracks,

@@ -403,7 +403,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:   # bad input, or a file that cannot be used
+    # bad input, a file that cannot be used, or more memory than can be had
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

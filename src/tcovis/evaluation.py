@@ -186,17 +186,20 @@ def _greedy_match(ranked, clip_gts) -> np.ndarray:
     return hits
 
 
-def _interpolated_ap(flags, n_gt: int) -> float:
+def _interpolated_ap(hits: np.ndarray, n_gt: int) -> np.ndarray:
+    """101-point interpolated AP of each column of a (ranked, thresholds) hit table."""
     if n_gt == 0:
-        return 0.0
-    tp = np.cumsum(flags, dtype=np.float64)
-    fp = np.cumsum([not f for f in flags], dtype=np.float64)
+        return np.zeros(hits.shape[1])
+    tp = np.cumsum(hits, axis=0, dtype=np.float64)
+    fp = np.cumsum(~hits, axis=0, dtype=np.float64)
     recall = tp / n_gt
     precision = tp / np.maximum(tp + fp, 1.0)
-    # the precision envelope: best precision at this recall or beyond,
-    # read at the first detection that reaches each recall point
-    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
-    return float(envelope[np.searchsorted(recall, RECALL_POINTS)].mean())
+    # the precision envelope: best precision at this recall or beyond, read
+    # at the first detection that reaches each recall point; one row of reads
+    # per column, so each mean sums a contiguous row, bit-equal to a 1-D mean
+    envelope = np.vstack([np.maximum.accumulate(precision[::-1])[::-1], np.zeros(hits.shape[1])])
+    return np.array([envelope[np.searchsorted(r, RECALL_POINTS), t]
+                     for t, r in enumerate(recall.T)]).mean(axis=1)
 
 
 def compute_ap(corpus: Corpus) -> EvalReport:
@@ -214,7 +217,7 @@ def compute_ap(corpus: Corpus) -> EvalReport:
         dets.sort(key=lambda d: (-d["score"], d["clip_key"], d["slot_key"]))
         n_gt = sum(map(len, gt_census[cls].values()))
         hits = _greedy_match(dets, gt_census[cls])
-        ap_table[:, j] = [_interpolated_ap(flags, n_gt) for flags in hits.T]
+        ap_table[:, j] = _interpolated_ap(hits, n_gt)
         # a clip's first k detections meet the same ground truths with or
         # without its later ones, so AR@k reads its hits off the same walk
         rank, seen = [], {}
@@ -225,9 +228,8 @@ def compute_ap(corpus: Corpus) -> EvalReport:
             table[:, j] = hits[np.array(rank) < cap].sum(axis=0) / n_gt
 
     per_threshold = tuple(float(np.mean(row)) for row in ap_table)
-    ap = float(np.mean(per_threshold))
-    lookup = {f"{thr:.2f}": value for thr, value in zip(IOU_THRESHOLDS, per_threshold)}
-    return EvalReport(ap=ap, ap50=lookup["0.50"], ap75=lookup["0.75"],
+    return EvalReport(ap=float(np.mean(per_threshold)), ap50=per_threshold[0],
+                      ap75=per_threshold[5],   # IOU_THRESHOLDS[5] == 0.75
                       ar1=float(np.mean(ar_tables[1].ravel())),
                       ar10=float(np.mean(ar_tables[10].ravel())),
                       per_threshold=per_threshold)

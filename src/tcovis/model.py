@@ -158,6 +158,13 @@ class Assignment:
                            tuple((int(g), int(s)) for g, s in self.pairs))
         object.__setattr__(self, "total_cost", float(self.total_cost))
 
+    @classmethod
+    def _of(cls, pairs: tuple, total_cost: float) -> Assignment:
+        """A tuple of (int, int) tuples and a float, kept as given: a solver's result."""
+        self = object.__new__(cls)
+        self.__dict__.update(pairs=pairs, total_cost=total_cost)
+        return self
+
     def slot_of(self, gt_index: int):
         for g, s in self.pairs:
             if g == gt_index:

@@ -254,6 +254,118 @@ class TestRefinementEarlyExit:
             assert hungarian(matrix).pairs == ((0, 0), (1, 1), (2, 2), (3, 3))
 
 
+class TestWarmStartTightEdges:
+    """While v == 0 the duals are still the warm start's, and `_tight_edges`
+    reads the tight set off cost - u alone, without `- v` or the forced
+    matched edges. It must equal the full formula either way."""
+
+    @staticmethod
+    def full_formula(cost, tau, col4row, u, v):
+        tight = (cost - u[:, None] - v[None, :]) <= tau
+        tight[np.arange(cost.shape[0]), col4row] = True
+        return tight
+
+    @staticmethod
+    def tau_of(cost):
+        return (assignment._TAU_FACTOR * max(1.0, float(np.abs(cost).max()))
+                * max(cost.shape[0], 4))
+
+    def test_search_that_lowers_no_v(self):
+        matrix = np.array([[1.0, 1.0], [1.0, 5.0]])
+        col4row, u, v = _sap_solve(matrix)
+        # row 1's only minimum is in row 0's column, so a search moved row 0
+        # to column 1 at distance 0: neither u nor v changed
+        assert col4row.tolist() == [1, 0]
+        assert (u == matrix.min(axis=1)).all() and (v == 0.0).all()
+        a = hungarian(matrix)
+        assert a.pairs == ((0, 1), (1, 0)) and a.total_cost == 2.0
+        assert agree(a, brute_force_assign(matrix))
+
+    # whole numbers up to 8 on three rows, so tau = 64 eps * 8 * 4 = 2**-41;
+    # one entry, row `row`'s runner-up in the free column 0, is set per case
+    BOUNDARY = {
+        # distinct row minima: the warm start alone solves it
+        "warm": ([[0, 8, 0, 5, 6],
+                  [7, 3, 6, 0, 4],
+                  [5, 6, 7, 2, 0]], 0, ((0, 2), (1, 3), (2, 4)), 0.0),
+        # rows 0 and 1 share their minimum column: a search lowers v[2]
+        "search": ([[8, 8, 0, 8, 1, 8],
+                    [8, 8, 1, 3, 8, 8],
+                    [0, 8, 8, 8, 8, 0]], 2, ((0, 4), (1, 2), (2, 5)), 2.0),
+    }
+
+    @pytest.mark.parametrize("side", [-1, 0, 1], ids=["inside-tau", "at-tau", "outside-tau"])
+    @pytest.mark.parametrize("name", sorted(BOUNDARY))
+    def test_runner_up_at_the_tau_boundary(self, monkeypatch, name, side):
+        rows, row, pairs, total = self.BOUNDARY[name]
+        matrix = np.array(rows, dtype=float)
+        tau = self.tau_of(matrix)
+        assert tau == 2.0 ** -41
+        matrix[row, 0] = tau * (1 + side * 2.0 ** -20)   # u[row] == 0 and v[0] == 0
+
+        col4row, u, v = _sap_solve(matrix)
+        assert bool(v.any()) == (name == "search")
+        tight = assignment._tight_edges(matrix, tau, col4row, u, v)
+        assert np.array_equal(tight, self.full_formula(matrix, tau, col4row, u, v))
+        assert tight[row, 0] == (side <= 0)
+
+        a, built = TestRefinementEarlyExit.solve_counting_adjacency(monkeypatch, matrix)
+        assert a.pairs == pairs and a.total_cost == total
+        assert agree(a, brute_force_assign(matrix))
+        # the one non-integer entry is 2**-41 off an integer sum, so the
+        # oracle's equality tests stay exact
+        assert a.pairs == scipy_lexicographic_pairs(matrix)
+        if name == "warm":
+            # only a runner-up within tau gives a row a second tight edge
+            assert built == (2 if side <= 0 else 0)
+
+    def test_equals_the_full_formula(self):
+        rng = np.random.default_rng(31)
+        matrices = list(_sap_cases().values())
+        for k in range(2000):
+            nr = int(rng.integers(1, 9))
+            shape = (nr, int(rng.integers(nr, 12)))
+            if k % 4 == 0:
+                matrices.append(rng.uniform(0, 1, shape))
+            elif k % 4 == 1:
+                matrices.append(rng.integers(0, 4, shape).astype(float))
+            elif k % 4 == 2:
+                matrices.append(rng.integers(-3, 4, shape) * 0.1)
+            else:
+                # a distinct cheap column per row, as on the swap corpus
+                m = rng.uniform(0.5, 1, shape)
+                m[np.arange(nr), rng.permutation(shape[1])[:nr]] = rng.uniform(0, 0.4, nr)
+                matrices.append(m)
+        warm = 0
+        for cost in matrices:
+            col4row, u, v = _sap_solve(cost)
+            tau = self.tau_of(cost)
+            assert np.array_equal(assignment._tight_edges(cost, tau, col4row, u, v),
+                                  self.full_formula(cost, tau, col4row, u, v))
+            warm += not v.any()
+        # both branches ran many times
+        assert 500 < warm < len(matrices) - 500
+
+
+class TestSolverResults:
+    """The solvers build their `Assignment`s from Python ints and floats, so
+    the constructor's normalisation is skipped; the results must still be
+    what the public constructor would make."""
+
+    def test_pairs_are_python_ints_and_the_total_a_float(self):
+        rng = np.random.default_rng(32)
+        gts, preds = random_tracks(rng)
+        matrix = rng.integers(0, 4, (3, 5)).astype(float)
+        results = [hungarian(matrix), brute_force_assign(matrix), hungarian(np.zeros((0, 3))),
+                   brute_force_assign(np.zeros((0, 3))),
+                   global_instance_assignment(gts, preds, LossWeights()),
+                   locpro_assignment(gts, preds, LossWeights())]
+        for a in results:
+            assert type(a.pairs) is tuple and type(a.total_cost) is float
+            assert all(type(p) is tuple and [type(x) for x in p] == [int, int] for p in a.pairs)
+            assert a == Assignment(pairs=list(a.pairs), total_cost=a.total_cost)
+
+
 def _sap_cases():
     rng = np.random.default_rng(15)
     tied = rng.uniform(0, 10, (30, 40))

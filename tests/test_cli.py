@@ -462,8 +462,19 @@ class TestMalformedCorpus:
 
 
 class TestErrorBoundary:
-    """`main` turns only a ValueError or OSError into `error:` and exit 1; any
-    other exception is a fault of the program and propagates."""
+    """`main` turns only a ValueError, OSError or MemoryError into `error:`
+    and exit 1; any other exception is a fault of the program and propagates."""
+
+    def test_allocation_beyond_any_address_space(self, tmp_path, capsys):
+        # two or more 1 x 2**30 x 2**30 uint8 rasters are at least 2 EiB, beyond
+        # a 47- or 57-bit address space, so the allocation fails at once
+        spec = {"T": 1, "H": 2**30, "W": 2**30, "S": 1, "K": 3, "N_v": 6, "C": 16}
+        out = tmp_path / "x.json"
+        assert main(["gen", str(write_config(tmp_path, clips=1, spec=spec)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("exc", [TypeError, KeyError, IndexError, RuntimeError])
     def test_program_fault_propagates(self, tmp_path, monkeypatch, exc):

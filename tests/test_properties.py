@@ -188,11 +188,11 @@ def interpolated_ap_loop(flags, n_gt):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.booleans(), max_size=60).flatmap(
-    lambda flags: st.tuples(st.just(flags), st.integers(0, 70))))
-def test_interpolated_ap_equals_the_walk(case):
-    flags, n_gt = case
-    assert _interpolated_ap(flags, n_gt) == interpolated_ap_loop(flags, n_gt)
+@given(arrays(np.bool_, st.tuples(st.integers(0, 60), st.integers(1, 10))), st.integers(0, 70))
+def test_interpolated_ap_equals_the_walk(hits, n_gt):
+    # one call over a whole hit table: each column bit-equal to its own walk
+    assert _interpolated_ap(hits, n_gt).tolist() == [
+        interpolated_ap_loop(flags.tolist(), n_gt) for flags in hits.T]
 
 
 def greedy_match_at(ranked, clip_gts, threshold):
@@ -224,7 +224,7 @@ def compute_ap_per_threshold(corpus):
                           key=lambda d: (-d["score"], d["clip_key"], d["slot_key"]))
             clip_gts = gt_census[cls]
             n_gt = sum(len(gis) for gis in clip_gts.values())
-            class_aps.append(_interpolated_ap(greedy_match_at(dets, clip_gts, threshold), n_gt))
+            class_aps.append(interpolated_ap_loop(greedy_match_at(dets, clip_gts, threshold), n_gt))
             for cap, hits in ar_hits.items():
                 kept, seen = [], {}
                 for det in dets:
