@@ -12,7 +12,8 @@ tight edges of the optimal duals can clear for it. It is skipped when
 each row has one tight edge, its own: after the warm start alone, when
 every row's other entries exceed its minimum by more than tau.
 ``brute_force_assign`` is the independent oracle: exhaustive enumeration
-under a factorial guard, with the same tie rule.
+under a factorial guard, with the same tie rule. Every total here is
+``cost._pairs_total``, the one sum of a pair list.
 
 ``global_instance_assignment`` matches ground truth to prediction slots
 on whole-clip costs; ``locpro_assignment`` is the local-matching baseline
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .cost import LossWeights, matching_cost_matrix
+from .cost import LossWeights, _checked_pairs, _pairs_total, matching_cost_matrix
 from .model import Assignment
 
 BRUTE_FORCE_MAX_ROWS = 8
@@ -48,14 +49,6 @@ def _as_cost_matrix(matrix):
     if a.shape[0] > a.shape[1]:
         raise ValueError(f"need rows <= cols, got shape {a.shape}")
     return a, abs_max
-
-
-def _pairs_total(cost: np.ndarray, cols) -> float:
-    # canonical order: ascending row, left-to-right accumulation
-    total = 0.0
-    for r, c in enumerate(cols):
-        total += float(cost[r, c])
-    return total
 
 
 def _sap_solve(cost: np.ndarray):
@@ -235,21 +228,20 @@ def hungarian(cost_matrix) -> Assignment:
     """Minimum-cost injective assignment of rows to columns.
 
     Ties between equally cheap assignments are broken in favor of the
-    lexicographically smallest pair list.
+    lexicographically smallest pair list. The SAP solution gives way to
+    the tie refinement unless it is strictly cheaper in `_pairs_total`.
     """
     cost, abs_max = _as_cost_matrix(cost_matrix)
     if cost.shape[0] == 0:
         return Assignment._of((), 0.0)
 
     col4row, u, v = _sap_solve(cost)
-    cols = col4row.tolist()
-    incumbent = tuple(enumerate(cols))
-    best_total = _pairs_total(cost, cols)
-
     refined = _lexicographic_pairs(cost, abs_max, col4row, u, v)
-    if refined != incumbent and _pairs_total(cost, [c for _, c in refined]) == best_total:
-        return Assignment._of(refined, best_total)
-    return Assignment._of(incumbent, best_total)
+    total = _pairs_total(cost, refined)
+    solved = tuple(enumerate(col4row.tolist()))
+    if refined == solved or total <= _pairs_total(cost, solved):
+        return Assignment._of(refined, total)
+    return Assignment._of(solved, _pairs_total(cost, solved))
 
 
 @functools.cache
@@ -262,9 +254,11 @@ def _injections(nr: int, nc: int) -> np.ndarray:
 def brute_force_assign(cost_matrix) -> Assignment:
     """Exhaustive minimum over all injections; oracle for ``hungarian``.
 
-    Enumeration is lexicographic in the pair list and only strict
-    improvements replace the incumbent, so ties resolve identically to
-    ``hungarian``.
+    Injections are ranked by `_pairs_total`'s left-to-right sum. They are
+    enumerated in lexicographic order and the first minimum wins, so equal
+    totals go to the smallest pair list, as in ``hungarian``. Totals that are
+    equal in exact arithmetic can round one ULP apart; the oracle then takes
+    the cheaper one, which ``hungarian``'s refinement within tau may not see.
     """
     cost, _ = _as_cost_matrix(cost_matrix)
     nr, nc = cost.shape
@@ -274,9 +268,9 @@ def brute_force_assign(cost_matrix) -> Assignment:
     if nr == 0:
         return Assignment._of((), 0.0)
     injections = _injections(nr, nc)
-    totals = cost[np.arange(nr)[None, :], injections].sum(axis=1)
-    winner = injections[int(totals.argmin())].tolist()
-    return Assignment._of(tuple(enumerate(winner)), _pairs_total(cost, winner))
+    totals = sum(cost[r, injections[:, r]] for r in range(nr))    # left to right, by row
+    pairs = tuple(enumerate(injections[int(totals.argmin())].tolist()))
+    return Assignment._of(pairs, _pairs_total(cost, pairs))
 
 
 def build_global_cost_matrix(gt_tracks, pred_tracks, weights: LossWeights) -> np.ndarray:
@@ -312,8 +306,11 @@ def locpro_assignment(gt_tracks, pred_tracks, weights: LossWeights,
     caller does not pass it in.
     """
     n_gt, n_slots = len(gt_tracks), len(pred_tracks)
-    if n_gt > n_slots:
-        raise ValueError(f"{n_gt} ground-truth tracks exceed {n_slots} prediction slots")
+    if global_costs is None:
+        global_costs = build_global_cost_matrix(gt_tracks, pred_tracks, weights)
+    elif np.shape(global_costs) != (n_gt, n_slots):
+        raise ValueError(f"global cost matrix has shape {np.shape(global_costs)}, "
+                         f"expected {(n_gt, n_slots)}")
     first = [_first_frame(track) for track in gt_tracks]
     free_slots = list(range(n_slots))
     pairs = []
@@ -326,22 +323,11 @@ def locpro_assignment(gt_tracks, pred_tracks, weights: LossWeights,
         pairs.extend(zip(rows, taken))
         free_slots = [s for s in free_slots if s not in taken]
     pairs.sort()
-    if global_costs is None:
-        global_costs = build_global_cost_matrix(gt_tracks, pred_tracks, weights)
-    elif np.shape(global_costs) != (n_gt, n_slots):
-        raise ValueError(f"global cost matrix has shape {np.shape(global_costs)}, "
-                         f"expected {(n_gt, n_slots)}")
-    return Assignment._of(tuple(pairs), _pairs_total(global_costs, [s for _, s in pairs]))
+    return Assignment._of(tuple(pairs), _pairs_total(global_costs, pairs))
 
 
 def assignment_total_global_cost(assignment: Assignment, gt_tracks, pred_tracks,
                                  weights: LossWeights) -> float:
     """Recompute the whole-clip cost of an assignment from its inputs."""
-    n_gt, n_slots = len(gt_tracks), len(pred_tracks)
-    costs = matching_cost_matrix(gt_tracks, pred_tracks, weights)
-    total = 0.0
-    for g, s in sorted(assignment.pairs):
-        if not 0 <= g < n_gt or not 0 <= s < n_slots:
-            raise ValueError(f"assignment pair ({g}, {s}) out of range")
-        total += float(costs[g, s])
-    return total
+    pairs = _checked_pairs(assignment.pairs, len(gt_tracks), len(pred_tracks))
+    return _pairs_total(matching_cost_matrix(gt_tracks, pred_tracks, weights), pairs)

@@ -33,9 +33,9 @@ from . import evaluation, ste, synth
 from .assignment import (build_global_cost_matrix, global_instance_assignment,
                          hungarian, locpro_assignment)
 from .cost import LossWeights
-from .model import (MASK_BINARIZE, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack, _field,
-                    _integer, _need, _number, _positive_int, dump_json, field_names, load_corpus,
-                    read_json, record_dict, save_corpus, validate, write_file)
+from .model import (MASK_BINARIZE, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
+                    _checked_section, _integer, _number, _positive_int, dump_json, field_names,
+                    load_corpus, read_json, record_dict, save_corpus, validate, write_file)
 from .rng import stream
 
 
@@ -61,15 +61,6 @@ def _pool_map(fn, items, threads: int) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-def _checked_section(name: str, data, known: set, required=()) -> dict:
-    unknown = set(_need(data, dict, name)) - known
-    if unknown:
-        raise ValueError(f"unknown field {sorted(unknown)[0]!r} in {name}")
-    for key in sorted(required):
-        _field(data, key, name)
-    return data
 
 
 def _load_json(path) -> dict:

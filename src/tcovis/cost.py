@@ -171,28 +171,42 @@ def global_matching_cost(gt_track: GroundTruthTrack, pred_track: PredictionTrack
     return float(matching_cost_matrix([gt_track], [pred_track], weights)[0, 0])
 
 
-def overall_loss(gt_tracks, pred_tracks, assignment: Assignment,
-                 weights: LossWeights) -> float:
-    """Total supervision: matched global costs plus no-object terms for
-    every unmatched prediction slot."""
-    n_gt, n_slots = len(gt_tracks), len(pred_tracks)
+def _checked_pairs(pairs, n_gt: int, n_slots: int) -> list:
+    """`pairs` in ascending ground-truth order, or ValueError if a pair is out
+    of range for `n_gt` x `n_slots` or repeats an index."""
     seen_gt, seen_slot = set(), set()
-    for g, s in assignment.pairs:
+    for g, s in pairs:
         if not 0 <= g < n_gt or not 0 <= s < n_slots:
             raise ValueError(f"assignment pair ({g}, {s}) out of range")
         if g in seen_gt or s in seen_slot:
             raise ValueError(f"assignment pair ({g}, {s}) repeats an index")
         seen_gt.add(g)
         seen_slot.add(s)
-    if seen_gt != set(range(n_gt)):
+    return sorted(pairs)
+
+
+def _pairs_total(costs, pairs) -> float:
+    """The whole-clip total: ``costs[g, s]`` summed left to right over `pairs`,
+    given in ascending g. Every total of a pair list is summed here."""
+    total = 0.0
+    for g, s in pairs:
+        total += float(costs[g, s])
+    return total
+
+
+def overall_loss(gt_tracks, pred_tracks, assignment: Assignment,
+                 weights: LossWeights) -> float:
+    """Total supervision: matched global costs plus no-object terms for
+    every unmatched prediction slot."""
+    n_gt, n_slots = len(gt_tracks), len(pred_tracks)
+    pairs = _checked_pairs(assignment.pairs, n_gt, n_slots)
+    if len(pairs) != n_gt:
         raise ValueError("assignment must cover every ground-truth index exactly once")
 
-    costs = matching_cost_matrix(gt_tracks, pred_tracks, weights)
-    total = 0.0
-    for g, s in sorted(assignment.pairs):
-        total += float(costs[g, s])
+    total = _pairs_total(matching_cost_matrix(gt_tracks, pred_tracks, weights), pairs)
+    matched = {s for _, s in pairs}
     for s in range(n_slots):
-        if s not in seen_slot:
+        if s not in matched:
             probs = average_class_prob(pred_tracks[s])
             no_object = probs.shape[-1] - 1
             total += weights.lambda_cls * ce_cost(no_object, probs)

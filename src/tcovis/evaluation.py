@@ -143,8 +143,8 @@ def _clip_digest(clip, slot_keys) -> bytes:
 
 
 def _gather(corpus: Corpus):
-    """Predictions as (score, clip, slot, label, iou-per-gt) plus the
-    ground-truth census: class -> clip -> ground-truth indices.
+    """Predictions as (score, clip, label, iou-per-gt, clip and slot digests)
+    plus the ground-truth census: class -> clip -> ground-truth indices.
 
     Score ties are broken by content digests, never by position, so the
     ranking (and therefore every metric) is invariant to clip order and
@@ -162,9 +162,8 @@ def _gather(corpus: Corpus):
         ious = video_iou_table(clip.gt, clip.pred)
         for si, pred in enumerate(clip.pred):
             detections.append({"score": prediction_score(pred), "clip": ci,
-                               "slot": si, "label": predicted_label(pred),
-                               "ious": ious[:, si], "clip_key": clip_key,
-                               "slot_key": slot_keys[si]})
+                               "label": predicted_label(pred), "ious": ious[:, si],
+                               "clip_key": clip_key, "slot_key": slot_keys[si]})
     return detections, gt_census
 
 

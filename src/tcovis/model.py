@@ -384,6 +384,17 @@ def _field(record: dict, name: str, where: str):
     return record[name]
 
 
+def _checked_section(name: str, data, known: set, required=()) -> dict:
+    """`data` if it is an object whose keys are all `known` and include every
+    `required` one, else a ValueError naming the first unknown or missing key."""
+    unknown = set(_need(data, dict, name)) - known
+    if unknown:
+        raise ValueError(f"unknown field {sorted(unknown)[0]!r} in {name}")
+    for key in sorted(required):
+        _field(data, key, name)
+    return data
+
+
 def _decoded(record, where: str) -> np.ndarray:
     """`decode_mask_rle`, with the record's location prefixed to its error."""
     try:

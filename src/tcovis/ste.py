@@ -31,8 +31,8 @@ from typing import get_type_hints
 import numpy as np
 
 from .cost import _sigmoid
-from .model import (MASK_BINARIZE, PredictionTrack, _field, _float_array, _frozen, _integer,
-                    _need, dump_json, read_json, write_file)
+from .model import (MASK_BINARIZE, PredictionTrack, _checked_section, _field, _float_array,
+                    _frozen, _integer, _need, dump_json, field_names, read_json, write_file)
 from .rng import stream
 
 LN_EPS = 1e-5
@@ -374,21 +374,24 @@ def _to_json(value):
 
 def _from_json(kind, doc, name: str):
     """The inverse of `_to_json` for the field `name` annotated `kind`; a
-    block takes each field's kind from its type hints. A wrong container or
-    missing field, a negative or non-integer `shape` entry, or `data` not a
-    flat list of numbers filling the shape raises ValueError naming it."""
+    block takes each field's kind from its type hints. A wrong container, an
+    unknown or missing field, a negative or non-integer `shape` entry, or
+    `data` not a flat list of numbers filling the shape raises ValueError
+    naming it."""
     if is_dataclass(kind):
-        _need(doc, dict, name)
+        _checked_section(name, doc, set(field_names(kind)))
         return kind(**{f.name: _from_json(_type_hints(kind)[f.name], _field(doc, f.name, name),
                                           f.name) for f in fields(kind)})
     if kind is tuple:
         where = [f"{name}[{i}]" for i in range(len(_need(doc, list, name)))]
-        return tuple(tuple(_from_json(np.ndarray, _field(_need(rec, dict, at), k, at), f"{at}.{k}")
+        return tuple(tuple(_from_json(np.ndarray, _field(_checked_section(at, rec, {"w", "b"}),
+                                                         k, at), f"{at}.{k}")
                            for k in ("w", "b")) for at, rec in zip(where, doc))
     if kind is int:
         return _integer(name, doc)
+    _checked_section(name, doc, {"shape", "data"})
     shape = [_integer(f"{name} shape", n)
-             for n in _need(_field(_need(doc, dict, name), "shape", name), list, f"{name} shape")]
+             for n in _need(_field(doc, "shape", name), list, f"{name} shape")]
     if min(shape, default=0) < 0:
         raise ValueError(f"{name} shape must not be negative, got {shape}")
     return _float_array([_need(_field(doc, "data", name), list, f"{name} data")], name, shape)
@@ -402,7 +405,7 @@ def params_to_dict(decoder: RefDecoderParams, mhca: MhcaParams | None = None) ->
 
 
 def params_from_dict(doc: dict):
-    _need(doc, dict, "parameter bundle")
+    _checked_section("parameter bundle", doc, {"ref_decoder", "mhca"})
     decoder = _from_json(RefDecoderParams, _field(doc, "ref_decoder", "parameter bundle"),
                          "ref_decoder")
     return decoder, _from_json(MhcaParams, doc["mhca"], "mhca") if "mhca" in doc else None

@@ -182,14 +182,8 @@ def generate_clip(cfg: SceneConfig, seed: int) -> list:
                 vy *= fy
                 vx *= fx
 
-        if not cfg.allow_occlusion and n > 1:
-            overlap = False
-            for t in range(spec.T):
-                if (rasters[:, t].sum(axis=0) > 1).any():
-                    overlap = True
-                    break
-            if overlap:
-                continue
+        if not cfg.allow_occlusion and n > 1 and (rasters.sum(axis=0) > 1).any():
+            continue
 
         # depth carve: later index occludes earlier ones
         visible = rasters.copy()

@@ -98,6 +98,14 @@ class TestHungarian:
         assert agree(a, b)
         assert a.pairs == ((0, 0), (1, 2))
 
+    def test_keeps_the_refinement_when_the_sap_solution_rounds_dearer(self):
+        # SAP reaches ((0, 2), (1, 0), (2, 1)), whose pair sum rounds to
+        # 0.6000000000000001; the tie refinement's 0.6 must win
+        matrix = [[0.3, 0.2, 0.1], [0.3, 0.3, 0.3], [0.2, 0.2, 0.1]]
+        a = hungarian(matrix)
+        assert agree(a, brute_force_assign(matrix))
+        assert a.pairs == ((0, 1), (1, 0), (2, 2)) and a.total_cost == 0.6
+
     def test_negative_entries(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
@@ -416,6 +424,16 @@ class TestBruteForce:
             total = sum(matrix[r, c] for r, c in enumerate(cols))
             assert best.total_cost <= total + 1e-12
 
+    def test_ranks_by_the_left_to_right_pair_sum(self):
+        # numpy's row sum adds 8 entries pairwise; on this matrix that ranks
+        # an injection first whose left-to-right total is 0.9, not the least
+        matrix = np.random.default_rng(8).choice([0.1, 0.2, 0.3], (8, 8)).tolist()
+        best = min(itertools.permutations(range(8)),
+                   key=lambda cols: sum(matrix[r][c] for r, c in enumerate(cols)))
+        a = brute_force_assign(matrix)
+        assert a.pairs == tuple(enumerate(best))
+        assert a.total_cost == sum(matrix[r][c] for r, c in enumerate(best)) == 0.8999999999999999
+
     def test_guard_rejects_large_instances(self):
         with pytest.raises(ValueError, match="guard"):
             brute_force_assign(np.zeros((9, 9)))
@@ -545,6 +563,13 @@ class TestTotalGlobalCost:
         gts, preds = random_tracks(rng, n_gt=1, n_slots=2)
         with pytest.raises(ValueError, match="out of range"):
             assignment_total_global_cost(Assignment(pairs=[(0, 9)], total_cost=0.0),
+                                         gts, preds, LossWeights())
+
+    def test_rejects_a_repeated_index(self):
+        rng = np.random.default_rng(12)
+        gts, preds = random_tracks(rng, n_gt=1, n_slots=2)
+        with pytest.raises(ValueError, match=r"\(0, 1\) repeats an index"):
+            assignment_total_global_cost(Assignment(pairs=[(0, 1), (0, 1)], total_cost=0.0),
                                          gts, preds, LossWeights())
 
 

@@ -587,12 +587,19 @@ class TestParams:
         # a wrong first array binds C; the fault shows on the next array, which names it
         (("ref_decoder", "encoder", "w_q"), array_doc([2 * C, 2 * C]),
          r"^w_k must be \(32, 32\) \(C=32 from w_q\), got \(16, 16\)$"),
+        (("extra",), {}, "^unknown field 'extra' in parameter bundle$"),
+        (("ref_decoder", "encoder", "w_z"), array_doc([C, C]),
+         "^unknown field 'w_z' in encoder$"),
+        (("ref_decoder", "encoder", "w_q", "dtype"), "float32", "^unknown field 'dtype' in w_q$"),
+        (("ref_decoder", "mask_head", 0, "scale"), 1.0,
+         r"^unknown field 'scale' in mask_head\[0\]$"),
     ], ids=["nan-classifier", "inf-mask-w", "inf-mask-b", "string-heads", "float-heads",
             "bool-heads", "float-mhca-heads", "string-entry", "bool-entry", "nested-data",
             "null-data", "short-data", "float-shape", "negative-shape", "missing-field",
             "block-as-list", "layer-as-list", "missing-ref_decoder", "scalar-w_q", "narrow-w1",
             "narrow-b1", "narrow-ln_scale", "narrow-classifier", "narrow-mask-w",
-            "narrow-decoder-block", "zero-width", "wide-first-w_q"])
+            "narrow-decoder-block", "zero-width", "wide-first-w_q", "unknown-top-level",
+            "unknown-block-field", "unknown-array-key", "unknown-layer-key"])
     def test_loaded_bundle_is_checked(self, path, value, message):
         doc = json.loads(dump_json(params_to_dict(decoder(), mhca())))
         node = doc
