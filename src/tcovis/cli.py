@@ -5,15 +5,14 @@ Subcommands:
   assign   run the assignment strategies over a corpus and emit audits
   enhance  run the enhancement forward pass on seeded inputs, emit a trace
   eval     compute AP/AR metrics and the strategy audit for a corpus
-  bench    time the assignment solver and cost-matrix construction
 
 Config files are JSON with a mandatory "version": 1 and are fail-closed:
 unknown fields are rejected by name. All randomness flows from a single
 seed; outputs are byte-identical for a fixed (config, seed) at any
 parallelism degree (flag --threads, overridden by TCOVIS_THREADS).
 `main` is the one place a failure becomes an exit code: a ValueError (bad
-input) or OSError (a file that cannot be used) prints `error: <message>`
-and exits 1; any other exception is a fault of the program and propagates.
+input), OSError (a file that cannot be used) or MemoryError prints
+`error: <message>` and exits 1; any other exception is a fault and propagates.
 """
 
 from __future__ import annotations
@@ -23,19 +22,17 @@ import dataclasses
 import hashlib
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluation, ste, synth
-from .assignment import (build_global_cost_matrix, global_instance_assignment,
-                         hungarian, locpro_assignment)
+from .assignment import global_instance_assignment, locpro_assignment
 from .cost import LossWeights
-from .model import (MASK_BINARIZE, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
-                    _checked_section, _integer, _number, _positive_int, dump_json, field_names,
-                    load_corpus, read_json, record_dict, save_corpus, validate, write_file)
+from .model import (MASK_BINARIZE, ClipSpec, Corpus, _checked_section, _integer, _number,
+                    _positive_int, dump_json, field_names, load_corpus, read_json, record_dict,
+                    save_corpus, validate, write_file)
 from .rng import stream
 
 
@@ -264,74 +261,6 @@ def _cmd_eval(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-def _parse_sizes(text: str):
-    try:
-        sizes = [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed size list {text!r}") from None
-    if not sizes or any(s < 1 for s in sizes):
-        raise argparse.ArgumentTypeError(f"sizes must be positive integers, got {text!r}")
-    return sizes
-
-
-def _median_ms(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append((time.perf_counter() - start) * 1e3)
-    times.sort()
-    return times[len(times) // 2]
-
-
-def _bench_cost_matrix_inputs(n: int, seed: int):
-    rng = stream(seed, "bench-cost", n)
-    T, h, w, k = 3, 12, 12, 4
-    gts = [GroundTruthTrack(class_id=int(rng.integers(k)),
-                            masks=(rng.random((T, h, w)) < 0.3).astype(np.uint8))
-           for _ in range(n)]
-    preds = []
-    for _ in range(n):
-        probs = rng.random((T, k + 1))
-        probs /= probs.sum(axis=1, keepdims=True)
-        preds.append(PredictionTrack(class_probs=probs,
-                                     mask_probs=rng.random((T, h, w))))
-    return gts, preds
-
-
-def _cmd_bench(args) -> int:
-    rows = []
-    for n in args.sizes:
-        rng = stream(args.seed, "bench-lap", n)
-        matrix = rng.uniform(0, 10, (n, n))
-        lap_ms = _median_ms(lambda: hungarian(matrix), args.repeats)
-        gts, preds = _bench_cost_matrix_inputs(n, args.seed)
-        weights = LossWeights()
-        cost_ms = _median_ms(lambda: build_global_cost_matrix(gts, preds, weights),
-                             args.repeats)
-        rows.append((n, lap_ms, cost_ms))
-
-    lines = ["size,hungarian_ms,cost_matrix_ms"]
-    for n, lap_ms, cost_ms in rows:
-        lines.append(f"{n},{lap_ms:.3f},{cost_ms:.3f}")
-    write_file(args.out, ["\n".join(lines) + "\n"])
-
-    budget_matrix = stream(args.seed, "bench-budget").uniform(0, 10, (100, 120))
-    budget_ms = _median_ms(lambda: hungarian(budget_matrix), args.repeats)
-    # integer entries 0..3: ties everywhere, the solver's slow case
-    ties_matrix = stream(args.seed, "bench-ties").integers(0, 4, (100, 120)).astype(np.float64)
-    ties_ms = _median_ms(lambda: hungarian(ties_matrix), args.repeats)
-    print(f"sizes={args.sizes} budget_100x120_ms={budget_ms:.3f} ties_100x120_ms={ties_ms:.3f}")
-    if budget_ms > args.budget_ms:
-        raise ValueError(f"100x120 solve took {budget_ms:.1f} ms, "
-                         f"budget is {args.budget_ms:.1f} ms")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
@@ -374,15 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="writes <prefix>.report.json and <prefix>.audit.csv")
     ev.add_argument("--threads", type=int, default=None)
     ev.set_defaults(func=_cmd_eval)
-
-    bench = sub.add_parser("bench", help="time the solver and cost construction")
-    bench.add_argument("--sizes", type=_parse_sizes, default=[10, 50, 100],
-                       help="comma-separated matrix sizes, e.g. 5,10")
-    bench.add_argument("--repeats", type=int, default=5)
-    bench.add_argument("--budget-ms", type=float, default=250.0)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out", default="bench.csv")
-    bench.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -394,7 +314,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    # bad input, a file that cannot be used, or more memory than can be had
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

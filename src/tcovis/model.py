@@ -165,12 +165,6 @@ class Assignment:
         self.__dict__.update(pairs=pairs, total_cost=total_cost)
         return self
 
-    def slot_of(self, gt_index: int):
-        for g, s in self.pairs:
-            if g == gt_index:
-                return s
-        return None
-
 
 @dataclass(frozen=True)
 class Clip:
@@ -316,15 +310,26 @@ def encode_mask_rle(mask) -> dict:
     return {"size": [h, w], "counts": counts}
 
 
+def _rle_size(record) -> tuple:
+    try:
+        h, w = record["size"]
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"malformed RLE record: {record!r}") from None
+    for v in (h, w):
+        if type(v) is not int:
+            raise ValueError(f"RLE size and counts must be integers, got {v!r}")
+    return h, w
+
+
 def decode_mask_rle(record: dict) -> np.ndarray:
     """Decode an RLE record back to a binary h x w uint8 mask. Size and
     counts must be JSON integers (`int`, not `bool` or `float`)."""
+    h, w = _rle_size(record)
     try:
-        h, w = record["size"]
         counts = list(record["counts"])
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"malformed RLE record: {record!r}") from None
-    for v in (h, w, *counts):
+    for v in counts:
         if type(v) is not int:
             raise ValueError(f"RLE size and counts must be integers, got {v!r}")
     if any(c < 0 for c in counts):
@@ -395,9 +400,12 @@ def _checked_section(name: str, data, known: set, required=()) -> dict:
     return data
 
 
-def _decoded(record, where: str) -> np.ndarray:
-    """`decode_mask_rle`, with the record's location prefixed to its error."""
+def _decoded(record, where: str, spec: ClipSpec) -> np.ndarray:
+    """`decode_mask_rle` of a record whose size, checked before any array is
+    allocated, must be the spec's; its error is prefixed with `where`."""
     try:
+        if (found := _rle_size(record)) != (spec.h, spec.w):
+            raise ValueError(f"RLE size {found} != {(spec.h, spec.w)}")
         return decode_mask_rle(record)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
@@ -450,7 +458,7 @@ def corpus_from_dict(doc: dict) -> Corpus:
             masks = _need(_field(rec, "masks", where), list, f"{where} masks")
             class_id = _integer(f"{where} class_id", _field(rec, "class_id", where))
             gt.append(GroundTruthTrack(class_id=class_id,
-                                       masks=np.stack([_decoded(r, f"{where} masks[{k}]")
+                                       masks=np.stack([_decoded(r, f"{where} masks[{k}]", spec)
                                                        for k, r in enumerate(masks)])))
         pred = _need(entry.get("pred"), (list, type(None)), f"clip {ci} pred")
         if pred is not None:

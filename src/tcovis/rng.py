@@ -1,6 +1,6 @@
 """Deterministic random-stream derivation.
 
-Every random draw in the library flows from a single 64-bit master seed.
+Every random draw in the library flows from a single master seed in [0, 2**64).
 Substreams are derived by hashing string labels (and optional integer
 indices) into a ``numpy.random.SeedSequence`` that keys a Philox
 counter-based generator, so corpora and parameter bundles are exactly
@@ -25,6 +25,13 @@ def _label_word(label) -> int:
     return int(label) & _MASK64
 
 
+def _words(seed, labels) -> list:
+    # refused, not folded: -1 and 2**64 - 1 would give one stream
+    if not 0 <= int(seed) <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return [int(seed)] + [_label_word(lab) for lab in labels]
+
+
 def stream(seed: int, *labels) -> np.random.Generator:
     """Return the Philox generator for (seed, labels).
 
@@ -32,11 +39,9 @@ def stream(seed: int, *labels) -> np.random.Generator:
     identical stream, and distinct tuples yield statistically independent
     ones.
     """
-    words = [int(seed) & _MASK64] + [_label_word(lab) for lab in labels]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(_words(seed, labels))))
 
 
 def derive_seed(seed: int, *labels) -> int:
     """Collapse (seed, labels) into a fresh 64-bit seed for a child scope."""
-    words = [int(seed) & _MASK64] + [_label_word(lab) for lab in labels]
-    return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence(_words(seed, labels)).generate_state(1, np.uint64)[0])

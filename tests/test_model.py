@@ -283,8 +283,6 @@ class TestImmutability:
         a = Assignment(pairs=[(np.int64(0), np.int64(2))], total_cost=np.float64(1.5))
         assert a.pairs == ((0, 2),)
         assert isinstance(a.total_cost, float)
-        assert a.slot_of(0) == 2
-        assert a.slot_of(5) is None
 
 
 class TestBinaryPredicate:

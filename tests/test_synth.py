@@ -7,6 +7,7 @@ import pytest
 from tcovis.assignment import global_instance_assignment, locpro_assignment
 from tcovis.cost import LossWeights
 from tcovis.model import ClipSpec, Corpus, dump_json, validate
+from tcovis.rng import derive_seed, stream
 from tcovis.synth import (NoiseConfig, SceneConfig, build_clip, generate_clip,
                           generate_corpus, simulate_predictions)
 
@@ -222,3 +223,16 @@ class TestCorpus:
             assert np.array_equal(a.masks, b.masks)
         for a, b in zip(want.pred, lone.pred):
             assert np.array_equal(a.mask_probs, b.mask_probs)
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        # folding would give -1 the streams of 2**64 - 1, and 2**64 those of 0
+        for derive in (stream, derive_seed):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+                derive(seed, "clip", 0)
+
+    def test_seed_range_ends_are_distinct_streams(self):
+        assert derive_seed(0, "clip") != derive_seed(2**64 - 1, "clip")
+        assert stream(0).random() != stream(2**64 - 1).random()
