@@ -8,22 +8,24 @@ supervises unmatched prediction slots toward the no-object class.
 
 ``matching_cost_matrix`` is the one implementation of the matching cost:
 it scores every (ground truth, prediction slot) pair of a clip at once,
-for the whole clip or for one frame. It stacks each slot's soft masks
-once and takes their logs and mass sums once. Then, for one ground-truth
-row at a time, it uses the binary ground truth to select each cell's
-term into buffers reused across rows, where ``bce_cost`` and
-``dice_cost`` multiply by it, and reduces them with the same numpy
-per-row pairwise sums. Adding ``0.0`` to the logs makes the selected
-``-log(1)`` a ``0.0``, as the product gives, so every entry is
-bit-identical to those primitives. A non-binary ground truth raises
-instead of pricing a different cost. A matmul would sum in another order
-and move costs by a few ULPs, which can flip exactly tied pairs.
+for the whole clip or for one frame. With ``A = -log(p)`` and
+``B = -log(1 - p)``, the BCE sum of a binary ground truth is every cell's
+``B`` plus ``A - B`` on its positive cells, and its dice overlap is ``p``
+summed over those cells. So each slot's ``B`` and its sum are taken once
+per call, and each ground-truth row gathers only its own positive cells,
+the only ones where ``A`` is computed. ``bce_cost`` and ``dice_cost`` are
+written in the same decomposition and sum the same cells in the same
+numpy pairwise order, so every entry is bit-identical to those
+primitives. A non-binary ground truth raises instead of pricing a
+different cost. A matmul would sum in another order and move costs by a
+few ULPs, which can flip exactly tied pairs.
 ``global_matching_cost`` and ``frame_matching_cost`` are its 1x1 views;
 ``ce_cost``, ``bce_cost`` and ``dice_cost`` stay the independent primitives.
 
 All arithmetic is float64. Log arguments are clamped to [EPS_LOG, 1] so
-every cost is finite and exactly nonnegative, including at perfect
-predictions. ``EPS_LOG`` and ``DICE_SMOOTH`` are constants, not parameters.
+every cost is finite, and the BCE sum is clamped at 0 so every cost is
+exactly nonnegative, including at perfect predictions. ``EPS_LOG`` and
+``DICE_SMOOTH`` are constants, not parameters.
 """
 
 from __future__ import annotations
@@ -55,8 +57,12 @@ class LossWeights:
 
 
 def _neg_log(x: np.ndarray) -> np.ndarray:
-    # clamp to 1 so a probability of exactly 1 costs exactly 0
-    return -np.log(np.minimum(x + EPS_LOG, 1.0))
+    # clamp to 1 so a probability of exactly 1 costs exactly 0, and take
+    # 0.0 - log, not -log, so that 0 is +0.0; worked in place in one buffer
+    out = np.asarray(x + EPS_LOG)
+    np.minimum(out, 1.0, out=out)
+    np.log(out, out=out)
+    return np.subtract(0.0, out, out=out)
 
 
 def average_class_prob(track: PredictionTrack) -> np.ndarray:
@@ -78,8 +84,13 @@ def bce_cost(gt_masks, pred_masks) -> float:
     p = np.asarray(pred_masks, dtype=np.float64)
     if y.shape != p.shape:
         raise ValueError(f"mask shapes differ: {y.shape} vs {p.shape}")
-    terms = y * _neg_log(p) + (1.0 - y) * _neg_log(1.0 - p)
-    return float(terms.mean())
+    # y*A + (1-y)*B written as B + y*(A - B): every cell's B, then the
+    # differences on the cells where y != 0, as matching_cost_matrix sums them.
+    # The two sums round apart, so a prediction equal to a binary y can land a
+    # few ULPs below 0; the clamp keeps the cost nonnegative.
+    A = _neg_log(p)
+    B = _neg_log(1.0 - p)
+    return float(max(B.sum() + (y * (A - B))[y != 0].sum(), 0.0) / y.size)
 
 
 def dice_cost(gt_masks, pred_masks) -> float:
@@ -88,7 +99,7 @@ def dice_cost(gt_masks, pred_masks) -> float:
     p = np.asarray(pred_masks, dtype=np.float64)
     if y.shape != p.shape:
         raise ValueError(f"mask shapes differ: {y.shape} vs {p.shape}")
-    overlap = float((y * p).sum())
+    overlap = float((y * p)[y != 0].sum())
     mass = float(y.sum() + p.sum())
     return float(1.0 - (2.0 * overlap + DICE_SMOOTH) / (mass + DICE_SMOOTH))
 
@@ -103,10 +114,12 @@ def matching_cost_matrix(gt_tracks, pred_tracks, weights: LossWeights,
     ``lambda_cls * ce_cost + lambda_bce * bce_cost + lambda_dice * dice_cost``
     on that pair exactly, bit for bit, for soft masks in [0, 1].
 
-    The binary ground truth selects terms instead of multiplying them:
-    ``y*A + (1-y)*B`` is ``A + 0.0`` or ``B + 0.0`` and ``y*P`` is ``P`` or
-    ``0.0``, written into two (slots, cells) buffers allocated once per call.
-    A ground-truth entry other than 0 or 1 raises ``ValueError``.
+    A binary ground truth changes the BCE and dice sums only on its positive
+    cells. With ``A = -log(P)`` and ``B = -log(1 - P)``, row g's BCE sum is
+    each slot's sum of ``B``, taken once per call, plus ``A - B`` summed over
+    the cells where ``gt_tracks[g]`` is 1, and its dice overlap is ``P``
+    summed over those cells; ``A`` is computed on those cells alone. A
+    ground-truth entry other than 0 or 1 raises ``ValueError``.
     """
     gt_masks = [np.asarray(gt.masks) for gt in gt_tracks]
     pred_masks = [np.asarray(pred.mask_probs) for pred in pred_tracks]
@@ -139,20 +152,20 @@ def matching_cost_matrix(gt_tracks, pred_tracks, weights: LossWeights,
     inside = Y == 1.0
     if not (inside | (Y == 0.0)).all():
         raise ValueError("ground-truth mask entries must be 0 or 1")
-    # + 0.0 turns the -0.0 of -log(1) into the 0.0 that y*A + (1-y)*B gives
-    A = _neg_log(P) + 0.0
-    B = _neg_log(1.0 - P) + 0.0
+    B = _neg_log(1.0 - P)
+    b_sum = B.sum(axis=1)
 
-    # contiguous row sums keep the primitives' pairwise order; mean is sum / count
-    terms, overlaps = np.empty_like(P), np.empty_like(P)
+    # np.take, not P[:, idx]: the fancy index returns a non-C-contiguous
+    # array, whose row sums leave numpy's 1-D pairwise order and land a few
+    # ULPs away from the primitives' sums
     bce, overlap = np.empty((2, n_gt, n_slots))
     for g, y in enumerate(inside):
-        np.copyto(terms, B)
-        np.copyto(terms, A, where=y)
-        np.copyto(overlaps, 0.0)
-        np.copyto(overlaps, P, where=y)
-        np.add.reduce(terms, axis=1, out=bce[g])
-        np.add.reduce(overlaps, axis=1, out=overlap[g])
+        idx = np.flatnonzero(y)
+        P_idx = np.take(P, idx, axis=1)
+        D_idx = _neg_log(P_idx) - np.take(B, idx, axis=1)
+        bce[g] = b_sum + D_idx.sum(axis=1)
+        overlap[g] = P_idx.sum(axis=1)
+    np.maximum(bce, 0.0, out=bce)
     bce /= P.shape[1]
     mass = Y.sum(axis=1)[:, None] + P.sum(axis=1)
     dice = 1.0 - (2.0 * overlap + DICE_SMOOTH) / (mass + DICE_SMOOTH)

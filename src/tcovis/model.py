@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .rng import checked_seed
+
 PROB_SUM_TOL = 1e-9
 MASK_BINARIZE = 0.5     # a soft mask cell at or above it is foreground
 
@@ -190,7 +192,7 @@ class Corpus:
 
     def __post_init__(self):
         object.__setattr__(self, "clips", tuple(self.clips))
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "seed", checked_seed(_integer("seed", self.seed)))
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,16 @@ def _label_word(label) -> int:
     return int(label) & _MASK64
 
 
-def _words(seed, labels) -> list:
+def checked_seed(seed) -> int:
+    """`seed` as an int, or ValueError if it lies outside [0, 2**64)."""
     # refused, not folded: -1 and 2**64 - 1 would give one stream
     if not 0 <= int(seed) <= _MASK64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return [int(seed)] + [_label_word(lab) for lab in labels]
+    return int(seed)
+
+
+def _words(seed, labels) -> list:
+    return [checked_seed(seed)] + [_label_word(lab) for lab in labels]
 
 
 def stream(seed: int, *labels) -> np.random.Generator:

@@ -229,23 +229,23 @@ class TestAssign:
     # sha256 of <prefix>.json (the digest the command prints) and <prefix>.csv
     @pytest.mark.parametrize("config, strategy, json_digest, csv_digest", [
         ("small.json", "gia",
-         "f28a3dad6f834ab53460c57ad086407768b8cbadbc3e5229688fe642a8e25460",
-         "267470adb45aa367bbd013b6ba9fb06516620de1a0642d66adf7e6bec5af0e8a"),
+         "1a35279a03ae47e18ddbd43df575d8fd6333781430d182cbbcab67536a9bf010",
+         "36f39df4d4e816a2ff8342d69d585b71a0dd5a2055a3a9ddeebc7a1e46db717b"),
         ("small.json", "locpro",
-         "f4c9cd7b2ced03feefd24abb73dad47ad7c183aaacc08dfb358c1327cd75b2e2",
-         "28d8d10994a15893d504213b9ce8c818b58b33af1d452fdd6b0b9bb5ac8272ca"),
+         "229917af0eba8fd2461e7cd7e9b8d4d79de13a354a5961e85f96d5dfc5e5a1ae",
+         "81f07904525dfa2e6b049e030e3442b5cf7965c43c97e4b22fab1911d166ce63"),
         ("small.json", "both",
-         "8ab3d9e011a893cec28335969363e2a3d5bb18e13e165272ea245b471d1def0c",
-         "848e6e44fcdccdbd444869a80ef3974faf5477e5f8e852429cbcecaa1b79f3f4"),
+         "b93a68e8c6780d4084283b8107cbec62bed3fd0222df58402f5aea6869d9b9b2",
+         "b520a06c9555fd5c8fe902dec6504818d6d58e18531d895e4324f2ad6bf4485f"),
         ("swap.json", "gia",
-         "ac30f77328817bc87e2c0382249ca66d77ab227c9f0b0adc5237f2b5ed939005",
-         "5881bb4a28a3a64803261d83398a5c81acca37ad833df44217a1d043a480f9be"),
+         "8aace5f4147bb294c0c07f3a9df9ad0e5ce8ff08f006bf6c3cbdbdacea2e166c",
+         "8aaf1fe126962be12c37e2e4cad5c4f69377833c710e11c5cf09e3950f468f35"),
         ("swap.json", "locpro",
-         "779e737446b6d01b688d4324b257df6719bb983444595a17e865731c50e8c4cd",
-         "2c6fef127347b71e4e8f90476f38947885aa124103cbf8d83857e0544c36d95f"),
+         "1e113908a9e6fd5be42f8b5f406b6f4bb794cc8f3c53a12224219a00ad2d1eef",
+         "4df07b5bce1b88f09e560f599780838244f530d6784b41b9d65c517da7f7dc79"),
         ("swap.json", "both",
-         "e90944c269cf2025ebb7191f327a0f84216bf959037c925b91e01c60fc48ece5",
-         "969c0ff4023fa95237d10a43326a577a4ad94c8c10fdfba2754925a37f2af932"),
+         "1f4b2b0465186fc2d685e05512faf6f538a100f52ef2954abff26f83ad3c6366",
+         "9e7df72f96c04b566cc7b8ed9977902a387a3c407067476806791e3c275fc755"),
     ], ids=["small-gia", "small-locpro", "small-both", "swap-gia", "swap-locpro", "swap-both"])
     def test_golden_output_digests(self, tmp_path, capsys, config, strategy,
                                    json_digest, csv_digest):
@@ -367,6 +367,10 @@ class TestMalformedCorpus:
         doc["seed"] = 7.5
 
     @staticmethod
+    def negative_seed(doc):
+        doc["seed"] = -1
+
+    @staticmethod
     def fractional_rle_size(doc):
         doc["clips"][0]["gt"][1]["masks"][2]["size"][0] = 16.5
 
@@ -418,6 +422,7 @@ class TestMalformedCorpus:
         (fractional_class_id, "clip 0 gt[0] class_id must be an integer, got 1.9"),
         (boolean_class_id, "clip 0 gt[0] class_id must be an integer, got True"),
         (fractional_seed, "seed must be an integer, got 7.5"),
+        (negative_seed, ": seed must be in [0, 2**64), got -1\n"),
         (fractional_rle_size, "RLE size and counts must be integers, got 16.5"),
         (long_rle_counts, ": clip 1 gt[1] masks[3]: RLE counts sum to 257, expected 256\n"),
         (oversized_rle, ": clip 0 gt[0] masks[0]: RLE size (4096, 4096) != (16, 16)\n"),
@@ -438,7 +443,7 @@ class TestMalformedCorpus:
         (true_mask_prob, ": clip 1 pred[0] mask_probs: entries must be numbers"),
         (boolean_class_row, ": clip 0 pred[2] class_probs: entries must be numbers"),
     ], ids=["clips", "gt", "mask_probs", "pred", "slots", "class_id-float", "class_id-bool",
-            "seed-float", "rle-size-float", "rle-counts-located", "rle-size-oversized",
+            "seed-float", "seed-negative", "rle-size-float", "rle-counts-located", "rle-size-oversized",
             "mask_probs-huge-int", "class_probs-huge-int", "mask_probs-ragged", "mask_probs-empty",
             "seed-missing", "gt-missing", "masks-missing", "class_id-missing",
             "class_probs-missing", "mask_probs-missing", "class_probs-quoted", "mask_probs-true",
@@ -686,9 +691,9 @@ class TestEval:
     # sha256 of <prefix>.report.json (the digest the command prints) and <prefix>.audit.csv
     @pytest.mark.parametrize("config, report_digest, csv_digest", [
         ("small.json", "b3f9d09c0c9b2f8cb4aedf37aeecc6f61c43938307b00bd252967239599786da",
-         "c27594de7f2b3a4eda7064b5155accc9a58317735554368b500d83f69728568c"),
-        ("swap.json", "0affde88511b96a2d1cf558b0dc956428b3717b849f5db237e01aeba2639732b",
-         "f8287c2dd672d83313f5451b65b9bbf77acb02ccbbb659e53c1d2fa359f73d0e"),
+         "e755b047be0e9a66fa9e67c19a3e91e564f062785b924ace3dded5cf12b913ec"),
+        ("swap.json", "87e772c2782641eff512fd753942561f9a7ebc494d9e8bdc41c532483632b23f",
+         "1fe7d65b58cb91e82aac47c15fc740fcbd4d7916be4121db5220e0535399a59d"),
     ], ids=["small", "swap"])
     def test_golden_output_digests(self, tmp_path, capsys, config, report_digest, csv_digest):
         corpus = tmp_path / "c.json"

@@ -264,6 +264,17 @@ class TestCorpusIo:
         with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
             Corpus(spec=small_spec(), clips=(), seed=seed)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        # the range `gen` draws from: no run can record such a seed
+        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):
+            Corpus(spec=small_spec(), clips=(), seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_are_accepted(self, seed):
+        doc = corpus_to_dict(Corpus(spec=small_spec(), clips=(), seed=seed))
+        assert corpus_from_dict(doc).seed == seed
+
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="clips"):
             corpus_from_dict({"spec": small_spec().to_dict(), "seed": 0})

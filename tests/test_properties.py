@@ -157,7 +157,7 @@ def corpora(draw):
         clips.append(Clip(gt=gt, pred=tracks))
     generator = draw(st.none() | st.dictionaries(st.text(max_size=3), st.integers() | st.none(),
                                                  max_size=2))
-    return Corpus(spec=spec, clips=tuple(clips), seed=draw(st.integers(-5, 2**40)),
+    return Corpus(spec=spec, clips=tuple(clips), seed=draw(st.integers(0, 2**64 - 1)),
                   generator=generator)
 
 
