@@ -2,15 +2,18 @@
 
 ``hungarian`` solves the rectangular linear assignment problem with a
 dense shortest-augmenting-path solver that maintains dual potentials.
-It starts warm, as the start phase of Jonker & Volgenant's LAPJV does:
-each row takes its first free column at its row minimum, and only the
-rows left unmatched run a Dijkstra search. It then refines ties so the
-returned pair list is the lexicographically smallest one among all
-optimal assignments: zero-cost dummy rows square the problem, and each
-row in turn takes the smallest column that one alternating path over the
-tight edges of the optimal duals can clear for it. It is skipped when
-each row has one tight edge, its own: after the warm start alone, when
-every row's other entries exceed its minimum by more than tau.
+Rows with distinct argmins are solved from their row minima alone. Any
+other matrix starts as Jonker & Volgenant's LAPJV does: column reduction
+(square matrices only), each row taking its first free column at its
+reduced minimum, reduction transfer and two augmenting row reduction
+passes. Only the rows still unmatched run a Dijkstra search. Free
+columns end with v == 0. The solver then refines ties so the returned
+pair list is the lexicographically smallest one among all optimal
+assignments: zero-cost dummy rows square the problem, and each row in
+turn takes the smallest column that one alternating path over the tight
+edges of the optimal duals can clear for it. The refinement is skipped
+when each row has one tight edge, its own: after the distinct-argmin
+exit, when every row's other entries exceed its minimum by more than tau.
 ``brute_force_assign`` is the independent oracle: exhaustive enumeration
 under a factorial guard, with the same tie rule. Every total here is
 ``cost._pairs_total``, the one sum of a pair list.
@@ -36,33 +39,120 @@ BRUTE_FORCE_MAX_ROWS = 8
 BRUTE_FORCE_MAX_COLS = 10
 # tight-edge tolerance per unit of scale and row, in `_lexicographic_pairs`
 _TAU_FACTOR = 64.0 * np.finfo(np.float64).eps
+# bound on the largest |entry| times (cols + 1), in `_as_cost_matrix`
+_ENTRY_LIMIT = float(np.finfo(np.float64).max) / 4.0
 
 
 def _as_cost_matrix(matrix):
-    """The float64 matrix and its largest |entry| (0.0 if empty), finite only if every entry is."""
+    """The float64 matrix and its largest |entry| (0.0 if empty).
+
+    Entries must be finite and at most float64 max / (4 * (cols + 1)) in
+    magnitude. The dual potentials are sums of entries over augmenting
+    paths; past that limit they can overflow, and a reduced cost of
+    inf - inf = nan keeps a Dijkstra search from ever reaching a free column.
+    """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {a.shape}")
+    nr, nc = a.shape
     abs_max = float(np.abs(a).max()) if a.size else 0.0
     if not math.isfinite(abs_max):
         raise ValueError("cost matrix entries must be finite")
-    if a.shape[0] > a.shape[1]:
+    if nr > nc:
         raise ValueError(f"need rows <= cols, got shape {a.shape}")
+    if abs_max > _ENTRY_LIMIT / (nc + 1):
+        raise ValueError(f"cost matrix entries must be at most float64 max / (4 * (cols + 1)) "
+                         f"= {_ENTRY_LIMIT / (nc + 1):.6g} in magnitude, got {abs_max:.6g}")
     return a, abs_max
+
+
+def _lapjv_start(cost: np.ndarray, u: np.ndarray, first: np.ndarray):
+    """LAPJV's initialisation: (col4row, row4col, u, v), -1 where unmatched.
+
+    `u` and `first` are the row minima and argmins of `cost`. A square
+    matrix has its columns reduced, v = cost.min(axis=0); a rectangular one
+    keeps v = 0, as a column that ends free must hold v == 0. Each row then
+    takes its first free column at its reduced minimum. If a row is left
+    free, each matched row moves its runner-up gap into its column's v
+    (reduction transfer), and two augmenting row reduction passes place the
+    free rows. A row displaced in the first pass waits for the second, and
+    one displaced in the second for the Dijkstra search. After the column
+    reduction v only falls, and only on the columns that end matched.
+    """
+    nr, nc = cost.shape
+    v = cost.min(axis=0) if nr == nc else np.zeros(nc)
+    reduced = cost
+    column_reduced = v.any()
+    if column_reduced:
+        reduced = cost - v
+        u = reduced.min(axis=1)
+        first = reduced.argmin(axis=1)
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for r, j in enumerate(first.tolist()):
+        if row4col[j] != -1:
+            j = next((k for k in np.flatnonzero(reduced[r] == u[r]).tolist()
+                      if row4col[k] == -1), -1)
+            if j == -1:
+                continue
+        col4row[r] = j
+        row4col[j] = r
+
+    free = [r for r in range(nr) if col4row[r] == -1]
+    if not free:
+        return col4row, row4col, u, v
+
+    # reduction transfer: each matched row's runner-up becomes tight too
+    held = np.array(col4row)
+    matched = np.flatnonzero(held != -1)
+    cols = held[matched]
+    runner_up = reduced if column_reduced else cost.copy()
+    runner_up[matched, cols] = np.inf
+    v[cols] -= runner_up.min(axis=1)[matched] - u[matched]
+    del reduced, runner_up
+
+    # augmenting row reduction: a free row takes its cheapest column j1 and
+    # lowers v[j1] until its runner-up ties it; on a tie it takes the
+    # runner-up's column when j1 is held. The column's owner is displaced.
+    for _ in range(2):
+        displaced = []
+        for i in free:
+            row = cost[i] - v
+            j1 = int(row.argmin())
+            u1 = float(row[j1])
+            row[j1] = np.inf
+            j2 = int(row.argmin())
+            u2 = float(row[j2])
+            if u1 < u2:
+                v[j1] -= u2 - u1
+            elif row4col[j1] != -1:
+                j1 = j2
+            k = row4col[j1]
+            if k != -1:
+                col4row[k] = -1
+                displaced.append(k)
+            col4row[i] = j1
+            row4col[j1] = i
+        free = displaced
+
+    if column_reduced or v.any():       # else u is still the row minima
+        u = (cost - v).min(axis=1)
+    return col4row, row4col, u, v
 
 
 def _sap_solve(cost: np.ndarray):
     """Shortest-augmenting-path LAP solve for rows <= cols.
 
     Returns (col4row, u, v) where the dual potentials satisfy
-    cost[i, j] - u[i] - v[j] >= 0 with equality on matched edges, v == 0
-    on free columns and v <= 0 elsewhere.
+    cost[i, j] - u[i] - v[j] >= 0 with equality on matched edges and
+    v == 0 on free columns. When rows < cols, v <= 0 everywhere, which
+    `_lexicographic_pairs`' dummy rows need; a square solve has no free
+    column and may hold positive v from its column reduction.
 
-    It starts like Jonker & Volgenant (1987): u holds the row minima, v = 0,
-    and each row in turn takes its first free column at its minimum; only
-    the rows left unmatched run a Dijkstra search. Columns are not reduced,
-    which keeps v == 0 on free columns for `_lexicographic_pairs`. A search
-    reads a copy of v with every closed column at -inf, so a closed
+    Rows with distinct argmins keep them, with u the row minima and v = 0.
+    Any other matrix starts like Jonker & Volgenant (1987), in
+    `_lapjv_start`, and only the rows it leaves unmatched run a Dijkstra
+    search. A search reads a copy of v with every closed column at -inf, so a closed
     column's reduced distance is +inf and it never competes again; the
     dual update touches only the rows scanned and the columns closed.
 
@@ -75,20 +165,10 @@ def _sap_solve(cost: np.ndarray):
     """
     nr, nc = cost.shape
     u = cost.min(axis=1)
-    v = np.zeros(nc)
     first = cost.argmin(axis=1).astype(np.int64, copy=False)
     if len(set(first.tolist())) == nr:
-        return first, u, v          # distinct argmins: the loop below keeps them all
-    col4row = [-1] * nr
-    row4col = [-1] * nc
-    for r, j in enumerate(first.tolist()):
-        if row4col[j] != -1:
-            j = next((k for k in np.flatnonzero(cost[r] == u[r]).tolist()
-                      if row4col[k] == -1), -1)
-            if j == -1:
-                continue
-        col4row[r] = j
-        row4col[j] = r
+        return first, u, np.zeros(nc)   # distinct argmins: the start below keeps them all
+    col4row, row4col, u, v = _lapjv_start(cost, u, first)
 
     d = np.empty(nc)
     for cur_row in [r for r in range(nr) if col4row[r] == -1]:
@@ -143,9 +223,10 @@ def _adjacency(mask: np.ndarray) -> list:
 
 def _tight_edges(cost: np.ndarray, tau: float, col4row: np.ndarray,
                  u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """cost - u - v <= tau, with every matched edge. While v == 0 the duals
-    are the warm start's (a search that lowers no v leaves u too), so cost - u
-    is the reduced matrix bit for bit and each matched edge is exactly tight."""
+    """cost - u - v <= tau, with every matched edge. While v == 0, u holds
+    the row minima (no column was reduced or lowered, and a search that
+    lowers no v leaves u too), so cost - u is the reduced matrix bit for bit
+    and each matched edge is exactly tight."""
     if np.count_nonzero(v):
         tight = cost - u[:, None] - v[None, :] <= tau
         tight[np.arange(len(u)), col4row] = True   # tight up to the searches' rounding
@@ -159,10 +240,11 @@ def _lexicographic_pairs(cost: np.ndarray, abs_max: float, col4row: np.ndarray,
     read off the tight-edge graph of the optimal duals.
 
     The problem is squared with nc - nr zero-cost dummy rows that hold the
-    free columns at potential 0. `_sap_solve` leaves v == 0 on free columns
-    and v <= 0 elsewhere, so the extended duals stay feasible and every
-    perfect matching on tight edges is optimal. A dummy row is tight on
-    exactly the columns with v >= -tau. Each real row in turn then takes
+    free columns at potential 0. When nr < nc, `_sap_solve` reduces no
+    column and leaves v == 0 on free columns and v <= 0 elsewhere, so the
+    extended duals stay feasible and every perfect matching on tight edges
+    is optimal. A dummy row is tight on exactly the columns with v >= -tau.
+    A square problem has no dummy rows, and its v may be positive. Each real row in turn then takes
     its smallest tight column that one alternating path can clear: the
     path shifts the column's owner, and the owners after it, along tight
     edges until the row's old column is taken over.

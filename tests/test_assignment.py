@@ -143,6 +143,23 @@ class TestHungarian:
         with pytest.raises(ValueError, match="^cost matrix entries must be finite$"):
             solver([[0.5, 1.0, 2.0], [3.0, entry, -1.0]])
 
+    @pytest.mark.parametrize("solver", [hungarian, brute_force_assign],
+                             ids=["hungarian", "brute_force_assign"])
+    def test_rejects_entries_that_could_overflow_the_duals(self, solver):
+        # past the limit a reduced cost can read inf - inf = nan, and a
+        # Dijkstra search never reaches a free column; the check comes first
+        with pytest.raises(ValueError, match=r"^cost matrix entries must be at most "
+                                             r"float64 max / \(4 \* \(cols \+ 1\)\) = "):
+            solver([[-1e308, 1e308], [-1e308, 1e308]])
+
+    def test_entries_at_the_overflow_limit_solve(self):
+        limit = np.finfo(np.float64).max / (4 * 3)
+        matrix = np.array([[-limit, limit], [-limit, limit]])
+        a = hungarian(matrix)
+        assert agree(a, brute_force_assign(matrix)) and a.total_cost == 0.0
+        with pytest.raises(ValueError, match="at most"):
+            hungarian(np.nextafter(matrix, 2 * matrix))
+
     def test_dense_tie_graph_needs_no_deep_recursion(self):
         linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
         matrix = np.random.default_rng(0).integers(0, 2, (400, 400)).astype(float)
@@ -279,14 +296,19 @@ class TestWarmStartTightEdges:
                 * max(cost.shape[0], 4))
 
     def test_search_that_lowers_no_v(self):
-        matrix = np.array([[1.0, 1.0], [1.0, 5.0]])
+        # rectangular, so no column is reduced; every matched row's runner-up
+        # ties its minimum, so the reduction transfer moves no v either
+        matrix = np.array([[1.0, 1.0, 2.0, 3.0],
+                           [1.0, 3.0, 1.0, 3.0],
+                           [1.0, 3.0, 1.0, 2.0]])
         col4row, u, v = _sap_solve(matrix)
-        # row 1's only minimum is in row 0's column, so a search moved row 0
-        # to column 1 at distance 0: neither u nor v changed
-        assert col4row.tolist() == [1, 0]
+        # row 2's two minima are held by rows 0 and 1; the row reduction
+        # passes only trade column 2 between rows 2 and 1 at tied costs, and
+        # the search moves row 0 to column 1 at distance 0 for row 2
+        assert col4row.tolist() == [1, 2, 0]
         assert (u == matrix.min(axis=1)).all() and (v == 0.0).all()
         a = hungarian(matrix)
-        assert a.pairs == ((0, 1), (1, 0)) and a.total_cost == 2.0
+        assert a.pairs == ((0, 1), (1, 0), (2, 2)) and a.total_cost == 3.0
         assert agree(a, brute_force_assign(matrix))
 
     # whole numbers up to 8 on three rows, so tau = 64 eps * 8 * 4 = 2**-41;
@@ -296,7 +318,8 @@ class TestWarmStartTightEdges:
         "warm": ([[0, 8, 0, 5, 6],
                   [7, 3, 6, 0, 4],
                   [5, 6, 7, 2, 0]], 0, ((0, 2), (1, 3), (2, 4)), 0.0),
-        # rows 0 and 1 share their minimum column: a search lowers v[2]
+        # rows 0 and 1 share their minimum column: the row reduction lowers
+        # v[2], and the reduction transfer moves row 2's runner-up gap into v[5]
         "search": ([[8, 8, 0, 8, 1, 8],
                     [8, 8, 1, 3, 8, 8],
                     [0, 8, 8, 8, 8, 0]], 2, ((0, 4), (1, 2), (2, 5)), 2.0),
@@ -315,7 +338,13 @@ class TestWarmStartTightEdges:
         assert bool(v.any()) == (name == "search")
         tight = assignment._tight_edges(matrix, tau, col4row, u, v)
         assert np.array_equal(tight, self.full_formula(matrix, tau, col4row, u, v))
-        assert tight[row, 0] == (side <= 0)
+        if name == "warm":
+            assert tight[row, 0] == (side <= 0)
+        else:
+            # v[5] = -matrix[2, 0] makes row 2 tight on column 0 on every
+            # side; the boundary sits in the dummy rows' v >= -tau instead
+            assert col4row[row] == 5 and tight[row, 0]
+            assert (v[5] >= -tau) == (side <= 0)
 
         a, built = TestRefinementEarlyExit.solve_counting_adjacency(monkeypatch, matrix)
         assert a.pairs == pairs and a.total_cost == total
@@ -386,6 +415,12 @@ def _sap_cases():
         "permutation": 1.0 - np.eye(25)[rng.permutation(25)],
         # every row the same: the warm start matches one row only
         "constant columns": np.tile(rng.uniform(-5, 5, 30), (20, 1)),
+        # square: the columns are reduced first, so v may end positive
+        "square uniform floats": rng.uniform(0, 10, (40, 40)),
+        "square tie-heavy integers": rng.integers(0, 4, (40, 40)).astype(float),
+        "square constant": np.full((20, 20), 2.5),
+        "square 1x1": np.array([[-1.5]]),
+        "square all equal": np.full((3, 3), 7.0),
     }
 
 
@@ -397,11 +432,14 @@ class TestSapDuals:
         nr, nc = cost.shape
         tol = 1e-9 * max(1.0, float(np.abs(cost).max()))
         assert len(set(col4row.tolist())) == nr
+        assert np.isfinite(u).all() and np.isfinite(v).all()
         reduced = cost - u[:, None] - v[None, :]
         assert reduced.min() >= -tol
         assert np.abs(reduced[np.arange(nr), col4row]).max() <= tol
-        free = np.setdiff1d(np.arange(nc), col4row)
-        assert (v[free] == 0.0).all() and (v <= 0.0).all()
+        if nr < nc:
+            # what `_lexicographic_pairs`' zero-cost dummy rows rely on
+            free = np.setdiff1d(np.arange(nc), col4row)
+            assert (v[free] == 0.0).all() and (v <= 0.0).all()
         if name == "permutation":
             # no search ran: the duals are still the warm start's
             assert (u == cost.min(axis=1)).all() and (v == 0.0).all()
@@ -580,11 +618,11 @@ class TestSapGoldenDigests:
 
     @pytest.mark.parametrize("matrix, digest", [
         (lambda: np.random.default_rng(0).uniform(0, 1, (100, 120)),
-         "56941820240af236241705e933df5aa026a6d8386199a42be384e62e450f1a50"),
+         "ab9968cbc17651041f4c2801a5f4879952f761a6ae1454da5dc957f94b4d3849"),
         (lambda: np.random.default_rng(1).integers(0, 4, (100, 120)).astype(np.float64),
          "c7c0359e384de69385462a8295688c36600a83a4466b13aa41f3e6be98183ba9"),
         (lambda: np.random.default_rng(2).uniform(0, 1, (300, 300)),
-         "5f8deefe967cc3cac6ef85f10b98b93192353c874985f2ed5f3b746f9d9209a0"),
+         "68467bf85af4ae33de46b8ae376f436c6e3f6a395c9117f76167cb618e493605"),
     ], ids=["floats-100x120", "integers0..3-100x120", "floats-300x300"])
     def test_solution_bytes(self, matrix, digest):
         col4row, u, v = _sap_solve(matrix())
@@ -592,4 +630,25 @@ class TestSapGoldenDigests:
         h = hashlib.sha256()
         for part in (col4row, u, v):
             h.update(np.ascontiguousarray(part).tobytes())
+        assert h.hexdigest() == digest
+
+
+class TestHungarianGoldenDigests:
+    """The returned matchings are pinned: sha256 over `hungarian`'s pairs and
+    `total_cost.hex()` on seeded large matrices, so a change to the solver's
+    start or search that picks another optimum, or rounds the total
+    differently, shows here."""
+
+    @pytest.mark.parametrize("matrix, digest", [
+        (lambda: np.random.default_rng(0).uniform(0, 1, (300, 300)),
+         "7c4800687b1ad9240fb7b346cff488b892ee832227be09c07febaad57420641e"),
+        (lambda: np.random.default_rng(1).integers(0, 4, (300, 300)).astype(np.float64),
+         "8eebbd29311b99c63a0d647db552f85a12a7c1c1c00390a43dc841f8dd7ea5ff"),
+        (lambda: np.random.default_rng(2).integers(0, 2, (400, 400)).astype(np.float64),
+         "f2e2f9e515f51cf0a86ce319356bf4296010cb510ae99e6c14461d908da93d41"),
+    ], ids=["floats-300x300", "integers0..3-300x300", "zeros-ones-400x400"])
+    def test_pairs_and_total(self, matrix, digest):
+        a = hungarian(matrix())
+        h = hashlib.sha256(repr(a.pairs).encode())
+        h.update(a.total_cost.hex().encode())
         assert h.hexdigest() == digest
