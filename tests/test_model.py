@@ -1,17 +1,21 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tcovis.cli import main
+from tcovis.cli import _load_run_config, main
 from tcovis.model import (_FLOAT_MEMO_BUDGET, Assignment, Clip, ClipSpec, Corpus,
                           GroundTruthTrack, PredictionTrack, corpus_from_dict,
                           corpus_to_dict, decode_mask_rle, dump_json, encode_mask_rle,
                           load_corpus, save_corpus, validate, write_file)
 from tcovis.ste import init_mhca_params, init_ref_decoder_params, load_params, save_params
+from tcovis.synth import generate_corpus
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def small_spec(**overrides):
@@ -147,6 +151,55 @@ class TestValidate:
             ("pred", 2, "mask probabilities outside [0, 1]"),
         ]
 
+    def test_violations_across_clips_are_pinned(self):
+        # clips in order, then gt before pred, then tracks, then frames,
+        # with the first rule that fails in a frame reported
+        spec = small_spec(T=4)
+        cells = (spec.T, spec.h, spec.w)
+        gt0 = np.array(make_gt(spec).masks)
+        gt0[1, 0, 0] = 2
+        probs = np.array(make_pred(spec).class_probs)
+        probs[0, 0], probs[0, 1] = np.nan, -1.0      # non-finite beats negative
+        probs[1, 0] = -0.25                          # negative beats the sum
+        probs[3] *= 2.0
+        masks = np.array(make_pred(spec, seed=1).mask_probs)
+        masks[1, 0, 0], masks[1, 1, 0] = 1.5, np.inf
+        masks[3, 2, 2] = -0.5
+        clips = (
+            Clip(gt=(GroundTruthTrack(class_id=True, masks=gt0),
+                     GroundTruthTrack(class_id=1, masks=np.ones((3, spec.h, spec.w), np.uint8)),
+                     make_gt(spec, seed=2)),
+                 pred=(PredictionTrack(class_probs=probs, mask_probs=masks),
+                       PredictionTrack(class_probs=np.full((spec.T, spec.K), 0.5),
+                                       mask_probs=np.zeros((spec.T, 4, 4))),
+                       make_pred(spec, seed=3))),
+            Clip(gt=(make_gt(spec, seed=4),), pred=(make_pred(spec, seed=4),)),
+            Clip(gt=(GroundTruthTrack(class_id=0, masks=np.zeros(cells, np.uint8)),
+                     GroundTruthTrack(class_id=2, masks=np.ones((spec.T, 2, 2), np.uint8)),
+                     GroundTruthTrack(class_id=0, masks=np.ones(cells[1:], np.uint8))),
+                 pred=(make_pred(spec, seed=5),)),
+            Clip(gt=(make_gt(spec, class_id=-1, seed=6),), pred=None),
+        )
+        violations = validate(Corpus(spec=spec, clips=clips, seed=0))
+        assert [str(v) for v in violations] == [
+            "clip 0 gt[0]: class_id True not in [0, 2)",
+            "clip 0 gt[0] frame 1: mask entries not in {0, 1}",
+            "clip 0 gt[1]: mask count 3 != T=4",
+            "clip 0 pred[0] frame 0: non-finite class probability",
+            "clip 0 pred[0] frame 1: negative class probability",
+            f"clip 0 pred[0] frame 3: class probs sum to {float(probs[3].sum()):.12g}, not 1",
+            "clip 0 pred[0] frame 1: non-finite mask probability",
+            "clip 0 pred[0] frame 3: mask probabilities outside [0, 1]",
+            "clip 0 pred[1]: class_probs shape (4, 2) != (4, 3)",
+            "clip 0 pred[1]: mask_probs shape (4, 4, 4) != (4, 8, 8)",
+            "clip 2 gt[0]: all frames empty",
+            "clip 2 gt[1]: class_id 2 not in [0, 2)",
+            "clip 2 gt[1]: mask shape (2, 2) != (8, 8)",
+            "clip 2 gt[2]: mask count 8 != T=4",
+            "clip 2: 3 ground-truth tracks exceed 1 prediction slots",
+            "clip 3 gt[0]: class_id -1 not in [0, 2)",
+        ]
+
     def test_validate_is_idempotent(self):
         spec = small_spec()
         clip = Clip(gt=(make_gt(spec),), pred=(make_pred(spec),))
@@ -242,6 +295,36 @@ class TestCorpusIo:
             for b, a in zip(before.pred, after.pred):
                 assert np.array_equal(b.class_probs, a.class_probs)
                 assert np.array_equal(b.mask_probs, a.mask_probs)
+
+    @pytest.mark.parametrize("workload", ["swap-corpus", "crowded-clips"])
+    def test_round_trip_at_the_benchmark_specs(self, tmp_path, monkeypatch, workload):
+        # every loaded array is bit-equal to the saved one, of the same
+        # dtype, and read-only
+        monkeypatch.syspath_prepend(str(PERFBENCH_DIR))     # workloads imports oracle
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      PERFBENCH_DIR / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)    # for its dataclasses
+        spec.loader.exec_module(workloads)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(workloads.WORKLOADS[workload].run_config, seed=5)))
+        cfg = _load_run_config(config)
+        corpus = generate_corpus(cfg["scene"], cfg["noise"], cfg["clips"], cfg["seed"])
+        save_corpus(corpus, tmp_path / "corpus.json")
+        loaded = load_corpus(tmp_path / "corpus.json")
+        assert (loaded.spec, loaded.seed, loaded.generator) == (corpus.spec, corpus.seed,
+                                                               corpus.generator)
+        assert len(loaded.clips) == len(corpus.clips)
+        for before, after in zip(corpus.clips, loaded.clips):
+            assert [t.class_id for t in after.gt] == [t.class_id for t in before.gt]
+            assert len(after.pred) == len(before.pred)
+            pairs = [(a.masks, b.masks) for a, b in zip(after.gt, before.gt)]
+            pairs += [(getattr(a, name), getattr(b, name)) for a, b in zip(after.pred, before.pred)
+                      for name in ("class_probs", "mask_probs")]
+            for got, want in pairs:
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
 
     def test_fixed_field_names(self):
         spec = small_spec()
@@ -472,6 +555,55 @@ class TestLoaderStructure:
             parent[path[-1]] = value
         else:
             doc = value
+        with pytest.raises(ValueError, match=message):
+            corpus_from_dict(doc)
+
+    @staticmethod
+    def set_at(doc, path, value):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    @pytest.mark.parametrize("faults, message", [
+        ([(("clips", 1, "gt", 0, "masks", 0, "counts", 0), 1000),
+          (("clips", 0, "pred", 1, "class_probs", 2, 0), "0.5")],
+         r"^clip 0 pred\[1\] class_probs: entries must be numbers"),
+        ([(("clips", 0, "gt", 1, "class_id"), 1.5),
+          (("clips", 0, "gt", 0, "masks", 2, "counts", 0), -1)],
+         r"^clip 0 gt\[0\] masks\[2\]: RLE counts must be nonnegative$"),
+        ([(("clips", 0, "gt", 1, "masks", 0, "size"), [4, 4]),
+          (("clips", 0, "gt", 0, "masks", 1, "counts", 0), 1.0)],
+         r"^clip 0 gt\[0\] masks\[1\]: RLE size and counts must be integers, got 1.0$"),
+        ([(("clips", 0, "gt", 1), None),
+          (("clips", 0, "gt", 0, "masks", 2), {"size": [8, 8]})],
+         r"^clip 0 gt\[0\] masks\[2\]: malformed RLE record"),
+        ([(("clips", 0, "gt", 0, "masks", 1, "counts", 0), -1),
+          (("clips", 0, "gt", 0, "masks", 1, "size", 0), 8.0)],
+         r"^clip 0 gt\[0\] masks\[1\]: RLE size and counts must be integers, got 8.0$"),
+        ([(("clips", 0, "pred", 1, "class_probs", 0), [0.5]),
+          (("clips", 0, "pred", 0, "mask_probs", 1, 3), True)],
+         r"^clip 0 pred\[0\] mask_probs: entries must be numbers"),
+        ([(("clips", 0, "pred", 0, "mask_probs", 2, 0), "x"),
+          (("clips", 0, "pred", 0, "class_probs", 1, 1), False)],
+         r"^clip 0 pred\[0\] class_probs: entries must be numbers"),
+        ([(("clips", 1, "pred", 1, "mask_probs"), [[0.5] * 64 + [True]] * 3)],
+         r"^clip 1 pred\[1\] mask_probs: entries must be numbers"),
+        ([(("clips", 1, "pred", 1, "mask_probs"), [[0.5] * 65] * 3)],
+         r"^clip 1 pred\[1\] mask_probs: cannot reshape array of size 195 into shape"),
+        ([(("clips", 0, "pred", 1), 7),
+          (("clips", 0, "pred", 0, "mask_probs", 0, 0), None)],
+         r"^clip 0 pred\[0\] mask_probs: entries must be numbers"),
+        ([(("clips", 1, "pred"), 3),
+          (("clips", 1, "gt", 1, "masks", 2, "counts"), [63])],
+         r"^clip 1 gt\[1\] masks\[2\]: RLE counts sum to 63, expected 64$"),
+    ], ids=["pred-before-later-gt", "rle-before-later-class_id", "rle-before-later-size",
+            "rle-before-later-track", "size-rule-first", "bool-before-later-ragged",
+            "bool-before-later-string", "bool-before-shape", "shape", "pack-before-later-track",
+            "gt-before-pred"])
+    def test_first_fault_in_document_order(self, faults, message):
+        doc = self.valid_doc()
+        for path, value in faults:
+            self.set_at(doc, path, value)
         with pytest.raises(ValueError, match=message):
             corpus_from_dict(doc)
 
