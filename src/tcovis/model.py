@@ -7,7 +7,8 @@ Prediction tracks carry per-frame class-probability vectors of length K+1
 (index K is the no-object class) and soft masks with entries in [0, 1].
 
 Every type is immutable after construction (arrays are copied and marked
-read-only), so instances can be shared freely across threads. Invariant
+read-only; the loader's tracks are read-only views of one array per clip
+instead), so instances can be shared freely across threads. Invariant
 checking is deliberately kept out of the constructors: corpora loaded from
 disk may be malformed, and :func:`validate` reports violations as data.
 """
@@ -21,8 +22,9 @@ import numbers
 import operator
 import os
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +137,13 @@ class GroundTruthTrack:
     def __post_init__(self):
         object.__setattr__(self, "masks", _frozen(self.masks))
 
+    @classmethod
+    def _of(cls, class_id: int, masks: np.ndarray) -> GroundTruthTrack:
+        """An int and a read-only uint8 array, kept as given: the loader's views."""
+        self = object.__new__(cls)
+        self.__dict__.update(class_id=class_id, masks=masks)
+        return self
+
 
 @dataclass(frozen=True)
 class PredictionTrack:
@@ -146,6 +155,13 @@ class PredictionTrack:
     def __post_init__(self):
         object.__setattr__(self, "class_probs", _frozen(self.class_probs, np.float64))
         object.__setattr__(self, "mask_probs", _frozen(self.mask_probs, np.float64))
+
+    @classmethod
+    def _of(cls, class_probs: np.ndarray, mask_probs: np.ndarray) -> PredictionTrack:
+        """Two read-only float64 arrays, kept as given: the loader's views."""
+        self = object.__new__(cls)
+        self.__dict__.update(class_probs=class_probs, mask_probs=mask_probs)
+        return self
 
 
 @dataclass(frozen=True)
@@ -193,6 +209,8 @@ class Corpus:
     def __post_init__(self):
         object.__setattr__(self, "clips", tuple(self.clips))
         object.__setattr__(self, "seed", checked_seed(_integer("seed", self.seed)))
+        if self.generator is not None:
+            _need(self.generator, dict, "generator")
 
 
 @dataclass(frozen=True)
@@ -214,79 +232,108 @@ class Violation:
         return f"{where}: {self.rule}"
 
 
-def _check_gt(spec: ClipSpec, ci: int, ti: int, track: GroundTruthTrack, out: list):
-    masks = np.asarray(track.masks)
-    cid = track.class_id    # the loader's integer rule: a bool is no class id
-    if isinstance(cid, bool) or not isinstance(cid, (int, np.integer)) or not 0 <= cid < spec.K:
-        out.append(Violation(ci, "gt", ti, None,
-                             f"class_id {cid!r} not in [0, {spec.K})"))
-    if masks.ndim != 3 or masks.shape[0] != spec.T:
-        count = masks.shape[0] if masks.ndim >= 1 else 0
-        out.append(Violation(ci, "gt", ti, None, f"mask count {count} != T={spec.T}"))
-        return
-    if masks.shape[1:] != (spec.h, spec.w):
-        out.append(Violation(ci, "gt", ti, None,
-                             f"mask shape {masks.shape[1:]} != ({spec.h}, {spec.w})"))
-        return
-    binary = ((masks == 0) | (masks == 1)).reshape(spec.T, -1).all(axis=1)
-    for t in np.flatnonzero(~binary).tolist():
-        out.append(Violation(ci, "gt", ti, t, "mask entries not in {0, 1}"))
-    if not masks.any():
-        out.append(Violation(ci, "gt", ti, None, "all frames empty"))
+def _frame_faults(arrays: list, shape: tuple, rule) -> dict:
+    """{index: faults} for each of `arrays` with something to report: None if
+    its shape is not `shape`, else the (frame, rule text) pairs, in order,
+    that `rule` yields for it. `rule` runs once, over the stacked arrays of
+    `shape`, and yields (stack index, frame, rule text) in stack order."""
+    faults = {i: None for i, a in enumerate(arrays) if a.shape != shape}
+    fits = [i for i in range(len(arrays)) if i not in faults]
+    if fits:
+        for j, t, text in rule(np.stack([arrays[i] for i in fits])):
+            faults.setdefault(fits[j], []).append((t, text))
+    return faults
 
 
-def _check_pred(spec: ClipSpec, ci: int, ti: int, track: PredictionTrack, out: list):
-    probs = np.asarray(track.class_probs)
-    masks = np.asarray(track.mask_probs)
-    if probs.shape != (spec.T, spec.K + 1):
-        out.append(Violation(ci, "pred", ti, None,
-                             f"class_probs shape {probs.shape} != ({spec.T}, {spec.K + 1})"))
-    else:
-        # each rule once over all frames; within a frame the first rule
-        # that fails is the one reported. Only finite rows reach the sum
-        # rule, so the others are zeroed rather than summed (inf - inf).
-        finite = np.isfinite(probs).all(axis=1)
-        negative = (probs < 0).any(axis=1)
-        sums = np.where(finite[:, None], probs, 0.0).sum(axis=1)
-        off_sum = np.abs(sums - 1.0) > PROB_SUM_TOL
-        for t in np.flatnonzero(~finite | negative | off_sum).tolist():
-            if not finite[t]:
-                out.append(Violation(ci, "pred", ti, t, "non-finite class probability"))
-            elif negative[t]:
-                out.append(Violation(ci, "pred", ti, t, "negative class probability"))
+def _binary_frames(masks: np.ndarray):
+    binary = ((masks == 0) | (masks == 1)).reshape(masks.shape[:2] + (-1,)).all(axis=2)
+    for j, t in np.argwhere(~binary).tolist():
+        yield j, t, "mask entries not in {0, 1}"
+    for j in np.flatnonzero(~masks.reshape(len(masks), -1).any(axis=1)).tolist():
+        yield j, None, "all frames empty"
+
+
+def _class_frames(probs: np.ndarray):
+    # within a frame the first rule that fails is the one reported. Only
+    # finite rows reach the sum rule, so the others are zeroed rather than
+    # summed (inf - inf).
+    finite = np.isfinite(probs).all(axis=2)
+    negative = (probs < 0).any(axis=2)
+    sums = np.where(finite[..., None], probs, 0.0).sum(axis=2)
+    off_sum = np.abs(sums - 1.0) > PROB_SUM_TOL
+    for j, t in np.argwhere(~finite | negative | off_sum).tolist():
+        if not finite[j, t]:
+            yield j, t, "non-finite class probability"
+        elif negative[j, t]:
+            yield j, t, "negative class probability"
+        else:
+            yield j, t, f"class probs sum to {float(sums[j, t]):.12g}, not 1"
+
+
+def _mask_frames(masks: np.ndarray):
+    frames = masks.reshape(masks.shape[:2] + (-1,))
+    finite = np.isfinite(frames).all(axis=2)
+    outside = ((frames < 0) | (frames > 1)).any(axis=2)
+    for j, t in np.argwhere(~finite | outside).tolist():
+        if not finite[j, t]:
+            yield j, t, "non-finite mask probability"
+        else:
+            yield j, t, "mask probabilities outside [0, 1]"
+
+
+def _check_gt(spec: ClipSpec, ci: int, tracks: tuple, out: list):
+    faults = _frame_faults([t.masks for t in tracks], (spec.T, spec.h, spec.w), _binary_frames)
+    for ti, track in enumerate(tracks):
+        cid = track.class_id    # the loader's integer rule: a bool is no class id
+        if (isinstance(cid, bool) or not isinstance(cid, (int, np.integer))
+                or not 0 <= cid < spec.K):
+            out.append(Violation(ci, "gt", ti, None, f"class_id {cid!r} not in [0, {spec.K})"))
+        if ti not in faults:
+            continue
+        masks = track.masks
+        if faults[ti] is not None:
+            out.extend(Violation(ci, "gt", ti, t, rule) for t, rule in faults[ti])
+        elif masks.ndim != 3 or masks.shape[0] != spec.T:
+            count = masks.shape[0] if masks.ndim >= 1 else 0
+            out.append(Violation(ci, "gt", ti, None, f"mask count {count} != T={spec.T}"))
+        else:
+            out.append(Violation(ci, "gt", ti, None,
+                                 f"mask shape {masks.shape[1:]} != ({spec.h}, {spec.w})"))
+
+
+def _check_pred(spec: ClipSpec, ci: int, tracks: tuple, out: list):
+    fields = (("class_probs", (spec.T, spec.K + 1), _class_frames),
+              ("mask_probs", (spec.T, spec.h, spec.w), _mask_frames))
+    faults = [_frame_faults([getattr(t, name) for t in tracks], shape, rule)
+              for name, shape, rule in fields]
+    for ti in sorted(faults[0].keys() | faults[1].keys()):
+        for (name, shape, _), found in zip(fields, faults):
+            if ti not in found:
+                continue
+            if found[ti] is None:
+                out.append(Violation(ci, "pred", ti, None, f"{name} shape "
+                                     f"{getattr(tracks[ti], name).shape} != {shape}"))
             else:
-                out.append(Violation(ci, "pred", ti, t,
-                                     f"class probs sum to {float(sums[t]):.12g}, not 1"))
-    if masks.shape != (spec.T, spec.h, spec.w):
-        out.append(Violation(ci, "pred", ti, None,
-                             f"mask_probs shape {masks.shape} != ({spec.T}, {spec.h}, {spec.w})"))
-    else:
-        frames = masks.reshape(spec.T, -1)
-        finite = np.isfinite(frames).all(axis=1)
-        outside = ((frames < 0) | (frames > 1)).any(axis=1)
-        for t in np.flatnonzero(~finite | outside).tolist():
-            if not finite[t]:
-                out.append(Violation(ci, "pred", ti, t, "non-finite mask probability"))
-            else:
-                out.append(Violation(ci, "pred", ti, t, "mask probabilities outside [0, 1]"))
+                out.extend(Violation(ci, "pred", ti, t, rule) for t, rule in found[ti])
 
 
 def validate(corpus: Corpus) -> list:
     """Check every type invariant; return the (possibly empty) violation list.
 
-    Pure and idempotent: violations are data, not failures.
+    Pure and idempotent: violations are data, not failures. Each rule runs
+    once per clip, over the stacked arrays of the tracks whose shapes
+    conform; violations come clip by clip, ground truth before
+    predictions, then track by track and frame by frame.
     """
     out: list = []
     for ci, clip in enumerate(corpus.clips):
-        for ti, track in enumerate(clip.gt):
-            _check_gt(corpus.spec, ci, ti, track, out)
+        _check_gt(corpus.spec, ci, clip.gt, out)
         if clip.pred is not None:
             if len(clip.gt) > len(clip.pred):
                 out.append(Violation(ci, "gt", None, None,
                                      f"{len(clip.gt)} ground-truth tracks exceed "
                                      f"{len(clip.pred)} prediction slots"))
-            for ti, track in enumerate(clip.pred):
-                _check_pred(corpus.spec, ci, ti, track, out)
+            _check_pred(corpus.spec, ci, clip.pred, out)
     return out
 
 
@@ -323,10 +370,13 @@ def _rle_size(record) -> tuple:
     return h, w
 
 
-def decode_mask_rle(record: dict) -> np.ndarray:
-    """Decode an RLE record back to a binary h x w uint8 mask. Size and
-    counts must be JSON integers (`int`, not `bool` or `float`)."""
-    h, w = _rle_size(record)
+def _rle_counts(record, size: tuple) -> list:
+    """The run lengths of one RLE record of grid `size`, or a ValueError
+    naming the first rule the record breaks: its size is two integers equal
+    to `size`, and its counts are integers, nonnegative, summing to h*w."""
+    found = _rle_size(record)
+    if found != size:
+        raise ValueError(f"RLE size {found} != {size}")
     try:
         counts = list(record["counts"])
     except (KeyError, TypeError, ValueError):
@@ -337,11 +387,70 @@ def decode_mask_rle(record: dict) -> np.ndarray:
     if any(c < 0 for c in counts):
         raise ValueError("RLE counts must be nonnegative")
     total = sum(counts)
-    if total != h * w:
-        raise ValueError(f"RLE counts sum to {total}, expected {h * w}")
-    # runs alternate 0, 1, 0, ...: run i holds the value i & 1
-    flat = np.repeat(np.arange(len(counts), dtype=np.uint8) & 1, counts)
-    return flat.reshape((h, w), order="F")
+    if total != found[0] * found[1]:
+        raise ValueError(f"RLE counts sum to {total}, expected {found[0] * found[1]}")
+    return counts
+
+
+def _joined_runs(runs: list) -> list:
+    """The records' run lengths in one list, each record's padded to an even
+    count with a zero-length 1-run, so that run i holds the value i & 1."""
+    joined = []
+    for run in runs:
+        joined += run
+        if len(run) & 1:
+            joined.append(0)
+    return joined
+
+
+def _checked_runs(records: list, size: tuple):
+    """`_joined_runs` of the records' counts if every record keeps the rules
+    of `_rle_counts`, checked over all records at once; else None."""
+    try:
+        runs = [r["counts"] for r in records]
+        sizes = [r["size"] for r in records]
+    except (KeyError, TypeError):
+        return None
+    if not set(map(type, runs)) <= {list} or sizes.count(list(size)) != len(sizes):
+        return None
+    joined = _joined_runs(runs)
+    if (not set(map(type, chain(joined, *sizes))) <= {int} or min(joined, default=0) < 0
+            or list(map(sum, runs)) != [size[0] * size[1]] * len(runs)):
+        return None
+    return joined
+
+
+def _rle_masks(records: list, size: tuple, name=None) -> np.ndarray:
+    """RLE `records` of grid `size` decoded into one C-contiguous uint8
+    ``(len(records), h, w)`` array by a single ``np.repeat``.
+
+    The rules of `_rle_counts` are checked over all records at once. If a
+    record breaks one, the records are checked one by one in order, and
+    the first at fault raises its ValueError, prefixed with ``name(i)``
+    when `name` is given. Sizes are checked before any array is allocated.
+    """
+    joined = _checked_runs(records, size)
+    if joined is None:
+        runs = []
+        for i, record in enumerate(records):
+            try:
+                runs.append(_rle_counts(record, size))
+            except ValueError as exc:
+                if name is None:
+                    raise
+                raise ValueError(f"{name(i)}: {exc}") from None
+        joined = _joined_runs(runs)
+    values = np.arange(len(joined), dtype=np.uint8) & 1
+    cells = np.repeat(values, np.array(joined, dtype=np.int64))
+    # each record is column-major
+    cells = cells.reshape(len(records), size[1], size[0]).transpose(0, 2, 1)
+    return np.ascontiguousarray(cells)
+
+
+def decode_mask_rle(record: dict) -> np.ndarray:
+    """Decode an RLE record back to a binary h x w uint8 mask. Size and
+    counts must be JSON integers (`int`, not `bool` or `float`)."""
+    return _rle_masks([record], _rle_size(record))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,82 +511,139 @@ def _checked_section(name: str, data, known: set, required=()) -> dict:
     return data
 
 
-def _decoded(record, where: str, spec: ClipSpec) -> np.ndarray:
-    """`decode_mask_rle` of a record whose size, checked before any array is
-    allocated, must be the spec's; its error is prefixed with `where`."""
-    try:
-        if (found := _rle_size(record)) != (spec.h, spec.w):
-            raise ValueError(f"RLE size {found} != {(spec.h, spec.w)}")
-        return decode_mask_rle(record)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-
-
 _NOT_NUMBERS = "entries must be numbers within the float64 range"
 
 
-def _float_array(rows: list, where: str, shape=None) -> np.ndarray:
-    """`rows`, a list of equally long lists of JSON numbers, as a float64
-    array of `shape`, by default ``(len(rows), width)``; anything else, or
-    an entry count that does not fill `shape`, raises ValueError naming
-    `where`. numpy reads a JSON string or boolean as a number, so the rows
-    are packed as C doubles instead: that refuses a string, a null, a list,
-    an object and an integer beyond float64. A boolean packs as 0 or 1, so
-    only the rows holding a 0 or a 1 are scanned for one."""
-    try:
-        widths = set(map(len, rows))
-        if len(widths) > 1:
-            raise ValueError(f"rows differ in length: {sorted(widths)}")
-        width = widths.pop() if widths else 0
-        arr = np.empty((len(rows), width))
+def _first_boolean(fields: list, widths: list, packed: np.ndarray):
+    """The index of the first of `fields` whose rows hold a boolean, or
+    None; `packed` holds their rows, `widths` long each, one after another.
+    A boolean packs as 0 or 1, so only the rows holding a 0 or a 1 are
+    scanned."""
+    hits = np.flatnonzero((packed == 0) | (packed == 1))
+    if not hits.size:
+        return None
+    counts = [len(rows) for rows, _, _ in fields]
+    row_ends = np.cumsum(np.repeat(widths, counts))
+    rows = list(chain.from_iterable(rows for rows, _, _ in fields))
+    for r in np.unique(np.searchsorted(row_ends, hits, "right")).tolist():
+        if bool in map(type, rows[r]):
+            return int(np.searchsorted(np.cumsum(counts), r, "right"))
+    return None
+
+
+def _float_array(fields: list) -> list:
+    """For each ``(rows, where, shape)`` of `fields`, `rows` a list of equally
+    long lists of JSON numbers, a read-only float64 array of `shape`, by
+    default ``(len(rows), width)``: views, in order, of one buffer.
+
+    Anything else, or an entry count that does not fill `shape`, raises
+    ValueError naming the `where` of the first field at fault, the fault a
+    field-by-field read would meet first. numpy reads a JSON string or
+    boolean as a number, so each field's rows are packed as C doubles, by
+    one ``struct.pack_into`` at the field's offset: that refuses a string,
+    a null, a list, an object and an integer beyond float64. A boolean
+    packs as 0 or 1; the buffer is scanned for one once (`_first_boolean`).
+    """
+    widths, fault = [], None
+    for rows, where, _ in fields:
         try:
-            struct.pack_into(f"{arr.size}d", arr, 0, *chain.from_iterable(rows))
+            found = set(map(len, rows))
+            if len(found) > 1:
+                raise ValueError(f"rows differ in length: {sorted(found)}")
+        except (TypeError, ValueError) as exc:
+            fault = ValueError(f"{where}: {exc}")
+            break
+        widths.append(found.pop() if found else 0)
+    n = len(widths)     # the fields read so far, fault or not
+    sizes = [len(rows) * width for (rows, _, _), width in zip(fields, widths)]
+    starts = [0, *accumulate(sizes)]
+    buf = np.empty(starts[-1])
+    for k in range(n):
+        entries = chain.from_iterable(fields[k][0])
+        try:
+            struct.pack_into(f"{sizes[k]}d", buf, 8 * starts[k], *entries)
         except struct.error:
-            raise ValueError(_NOT_NUMBERS) from None
-        hits = (arr == 0) | (arr == 1)
-        if np.count_nonzero(hits) and any(bool in map(type, rows[i]) for i in
-                                          np.flatnonzero(hits.any(axis=1)).tolist()):
-            raise ValueError(_NOT_NUMBERS)
-        return arr if shape is None else arr.reshape(shape)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from None
+            n, fault = k, ValueError(f"{fields[k][1]}: {_NOT_NUMBERS}")
+            break
+    buf.setflags(write=False)
+    arrays = []
+    for k in range(n):
+        rows, where, shape = fields[k]
+        try:
+            arrays.append(buf[starts[k]:starts[k + 1]].reshape(
+                (len(rows), widths[k]) if shape is None else shape))
+        except (TypeError, ValueError) as exc:   # within the field, a boolean comes first
+            n, fault = k + 1, ValueError(f"{where}: {exc}")
+            break
+    k = _first_boolean(fields[:n], widths[:n], buf[:starts[n]])
+    if k is not None:
+        raise ValueError(f"{fields[k][1]}: {_NOT_NUMBERS}")
+    if fault is not None:
+        raise fault
+    return arrays
+
+
+def _gt_tracks(records: list, ci: int, spec: ClipSpec) -> tuple:
+    """Clip `ci`'s ground-truth records as tracks, their masks read-only
+    views of one array that `_rle_masks` decodes from all their RLE records."""
+    class_ids, masks, ends = [], [], []
+
+    def name(i: int) -> str:    # mask record i of the clip
+        ti = bisect_right(ends, i)
+        return f"clip {ci} gt[{ti}] masks[{i - (ends[ti - 1] if ti else 0)}]"
+
+    for ti, rec in enumerate(records):
+        where = f"clip {ci} gt[{ti}]"
+        try:
+            _checked_section(where, rec, {"class_id", "masks"})
+            masks += _need(_field(rec, "masks", where), list, f"{where} masks")
+            class_ids.append(_integer(f"{where} class_id", _field(rec, "class_id", where)))
+        except ValueError:
+            del masks[ends[-1] if ends else 0:]
+            _rle_masks(masks, (spec.h, spec.w), name)     # an earlier track's fault comes first
+            raise
+        ends.append(len(masks))
+    cells = _rle_masks(masks, (spec.h, spec.w), name)
+    cells.setflags(write=False)
+    return tuple(GroundTruthTrack._of(c, cells[a:b])
+                 for c, a, b in zip(class_ids, [0, *ends], ends))
+
+
+def _pred_tracks(records: list, ci: int, spec: ClipSpec) -> tuple:
+    """Clip `ci`'s prediction records as tracks, their arrays read-only
+    views of one buffer that `_float_array` packs."""
+    fields = []
+    for ti, rec in enumerate(records):
+        where = f"clip {ci} pred[{ti}]"
+        try:
+            _checked_section(where, rec, {"class_probs", "mask_probs"})
+            probs = _need(_field(rec, "class_probs", where), list, f"{where} class_probs")
+            rows = _need(_field(rec, "mask_probs", where), list, f"{where} mask_probs")
+        except ValueError:
+            _float_array(fields)    # an earlier track's fault comes first
+            raise
+        fields += [(probs, f"{where} class_probs", None),
+                   (rows, f"{where} mask_probs", (len(rows), spec.h, spec.w))]
+    arrays = _float_array(fields)
+    return tuple(PredictionTrack._of(p, m) for p, m in zip(arrays[::2], arrays[1::2]))
 
 
 def corpus_from_dict(doc: dict) -> Corpus:
-    """Build a Corpus from a loaded document. A wrong container type, per
-    clip and per track, raises ValueError naming the field; the values
-    themselves are left to :func:`validate`."""
-    _need(doc, dict, "corpus document")
+    """Build a Corpus from a loaded document, one clip at a time. An unknown
+    key, a missing field or a wrong container type raises ValueError naming
+    the field, the first in document order; the values themselves are left
+    to :func:`validate`."""
+    _checked_section("corpus document", doc, {"spec", "seed", "clips", "generator"})
     spec, seed, entries = (_field(doc, k, "corpus document") for k in ("spec", "seed", "clips"))
-    spec = ClipSpec.from_dict(_need(spec, dict, "spec"))
+    spec = ClipSpec.from_dict(_checked_section("spec", spec, set(field_names(ClipSpec))))
+    generator = _need(doc["generator"], dict, "generator") if "generator" in doc else None
     clips = []
     for ci, entry in enumerate(_need(entries, list, "clips")):
-        _need(entry, dict, f"clip {ci}")
-        gt = []
-        for ti, rec in enumerate(_need(_field(entry, "gt", f"clip {ci}"), list, f"clip {ci} gt")):
-            where = f"clip {ci} gt[{ti}]"
-            _need(rec, dict, where)
-            masks = _need(_field(rec, "masks", where), list, f"{where} masks")
-            class_id = _integer(f"{where} class_id", _field(rec, "class_id", where))
-            gt.append(GroundTruthTrack(class_id=class_id,
-                                       masks=np.stack([_decoded(r, f"{where} masks[{k}]", spec)
-                                                       for k, r in enumerate(masks)])))
+        _checked_section(f"clip {ci}", entry, {"gt", "pred"})
+        gt = _gt_tracks(_need(_field(entry, "gt", f"clip {ci}"), list, f"clip {ci} gt"), ci, spec)
         pred = _need(entry.get("pred"), (list, type(None)), f"clip {ci} pred")
-        if pred is not None:
-            tracks = []
-            for ti, rec in enumerate(pred):
-                where = f"clip {ci} pred[{ti}]"
-                _need(rec, dict, where)
-                probs = _need(_field(rec, "class_probs", where), list, f"{where} class_probs")
-                rows = _need(_field(rec, "mask_probs", where), list, f"{where} mask_probs")
-                # held in locals until the next track's replace them: freeing each
-                # array once copied fragmented the heap (+2.6% peak RSS on swap-corpus)
-                probs = _float_array(probs, f"{where} class_probs")
-                frames = _float_array(rows, f"{where} mask_probs", (len(rows), spec.h, spec.w))
-                tracks.append(PredictionTrack(class_probs=probs, mask_probs=frames))
-            pred = tuple(tracks)
-        clips.append(Clip(gt=tuple(gt), pred=pred))
-    return Corpus(spec=spec, clips=tuple(clips), seed=seed, generator=doc.get("generator"))
+        clips.append(Clip(gt=gt, pred=None if pred is None else _pred_tracks(pred, ci, spec)))
+    return Corpus(spec=spec, clips=tuple(clips), seed=seed, generator=generator)
 
 
 # The canonical encoder, also for the pieces the corpus writer streams.

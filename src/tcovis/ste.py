@@ -394,7 +394,8 @@ def _from_json(kind, doc, name: str):
              for n in _need(_field(doc, "shape", name), list, f"{name} shape")]
     if min(shape, default=0) < 0:
         raise ValueError(f"{name} shape must not be negative, got {shape}")
-    return _float_array([_need(_field(doc, "data", name), list, f"{name} data")], name, shape)
+    data = _need(_field(doc, "data", name), list, f"{name} data")
+    return _float_array([([data], name, shape)])[0]
 
 
 def params_to_dict(decoder: RefDecoderParams, mhca: MhcaParams | None = None) -> dict:

@@ -328,6 +328,16 @@ def without(*path):
     return mutate
 
 
+def setting(*path, value):
+    """A corpus mutation that sets the key at `path` to `value`, adding it if
+    it is not there."""
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
 class TestMalformedCorpus:
     """Malformed corpora exit 1 with a named reason from both corpus
     subcommands, never a traceback."""
@@ -442,12 +452,24 @@ class TestMalformedCorpus:
         (quoted_class_prob, ": clip 0 pred[1] class_probs: entries must be numbers"),
         (true_mask_prob, ": clip 1 pred[0] mask_probs: entries must be numbers"),
         (boolean_class_row, ": clip 0 pred[2] class_probs: entries must be numbers"),
+        (setting("clips", 0, "gt", 0, "masks", value=[]),
+         ": corpus failed validation: clip 0 gt[0]: mask count 0 != T=6\n"),
+        (setting("extra", value=1), ": unknown field 'extra' in corpus document\n"),
+        (setting("spec", "T2", value=6), ": unknown field 'T2' in spec\n"),
+        (setting("clips", 1, "note", value=""), ": unknown field 'note' in clip 1\n"),
+        (setting("clips", 0, "gt", 1, "score", value=0.5),
+         ": unknown field 'score' in clip 0 gt[1]\n"),
+        (setting("clips", 1, "pred", 2, "boxes", value=[]),
+         ": unknown field 'boxes' in clip 1 pred[2]\n"),
+        (setting("generator", value=[1]), ": generator must be an object, got list\n"),
+        (setting("generator", value=None), ": generator must be an object, got NoneType\n"),
     ], ids=["clips", "gt", "mask_probs", "pred", "slots", "class_id-float", "class_id-bool",
             "seed-float", "seed-negative", "rle-size-float", "rle-counts-located", "rle-size-oversized",
             "mask_probs-huge-int", "class_probs-huge-int", "mask_probs-ragged", "mask_probs-empty",
             "seed-missing", "gt-missing", "masks-missing", "class_id-missing",
             "class_probs-missing", "mask_probs-missing", "class_probs-quoted", "mask_probs-true",
-            "class_probs-boolean-row"])
+            "class_probs-boolean-row", "masks-empty", "unknown-top", "unknown-spec",
+            "unknown-clip", "unknown-gt", "unknown-pred", "generator-list", "generator-null"])
     def test_exits_one_with_reason(self, tmp_path, capsys, command, mutate, reason):
         corpus = gen_corpus(tmp_path, clips=2)
         doc = json.loads(corpus.read_text())

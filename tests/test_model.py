@@ -299,7 +299,7 @@ class TestCorpusIo:
     @pytest.mark.parametrize("workload", ["swap-corpus", "crowded-clips"])
     def test_round_trip_at_the_benchmark_specs(self, tmp_path, monkeypatch, workload):
         # every loaded array is bit-equal to the saved one, of the same
-        # dtype, and read-only
+        # dtype, C-contiguous and read-only
         monkeypatch.syspath_prepend(str(PERFBENCH_DIR))     # workloads imports oracle
         spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                       PERFBENCH_DIR / "workloads.py")
@@ -324,7 +324,7 @@ class TestCorpusIo:
             for got, want in pairs:
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
                 assert got.tobytes() == want.tobytes()
-                assert not got.flags.writeable
+                assert got.flags.c_contiguous and not got.flags.writeable
 
     def test_fixed_field_names(self):
         spec = small_spec()
@@ -352,6 +352,11 @@ class TestCorpusIo:
         # the range `gen` draws from: no run can record such a seed
         with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):
             Corpus(spec=small_spec(), clips=(), seed=seed)
+
+    @pytest.mark.parametrize("generator", [[1], "x", 3])
+    def test_generator_must_be_an_object(self, generator):
+        with pytest.raises(ValueError, match="generator must be an object"):
+            Corpus(spec=small_spec(), clips=(), seed=0, generator=generator)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_seed_range_ends_are_accepted(self, seed):

@@ -397,7 +397,7 @@ def test_string_or_boolean_probability_exits_one(path, value, command):
     max_size=4)))
 def test_probability_rows_read_like_numpy(rows):
     # numpy's own float64 conversion is the oracle for rows of numbers
-    ours = _float_array(rows, "rows")
+    ours, = _float_array([(rows, "rows", None)])
     assert ours.shape == (len(rows), len(rows[0]) if rows else 0)
     assert ours.tobytes() == np.asarray(rows, dtype=np.float64).tobytes()
 
