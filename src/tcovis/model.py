@@ -525,7 +525,8 @@ def _first_boolean(fields: list, widths: list, packed: np.ndarray):
     counts = [len(rows) for rows, _, _ in fields]
     row_ends = np.cumsum(np.repeat(widths, counts))
     rows = list(chain.from_iterable(rows for rows, _, _ in fields))
-    for r in np.unique(np.searchsorted(row_ends, hits, "right")).tolist():
+    hit_rows = np.searchsorted(row_ends, hits, "right")     # ascending
+    for r in hit_rows[np.diff(hit_rows, prepend=-1) > 0].tolist():
         if bool in map(type, rows[r]):
             return int(np.searchsorted(np.cumsum(counts), r, "right"))
     return None

@@ -17,6 +17,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -400,6 +401,29 @@ def test_probability_rows_read_like_numpy(rows):
     ours, = _float_array([(rows, "rows", None)])
     assert ours.shape == (len(rows), len(rows[0]) if rows else 0)
     assert ours.tobytes() == np.asarray(rows, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 3).flatmap(lambda width: st.lists(
+    st.lists(st.sampled_from([0.0, 1.0, 0.5, 0, 1, True, False]), min_size=width,
+             max_size=width), max_size=3)), max_size=5))
+def test_fields_packed_together_read_one_by_one(fields):
+    # one buffer for all fields, zero-width rows included: a boolean is
+    # named by its field, the first in order; otherwise each view equals
+    # numpy's conversion of its own rows
+    named = [(rows, f"field {k}", None) for k, rows in enumerate(fields)]
+    with_bool = [k for k, rows in enumerate(fields)
+                 if any(type(v) is bool for row in rows for v in row)]
+    if with_bool:
+        with pytest.raises(ValueError, match=f"^field {with_bool[0]}: entries must be numbers"):
+            _float_array(named)
+        return
+    arrays = _float_array(named)
+    assert len(arrays) == len(fields)
+    for rows, got in zip(fields, arrays):
+        assert got.shape == (len(rows), len(rows[0]) if rows else 0)
+        assert got.tobytes() == np.asarray(rows, dtype=np.float64).tobytes()
+        assert not got.flags.writeable
 
 
 # -- parameter bundles ---------------------------------------------------------
