@@ -633,13 +633,19 @@ def corpus_from_dict(doc: dict) -> Corpus:
     """Build a Corpus from a loaded document, one clip at a time. An unknown
     key, a missing field or a wrong container type raises ValueError naming
     the field, the first in document order; the values themselves are left
-    to :func:`validate`."""
+    to :func:`validate`.
+
+    The document is taken over: each entry of ``doc["clips"]`` is replaced
+    by None as its clip is read, so a clip's JSON is freed once its arrays
+    exist, and the whole document and the whole corpus are never held at
+    once."""
     _checked_section("corpus document", doc, {"spec", "seed", "clips", "generator"})
     spec, seed, entries = (_field(doc, k, "corpus document") for k in ("spec", "seed", "clips"))
     spec = ClipSpec.from_dict(_checked_section("spec", spec, set(field_names(ClipSpec))))
     generator = _need(doc["generator"], dict, "generator") if "generator" in doc else None
     clips = []
-    for ci, entry in enumerate(_need(entries, list, "clips")):
+    for ci in range(len(_need(entries, list, "clips"))):
+        entry, entries[ci] = entries[ci], None
         _checked_section(f"clip {ci}", entry, {"gt", "pred"})
         gt = _gt_tracks(_need(_field(entry, "gt", f"clip {ci}"), list, f"clip {ci} gt"), ci, spec)
         pred = _need(entry.get("pred"), (list, type(None)), f"clip {ci} pred")

@@ -615,6 +615,11 @@ class TestLoaderStructure:
     def test_valid_document_loads(self):
         assert validate(corpus_from_dict(self.valid_doc())) == []
 
+    def test_clip_entries_are_released_as_read(self):
+        doc = self.valid_doc()
+        corpus = corpus_from_dict(doc)
+        assert len(corpus.clips) == 2 and doc["clips"] == [None, None]
+
     def test_more_ground_truth_than_slots_is_a_violation(self):
         spec = small_spec()
         pred = (make_pred(spec),)
