@@ -232,12 +232,12 @@ class Violation:
         return f"{where}: {self.rule}"
 
 
-def _frame_faults(arrays: list, shape: tuple, rule) -> dict:
-    """{index: faults} for each of `arrays` with something to report: None if
-    its shape is not `shape`, else the (frame, rule text) pairs, in order,
-    that `rule` yields for it. `rule` runs once, over the stacked arrays of
-    `shape`, and yields (stack index, frame, rule text) in stack order."""
-    faults = {i: None for i, a in enumerate(arrays) if a.shape != shape}
+def _frame_faults(arrays: list, shape: tuple, rule, misfit) -> dict:
+    """{index: [(frame, rule text), ...]} for each of `arrays` with something
+    to report: ``[(None, misfit(array))]`` if its shape is not `shape`, else
+    the pairs `rule` yields for it. `rule` runs once, over the stacked arrays
+    of `shape`, and yields (stack index, frame, rule text) in stack order."""
+    faults = {i: [(None, misfit(a))] for i, a in enumerate(arrays) if a.shape != shape}
     fits = [i for i in range(len(arrays)) if i not in faults]
     if fits:
         for j, t, text in rule(np.stack([arrays[i] for i in fits])):
@@ -282,39 +282,32 @@ def _mask_frames(masks: np.ndarray):
 
 
 def _check_gt(spec: ClipSpec, ci: int, tracks: tuple, out: list):
-    faults = _frame_faults([t.masks for t in tracks], (spec.T, spec.h, spec.w), _binary_frames)
+    def misfit(masks):
+        if masks.ndim != 3 or masks.shape[0] != spec.T:
+            return f"mask count {masks.shape[0] if masks.ndim else 0} != T={spec.T}"
+        return f"mask shape {masks.shape[1:]} != ({spec.h}, {spec.w})"
+
+    faults = _frame_faults([t.masks for t in tracks], (spec.T, spec.h, spec.w),
+                           _binary_frames, misfit)
     for ti, track in enumerate(tracks):
         cid = track.class_id    # the loader's integer rule: a bool is no class id
         if (isinstance(cid, bool) or not isinstance(cid, (int, np.integer))
                 or not 0 <= cid < spec.K):
             out.append(Violation(ci, "gt", ti, None, f"class_id {cid!r} not in [0, {spec.K})"))
-        if ti not in faults:
-            continue
-        masks = track.masks
-        if faults[ti] is not None:
-            out.extend(Violation(ci, "gt", ti, t, rule) for t, rule in faults[ti])
-        elif masks.ndim != 3 or masks.shape[0] != spec.T:
-            count = masks.shape[0] if masks.ndim >= 1 else 0
-            out.append(Violation(ci, "gt", ti, None, f"mask count {count} != T={spec.T}"))
-        else:
-            out.append(Violation(ci, "gt", ti, None,
-                                 f"mask shape {masks.shape[1:]} != ({spec.h}, {spec.w})"))
+        out.extend(Violation(ci, "gt", ti, t, rule) for t, rule in faults.get(ti, ()))
 
 
 def _check_pred(spec: ClipSpec, ci: int, tracks: tuple, out: list):
-    fields = (("class_probs", (spec.T, spec.K + 1), _class_frames),
-              ("mask_probs", (spec.T, spec.h, spec.w), _mask_frames))
-    faults = [_frame_faults([getattr(t, name) for t in tracks], shape, rule)
-              for name, shape, rule in fields]
+    faults = []
+    for name, shape, rule in (("class_probs", (spec.T, spec.K + 1), _class_frames),
+                              ("mask_probs", (spec.T, spec.h, spec.w), _mask_frames)):
+        def misfit(a, name=name, shape=shape):
+            return f"{name} shape {a.shape} != {shape}"
+
+        faults.append(_frame_faults([getattr(t, name) for t in tracks], shape, rule, misfit))
     for ti in sorted(faults[0].keys() | faults[1].keys()):
-        for (name, shape, _), found in zip(fields, faults):
-            if ti not in found:
-                continue
-            if found[ti] is None:
-                out.append(Violation(ci, "pred", ti, None, f"{name} shape "
-                                     f"{getattr(tracks[ti], name).shape} != {shape}"))
-            else:
-                out.extend(Violation(ci, "pred", ti, t, rule) for t, rule in found[ti])
+        found = faults[0].get(ti, []) + faults[1].get(ti, [])
+        out.extend(Violation(ci, "pred", ti, t, rule) for t, rule in found)
 
 
 def validate(corpus: Corpus) -> list:
