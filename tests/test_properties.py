@@ -418,9 +418,9 @@ def test_fields_packed_together_read_one_by_one(fields):
         with pytest.raises(ValueError, match=f"^field {with_bool[0]}: entries must be numbers"):
             _float_array(named)
         return
-    arrays = _float_array(named)
-    assert len(arrays) == len(fields)
-    for rows, got in zip(fields, arrays):
+    views = _float_array(named)
+    assert len(views) == len(fields)
+    for rows, got in zip(fields, views):
         assert got.shape == (len(rows), len(rows[0]) if rows else 0)
         assert got.tobytes() == np.asarray(rows, dtype=np.float64).tobytes()
         assert not got.flags.writeable
