@@ -1,6 +1,11 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
+
+PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture
@@ -16,3 +21,23 @@ def decode_calls(monkeypatch):
 
     monkeypatch.setattr(json, "loads", spy)
     return calls
+
+
+@pytest.fixture
+def benchmark_config(tmp_path, monkeypatch):
+    """A function that writes the run config of a perfbench workload, at a
+    given config seed, to a file and returns its path. perfbench/workloads.py
+    is loaded from its file, read-only."""
+    monkeypatch.syspath_prepend(str(PERFBENCH_DIR))     # workloads imports oracle
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH_DIR / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)    # for its dataclasses
+    spec.loader.exec_module(workloads)
+
+    def write(workload: str, seed: int) -> Path:
+        path = tmp_path / f"{workload}-{seed}.json"
+        path.write_text(json.dumps(dict(workloads.WORKLOADS[workload].run_config, seed=seed)))
+        return path
+
+    return write

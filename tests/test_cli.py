@@ -84,6 +84,18 @@ class TestGen:
         assert main(["gen", str(CONFIG_DIR / config), "--out", str(tmp_path / "c.json")]) == 0
         assert capsys.readouterr().out.split("sha256=")[1].strip() == digest
 
+    # staggered entry frames, mask jitter with early swap, and 40 slots
+    # (crowded-clips) are met by no config in configs/
+    @pytest.mark.parametrize("workload, digest", [
+        ("swap-corpus", "c61201ea53014a94c70b1d85a68c4aa98d58db0777735589f09f8503ad828f93"),
+        ("crowded-clips", "439a2c51e0a1858d4825e01a35f10a2a74326233669289630a3ff94fb693b04f"),
+    ])
+    def test_golden_corpus_digest_at_the_benchmark_specs(self, tmp_path, capsys,
+                                                         benchmark_config, workload, digest):
+        config = benchmark_config(workload, 5)
+        assert main(["gen", str(config), "--out", str(tmp_path / "c.json")]) == 0
+        assert capsys.readouterr().out.split("sha256=")[1].strip() == digest
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, clips=2)
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,6 +1,4 @@
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +13,6 @@ from tcovis.ste import init_mhca_params, init_ref_decoder_params, load_params, s
 from tcovis.synth import generate_corpus
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def small_spec(**overrides):
@@ -297,18 +294,10 @@ class TestCorpusIo:
                 assert np.array_equal(b.mask_probs, a.mask_probs)
 
     @pytest.mark.parametrize("workload", ["swap-corpus", "crowded-clips"])
-    def test_round_trip_at_the_benchmark_specs(self, tmp_path, monkeypatch, workload):
+    def test_round_trip_at_the_benchmark_specs(self, tmp_path, benchmark_config, workload):
         # every loaded array is bit-equal to the saved one, of the same
         # dtype, C-contiguous and read-only
-        monkeypatch.syspath_prepend(str(PERFBENCH_DIR))     # workloads imports oracle
-        spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                      PERFBENCH_DIR / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)    # for its dataclasses
-        spec.loader.exec_module(workloads)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(dict(workloads.WORKLOADS[workload].run_config, seed=5)))
-        cfg = _load_run_config(config)
+        cfg = _load_run_config(benchmark_config(workload, 5))
         corpus = generate_corpus(cfg["scene"], cfg["noise"], cfg["clips"], cfg["seed"])
         save_corpus(corpus, tmp_path / "corpus.json")
         loaded = load_corpus(tmp_path / "corpus.json")
