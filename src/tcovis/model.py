@@ -336,20 +336,43 @@ def validate(corpus: Corpus) -> list:
 # ---------------------------------------------------------------------------
 
 def encode_mask_rle(mask) -> dict:
-    """Encode a binary h x w mask as {"size": [h, w], "counts": [...]}."""
+    """Encode a binary h x w mask as {"size": [h, w], "counts": [...]}. A
+    mask with no cells is {"size": [h, w], "counts": [0]}."""
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {m.shape}")
+    return _rle_records(m[None])[0]
+
+
+def _rle_records(masks) -> list:
+    """The RLE records of a ``(T, h, w)`` stack of binary masks, frame by
+    frame, from one change-point pass over all T frames.
+
+    Each frame is read column-major behind one extra 0 cell, so that every
+    frame's runs start with a 0-run; that run is then one cell too long,
+    and is shortened, to zero length if the frame's first cell is 1. A
+    stack that is not 3-D fails, or gives no records, as iterating over its
+    frames with :func:`encode_mask_rle` does."""
+    m = np.asarray(masks)
+    if m.ndim != 3:
+        return [encode_mask_rle(frame) for frame in m]
     if not ((m == 0) | (m == 1)).all():
         raise ValueError("mask entries must be 0 or 1")
-    h, w = m.shape
-    flat = m.astype(np.uint8).ravel(order="F")
-    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], changes, [flat.size]))
-    counts = np.diff(bounds).tolist()
-    if flat[0] == 1:
-        counts = [0] + counts
-    return {"size": [h, w], "counts": counts}
+    n_frames, h, w = m.shape
+    n = h * w + 1       # a frame's cells behind its extra 0 cell
+    cells = np.zeros((n_frames, n), dtype=np.uint8)
+    cells[:, 1:] = m.transpose(0, 2, 1).reshape(n_frames, n - 1)
+    flat = cells.ravel()
+    starts = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::n] = True      # each frame's 0-run
+    run_starts = np.flatnonzero(starts)
+    counts = np.diff(run_starts, append=flat.size)
+    firsts = np.flatnonzero(run_starts % n == 0)
+    counts[firsts] -= 1
+    counts = counts.tolist()
+    bounds = firsts.tolist() + [len(counts)]
+    return [{"size": [h, w], "counts": counts[a:b]} for a, b in zip(bounds, bounds[1:])]
 
 
 def _rle_size(record) -> tuple:
@@ -454,8 +477,7 @@ def decode_mask_rle(record: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _gt_record(track: GroundTruthTrack) -> dict:
-    return {"class_id": int(track.class_id),
-            "masks": [encode_mask_rle(m) for m in track.masks]}
+    return {"class_id": int(track.class_id), "masks": _rle_records(track.masks)}
 
 
 def corpus_to_dict(corpus: Corpus) -> dict:
@@ -659,20 +681,22 @@ def _float_rows(rows: np.ndarray) -> str:
     """JSON text of a 2-D float64 array as a list of rows, the same bytes
     the encoder writes for ``rows.tolist()``.
 
-    Each distinct value is formatted once, by the encoder, from a table
-    that `np.unique` builds over the float64 bit patterns (so -0.0 and
-    0.0, and every NaN payload, keep their own entries). Generated masks
-    hold a handful of distinct values, so this formats few floats. An
-    array that is not 2-D, or is empty, is formatted by the encoder
-    directly.
+    Each distinct value is formatted once, by the encoder, from a table of
+    the distinct float64 bit patterns (so -0.0 and 0.0, and every NaN
+    payload, keep their own entries): the patterns are sorted, the first
+    of each run of equal ones is kept, and each entry's place in the table
+    comes from ``np.searchsorted``. Generated masks hold a handful of
+    distinct values, so this formats few floats. An array that is not 2-D,
+    or is empty, is formatted by the encoder directly.
     """
     if rows.ndim != 2 or rows.size == 0:
         return _encode(rows.tolist())
     bits = np.ascontiguousarray(rows).view(np.uint64)
-    table, inverse = np.unique(bits.ravel(), return_inverse=True)
+    ordered = np.sort(bits, axis=None)
+    table = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     texts = np.array(_encode(table.view(np.float64).tolist())[1:-1].split(","), dtype=object)
     return "[" + ",".join(["[" + ",".join(row) + "]"
-                           for row in texts[inverse.reshape(bits.shape)].tolist()]) + "]"
+                           for row in texts[np.searchsorted(table, bits)].tolist()]) + "]"
 
 
 def _pred_text(track: PredictionTrack) -> str:

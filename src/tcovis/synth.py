@@ -130,10 +130,11 @@ def _reflect(pos: float, lo: float, hi: float):
     return pos, flip
 
 
-def _rasterize(shape: str, cy: float, cx: float, half_y: int, half_x: int,
+def _rasterize(shape: str, cy: np.ndarray, cx: np.ndarray, half_y: int, half_x: int,
                h: int, w: int) -> np.ndarray:
-    ys = np.arange(h)[:, None] - cy
-    xs = np.arange(w)[None, :] - cx
+    """The object's uint8 masks, one frame per centre (cy[k], cx[k])."""
+    ys = np.arange(h)[None, :, None] - cy[:, None, None]
+    xs = np.arange(w)[None, None, :] - cx[:, None, None]
     if shape == "rectangle":
         hit = (np.abs(ys) <= half_y) & (np.abs(xs) <= half_x)
     else:
@@ -172,15 +173,18 @@ def generate_clip(cfg: SceneConfig, seed: int) -> list:
             cx = float(rng.uniform(lo_x, hi_x))
             entry = int(rng.integers(cfg.entry_frame[0], cfg.entry_frame[1] + 1)) - 1
             classes.append(int(rng.integers(spec.K)))
+            centres = []
             for t in range(spec.T):
                 if t >= entry:
-                    rasters[i, t] = _rasterize(shape, cy, cx, half_y, half_x, h, w)
+                    centres.append((cy, cx))
                 cy += vy
                 cx += vx
                 cy, fy = _reflect(cy, lo_y, hi_y)
                 cx, fx = _reflect(cx, lo_x, hi_x)
                 vy *= fy
                 vx *= fx
+            cys, cxs = np.array(centres).T     # frames entry..T-1
+            rasters[i, entry:] = _rasterize(shape, cys, cxs, half_y, half_x, h, w)
 
         if not cfg.allow_occlusion and n > 1 and (rasters.sum(axis=0) > 1).any():
             continue
@@ -224,28 +228,24 @@ def simulate_predictions(gt_tracks, noise: NoiseConfig, spec: ClipSpec,
             raise ValueError(f"swap_frame {noise.swap_frame} exceeds T={spec.T}")
         swap_at = noise.swap_frame - 1
 
-    rng = stream(seed, "noise")
-    low = _sigmoid(np.array(-noise.sharpness))
-    tracks = []
-    for slot in range(spec.N_v):
-        probs = np.empty((spec.T, spec.K + 1))
-        masks = np.empty((spec.T, spec.h, spec.w))
-        for t in range(spec.T):
-            followed = slot if slot < n_gt else None
-            if swap_at is not None and t >= swap_at and slot in (0, 1):
-                followed = 1 - slot
-            if followed is None:
-                probs[t] = _class_vector(spec.K, spec.K, noise.class_confusion)
-                masks[t] = low
-                continue
-            gt = gt_tracks[followed]
-            cell = np.asarray(gt.masks[t], dtype=np.float64)
-            flips = rng.random((spec.h, spec.w)) < noise.mask_jitter
-            cell = np.where(flips, 1.0 - cell, cell)
-            masks[t] = _sigmoid(noise.sharpness * (2.0 * cell - 1.0))
-            probs[t] = _class_vector(spec.K, gt.class_id, noise.class_confusion)
-        tracks.append(PredictionTrack(class_probs=probs, mask_probs=masks))
-    return tracks
+    # follow[slot, t]: the ground truth the slot follows in frame t, or -1
+    # for none, which picks the no-object class vector last in `vectors`
+    follow = np.full((spec.N_v, spec.T), -1)
+    follow[:n_gt] = np.arange(n_gt)[:, None]
+    if swap_at is not None:
+        follow[:2, swap_at:] = [[1], [0]]
+    vectors = np.array([_class_vector(spec.K, label, noise.class_confusion)
+                        for label in [gt.class_id for gt in gt_tracks] + [spec.K]])
+    masks = np.full((spec.N_v, spec.T, spec.h, spec.w), _sigmoid(np.array(-noise.sharpness)))
+    if n_gt:
+        # one draw for all followed slots: the values of one (h, w) draw per
+        # slot and frame, in slot order
+        cells = np.stack([gt.masks for gt in gt_tracks])[follow[:n_gt], np.arange(spec.T)]
+        cells = cells.astype(np.float64)
+        flips = stream(seed, "noise").random(cells.shape) < noise.mask_jitter
+        cells = np.where(flips, 1.0 - cells, cells)
+        masks[:n_gt] = _sigmoid(noise.sharpness * (2.0 * cells - 1.0))
+    return [PredictionTrack(class_probs=p, mask_probs=m) for p, m in zip(vectors[follow], masks)]
 
 
 def generate_corpus(scene: SceneConfig, noise: NoiseConfig | None, n_clips: int,

@@ -271,6 +271,43 @@ class TestRle:
         with pytest.raises(ValueError, match="0 or 1"):
             encode_mask_rle(np.full((2, 2), 0.5))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_mask_with_no_cells_round_trips(self, shape):
+        record = encode_mask_rle(np.zeros(shape, np.uint8))
+        assert record == {"size": list(shape), "counts": [0]}
+        decoded = decode_mask_rle(record)
+        assert (decoded.dtype, decoded.shape) == (np.uint8, shape)
+
+    def test_track_of_masks_with_no_cells(self):
+        clip = Clip(gt=(GroundTruthTrack(class_id=0, masks=np.zeros((2, 3, 0))),))
+        doc = corpus_to_dict(Corpus(spec=small_spec(), clips=(clip,), seed=0))
+        assert doc["clips"][0]["gt"][0]["masks"] == [{"size": [3, 0], "counts": [0]}] * 2
+
+    def test_soft_entry_in_a_later_frame_of_a_track(self):
+        masks = np.zeros((3, 2, 2))
+        masks[2, 1, 1] = 0.5
+        clip = Clip(gt=(GroundTruthTrack(class_id=0, masks=masks),))
+        with pytest.raises(ValueError, match=r"^mask entries must be 0 or 1$"):
+            corpus_to_dict(Corpus(spec=small_spec(), clips=(clip,), seed=0))
+
+    @pytest.mark.parametrize("masks, error, message", [
+        (np.zeros((4, 5)), ValueError, r"^mask must be 2-D, got shape \(5,\)$"),
+        (np.zeros((2, 3, 4, 5)), ValueError, r"^mask must be 2-D, got shape \(3, 4, 5\)$"),
+        (np.zeros(4), ValueError, r"^mask must be 2-D, got shape \(\)$"),
+        (np.zeros(()), TypeError, "0-d"),
+    ], ids=["2-D", "4-D", "1-D", "0-D"])
+    def test_track_that_is_not_3d_fails_as_its_frames_do(self, masks, error, message):
+        clip = Clip(gt=(GroundTruthTrack(class_id=0, masks=masks),))
+        corpus = Corpus(spec=small_spec(), clips=(clip,), seed=0)
+        with pytest.raises(error, match=message):
+            corpus_to_dict(corpus)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (0, 2, 3, 4)])
+    def test_track_of_no_frames_has_no_records(self, shape):
+        clip = Clip(gt=(GroundTruthTrack(class_id=0, masks=np.zeros(shape)),))
+        doc = corpus_to_dict(Corpus(spec=small_spec(), clips=(clip,), seed=0))
+        assert doc["clips"][0]["gt"][0]["masks"] == []
+
 
 class TestCorpusIo:
     def test_round_trip(self, tmp_path):

@@ -30,8 +30,8 @@ from tcovis.evaluation import (IOU_THRESHOLDS, RECALL_POINTS, EvalReport, _gathe
                                _interpolated_ap, compute_ap)
 from tcovis.synth import NoiseConfig, SceneConfig, build_clip, generate_corpus
 from tcovis.model import (Clip, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
-                          _float_array, corpus_to_dict, decode_mask_rle, dump_json,
-                          encode_mask_rle, load_corpus, save_corpus, validate)
+                          _float_array, _rle_records, corpus_to_dict, decode_mask_rle,
+                          dump_json, encode_mask_rle, load_corpus, save_corpus, validate)
 from tcovis.ste import (init_mhca_params, init_ref_decoder_params, params_from_dict,
                         params_to_dict, run_clip)
 
@@ -184,6 +184,45 @@ def test_rle_round_trip(mask):
     decoded = decode_mask_rle(record)
     assert decoded.dtype == np.uint8
     assert np.array_equal(decoded, mask)
+
+
+def rle_frame_reference(mask) -> dict:
+    """One frame's record by the per-frame formula: column-major change
+    points, and a zero-length 0-run first when the first cell is 1."""
+    h, w = mask.shape
+    flat = mask.astype(np.uint8).ravel(order="F")
+    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    counts = np.diff(np.concatenate(([0], changes, [flat.size]))).tolist()
+    if flat[0] == 1:
+        counts = [0] + counts
+    return {"size": [h, w], "counts": counts}
+
+
+def _first_cell_one():
+    stack = np.zeros((3, 2, 4), np.uint8)
+    stack[:, 0, 0] = 1
+    stack[1, 1, 3] = 1      # and a frame whose last cell is 1 before one whose first is
+    return stack
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(arrays(np.uint8, st.tuples(st.integers(0, 5), st.integers(1, 6), st.integers(1, 6)),
+              elements=st.integers(0, 1)))
+@example(np.zeros((4, 3, 5), np.uint8))
+@example(np.ones((4, 3, 5), np.uint8))
+@example(_first_cell_one())
+@example(np.array([[[1]], [[0]], [[1]], [[1]]], np.uint8))
+@example(np.zeros((0, 3, 5), np.uint8))
+def test_track_rle_matches_the_frame_formula(stack):
+    """The per-track encoder, the writer's ground-truth records and
+    `encode_mask_rle` all give the per-frame formula's records."""
+    expected = [rle_frame_reference(frame) for frame in stack]
+    assert _rle_records(stack) == expected
+    assert [encode_mask_rle(frame) for frame in stack] == expected
+    clip = Clip(gt=(GroundTruthTrack(class_id=0, masks=stack),))
+    spec = ClipSpec(T=1, H=1, W=1, S=1, K=1, N_v=1, C=1)
+    doc = corpus_to_dict(Corpus(spec=spec, clips=(clip,), seed=0))
+    assert doc["clips"][0]["gt"][0]["masks"] == expected
 
 
 # -- AP envelope ----------------------------------------------------------------

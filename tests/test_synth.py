@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tcovis.assignment import global_instance_assignment, locpro_assignment
-from tcovis.cost import LossWeights
+from tcovis.cost import LossWeights, _sigmoid
 from tcovis.model import ClipSpec, Corpus, dump_json, validate
 from tcovis.rng import derive_seed, stream
 from tcovis.synth import (NoiseConfig, SceneConfig, build_clip, generate_clip,
@@ -130,7 +130,52 @@ class TestGenerateClip:
             "2224d73440c8c1885eb1c3c92e7d2ac53cac33dfe1cb0d41fd2ed2c2a46ea1bf")
 
 
+def simulate_per_frame(gt_tracks, noise, spec, seed):
+    """The simulator slot by slot and frame by frame: one (h, w) noise draw
+    per followed slot and frame. Returns (class_probs, mask_probs) pairs."""
+    rng = stream(seed, "noise")
+    swap_at = noise.swap_frame - 1 if noise.swap_mode == "early_swap" else None
+    tracks = []
+    for slot in range(spec.N_v):
+        probs, masks = np.empty((spec.T, spec.K + 1)), np.empty((spec.T, spec.h, spec.w))
+        for t in range(spec.T):
+            followed = slot if slot < len(gt_tracks) else None
+            if swap_at is not None and t >= swap_at and slot in (0, 1):
+                followed = 1 - slot
+            probs[t] = noise.class_confusion / spec.K
+            probs[t, spec.K if followed is None else gt_tracks[followed].class_id] = (
+                1.0 - noise.class_confusion)
+            if followed is None:
+                masks[t] = _sigmoid(np.array(-noise.sharpness))
+                continue
+            cell = np.asarray(gt_tracks[followed].masks[t], dtype=np.float64)
+            cell = np.where(rng.random((spec.h, spec.w)) < noise.mask_jitter, 1.0 - cell, cell)
+            masks[t] = _sigmoid(noise.sharpness * (2.0 * cell - 1.0))
+        tracks.append((probs, masks))
+    return tracks
+
+
 class TestSimulatePredictions:
+    @pytest.mark.parametrize("noise, entry_frame", [
+        (NoiseConfig(mask_jitter=0.1, class_confusion=0.2), (1, 1)),
+        (NoiseConfig(mask_jitter=0.3, class_confusion=0.05, swap_mode="early_swap",
+                     swap_frame=3), (1, 5)),
+        (NoiseConfig(swap_mode="early_swap", swap_frame=6, sharpness=3.0), (2, 4)),
+    ])
+    def test_matches_the_per_frame_loop(self, noise, entry_frame):
+        spec = ClipSpec(T=6, H=64, W=48, S=4, K=3, N_v=7, C=16)
+        cfg = scene(spec=spec, n_objects=(2, 5), entry_frame=entry_frame)
+        for seed in range(4):
+            gts = generate_clip(cfg, seed=seed)
+            got = simulate_predictions(gts, noise, spec, seed=seed)
+            want = simulate_per_frame(gts, noise, spec, seed)
+            assert len(got) == len(want) == spec.N_v
+            for track, (probs, masks) in zip(got, want):
+                assert track.class_probs.tobytes() == probs.tobytes()
+                assert track.mask_probs.tobytes() == masks.tobytes()
+                assert (track.class_probs.shape, track.mask_probs.shape) == (probs.shape,
+                                                                             masks.shape)
+
     def test_zero_noise_recovers_generator_pairing(self):
         cfg = scene()
         gts = generate_clip(cfg, seed=21)
