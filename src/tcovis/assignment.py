@@ -11,9 +11,10 @@ columns end with v == 0. The solver then refines ties so the returned
 pair list is the lexicographically smallest one among all optimal
 assignments: zero-cost dummy rows square the problem, and each row in
 turn takes the smallest column that one alternating path over the tight
-edges of the optimal duals can clear for it. The refinement is skipped
-when each row has one tight edge, its own: after the distinct-argmin
-exit, when every row's other entries exceed its minimum by more than tau.
+edges of the optimal duals can clear for it. When the digraph of rows
+tight on each other's columns has no cycle, the optimum is unique and is
+returned at once; rows that reach no cycle, or hold their smallest open
+tight column, are skipped.
 ``brute_force_assign`` is the independent oracle: exhaustive enumeration
 under a factorial guard, with the same tie rule. Every total here is
 ``cost._pairs_total``, the one sum of a pair list.
@@ -216,22 +217,42 @@ def _sap_solve(cost: np.ndarray):
 
 def _adjacency(mask: np.ndarray) -> list:
     """Ascending column lists of the True entries of each row of `mask`."""
-    ends = np.cumsum(mask.sum(axis=1)).tolist()
-    cols = (np.flatnonzero(mask) % mask.shape[1]).tolist()
-    return [cols[start:end] for start, end in zip([0] + ends[:-1], ends)]
+    return [row.nonzero()[0].tolist() for row in mask]
 
 
 def _tight_edges(cost: np.ndarray, tau: float, col4row: np.ndarray,
                  u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """cost - u - v <= tau, with every matched edge. While v == 0, u holds
-    the row minima (no column was reduced or lowered, and a search that
-    lowers no v leaves u too), so cost - u is the reduced matrix bit for bit
-    and each matched edge is exactly tight."""
+    """cost - u - v <= tau, with every matched edge, in one temporary: cost - u,
+    then - v, the float steps of cost - u - v. While v == 0, u holds the row
+    minima (no column was reduced or lowered, and a search that lowers no v
+    leaves u too), so cost - u is the reduced matrix bit for bit."""
+    t = cost - u[:, None]
     if np.count_nonzero(v):
-        tight = cost - u[:, None] - v[None, :] <= tau
+        t -= v
+        tight = t <= tau
         tight[np.arange(len(u)), col4row] = True   # tight up to the searches' rounding
         return tight
-    return cost - u[:, None] <= tau
+    return t <= tau
+
+
+def _movable_rows(tight: np.ndarray, tau: float, col4row: np.ndarray,
+                  v: np.ndarray) -> np.ndarray:
+    """The rows from which the owner digraph reaches a cycle; any other row
+    keeps its column in every tight perfect matching (Dulmage and Mendelsohn).
+    Nodes: the real rows and D, the dummies. Edges: r -> r' when r is tight on
+    r''s column, r -> D when r is tight on a free column, D -> r when
+    v[col4row[r]] >= -tau; into[b, a] holds a -> b. Each step keeps the nodes
+    with an edge into the last step's: one `any`, whatever the edge count."""
+    nr = len(col4row)
+    into = np.empty((nr + 1, nr + 1), dtype=bool)
+    into[:nr, :nr] = tight.T[col4row]
+    into[nr, :nr] = np.delete(tight, col4row, axis=1).any(axis=1)
+    into[:nr, nr] = v[col4row] >= -tau
+    np.fill_diagonal(into, False)
+    alive, before = into.any(axis=0), nr + 1
+    while 0 < (count := np.count_nonzero(alive)) < before:
+        alive, before = into[alive].any(axis=0), count
+    return alive[:nr]
 
 
 def _lexicographic_pairs(cost: np.ndarray, abs_max: float, col4row: np.ndarray,
@@ -244,66 +265,69 @@ def _lexicographic_pairs(cost: np.ndarray, abs_max: float, col4row: np.ndarray,
     column and leaves v == 0 on free columns and v <= 0 elsewhere, so the
     extended duals stay feasible and every perfect matching on tight edges
     is optimal. A dummy row is tight on exactly the columns with v >= -tau.
-    A square problem has no dummy rows, and its v may be positive. Each real row in turn then takes
-    its smallest tight column that one alternating path can clear: the
-    path shifts the column's owner, and the owners after it, along tight
-    edges until the row's old column is taken over.
+    A square problem has no dummy rows, and its v may be positive. Each real
+    row in turn then takes its smallest tight column that one alternating
+    path can clear: the path shifts the column's owner, and the owners
+    after it, along tight edges until the row's old column is taken over.
 
-    With nr tight edges in all (each row keeps its own), every tight perfect
-    matching is the incumbent, which is then returned at once.
+    The incumbent is returned at once with nr tight edges, when no row can
+    move (`_movable_rows`: the optimum is unique), or when each row that can
+    holds its smallest tight column not held by an earlier row. Otherwise the
+    search starts at the first that does not; it skips rows that cannot move.
     """
     nr, nc = cost.shape
     tau = _TAU_FACTOR * max(1.0, abs_max) * max(nr, 4)
 
     tight = _tight_edges(cost, tau, col4row, u, v)
+    incumbent = tuple(enumerate(col4row.tolist()))
     if np.count_nonzero(tight) == nr:
-        return tuple(enumerate(col4row.tolist()))
-    row_adj = _adjacency(tight)
-    col_adj = _adjacency(tight.T)
-    dummy_tight = (v >= -tau).tolist()
+        return incumbent
+    rows = np.flatnonzero(_movable_rows(tight, tau, col4row, v))
+    held_by = np.full(nc, nr)          # the row of each column, nr for a dummy row
+    held_by[col4row] = np.arange(nr)
+    first = (tight[rows] & (held_by >= rows[:, None])).argmax(axis=1)
+    unsettled = rows[first != col4row[rows]]
+    if not unsettled.size:
+        return incumbent
+    col_adj = ()
+    dummy_tight = (v >= -tau).tolist() if nr < nc else [False] * nc
 
     col4row = col4row.tolist()
-    row4col = [-1] * nc            # -1: the column is held by a dummy row
-    for r, j in enumerate(col4row):
-        row4col[j] = r
-
-    pairs = []
-    for r in range(nr):
-        start = col4row[r]
+    for r in rows[rows >= unsettled[0]].tolist():
         # the smallest tight column not held by an earlier row; the search
         # stops once it is reached, as no reachable column can beat it
-        best = next(j for j in row_adj[r] if row4col[j] == -1 or row4col[j] >= r)
+        eligible = tight[r] & (held_by >= r)
+        best = int(eligible.argmax())
+        start = col4row[r]
+        if best == start:
+            continue
+        col_adj = col_adj or _adjacency(tight.T)   # built on first need
         # breadth-first search backwards from `start` over the rows after r
         # and the dummies: came_from[j] is the column that j's owner moves to
-        # when j is cleared for row r (-1 at the root, -2 while unreached)
-        came_from = [-2] * nc
-        came_from[start] = -1
-        queue = [start]
-        dummies_reached = False
+        # when j is cleared for row r (-1 at the root)
+        came_from, queue, dummies_reached = {start: -1}, [start], False
         for c in queue:
-            if came_from[best] != -2:
-                break
             for i in col_adj[c]:
-                if i > r and came_from[col4row[i]] == -2:
+                if i > r and col4row[i] not in came_from:
                     came_from[col4row[i]] = c
                     queue.append(col4row[i])
             if dummy_tight[c] and not dummies_reached:
                 dummies_reached = True
-                for j in range(nc):
-                    if row4col[j] == -1 and came_from[j] == -2:
+                for j in np.flatnonzero(held_by == nr).tolist():
+                    if j not in came_from:
                         came_from[j] = c
                         queue.append(j)
-        chosen = next(j for j in row_adj[r] if came_from[j] != -2)
-        j = chosen
+            if best in came_from:
+                break
+        j = next(j for j in range(best, start + 1) if j in came_from and eligible[j])
         owner = r
         while j != -1:
-            holder = row4col[j]
-            row4col[j] = owner
-            if owner != -1:
+            holder = int(held_by[j])
+            held_by[j] = owner
+            if owner != nr:
                 col4row[owner] = j
             owner, j = holder, came_from[j]
-        pairs.append((r, chosen))
-    return tuple(pairs)
+    return tuple(enumerate(col4row))
 
 
 def hungarian(cost_matrix) -> Assignment:

@@ -708,7 +708,7 @@ def _pred_text(track: PredictionTrack) -> str:
 
 
 def write_file(path, chunks) -> None:
-    """Write the text `chunks` to `path`, creating missing parent
+    """Write the text `chunks` to `path` as UTF-8, creating missing parent
     directories. The chunks are streamed to a temporary file beside `path`
     that replaces `path` only once the last chunk is written: on any
     failure the temporary file is deleted and `path` is left as it was. A
@@ -718,7 +718,7 @@ def write_file(path, chunks) -> None:
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-    out = open(tmp, "x")    # outside the try: a file this call did not make stays
+    out = open(tmp, "x", encoding="utf-8")  # outside the try: a file this call did not make stays
     try:
         with out:
             out.writelines(chunks)
@@ -780,8 +780,8 @@ class _FloatMemo(dict):
 
 
 def read_json(path):
-    """Decode the JSON file at `path`: every file tcovis reads (configs,
-    corpora, parameter bundles) goes through here.
+    """Decode the JSON file at `path`, as UTF-8 whatever the locale: every
+    file tcovis reads (configs, corpora, parameter bundles) goes through here.
 
     The text is decoded with ``json.loads(text, parse_float=memo.__getitem__)``
     over a fresh memo per call, so each distinct float text is parsed once
@@ -796,7 +796,7 @@ def read_json(path):
     raises the same ``json.JSONDecodeError`` either way, since both passes
     use the same scanner.
     """
-    text = Path(path).read_text()
+    text = Path(path).read_bytes().decode("utf-8")
     try:
         return json.loads(text, parse_float=_FloatMemo().__getitem__)
     except _MemoFull:

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tcovis import assignment
 from tcovis.assignment import (BRUTE_FORCE_MAX_COLS, BRUTE_FORCE_MAX_ROWS, _sap_solve,
@@ -205,21 +207,34 @@ def scipy_lexicographic_pairs(matrix) -> tuple:
     return tuple(expected)
 
 
+def solve_observed(monkeypatch, matrix):
+    """`hungarian(matrix)`, the rows `_movable_rows` returned (None when the
+    refinement left before it: nr tight edges in all) and the number of
+    `_adjacency` builds, i.e. of refinements that ran a search."""
+    seen = {"movable": None, "built": 0}
+    movable_rows, adjacency = assignment._movable_rows, assignment._adjacency
+
+    def movable(*args):
+        seen["movable"] = movable_rows(*args)
+        return seen["movable"]
+
+    def counted(mask):
+        seen["built"] += 1
+        return adjacency(mask)
+
+    monkeypatch.setattr(assignment, "_movable_rows", movable)
+    monkeypatch.setattr(assignment, "_adjacency", counted)
+    return hungarian(matrix), seen["movable"], seen["built"]
+
+
+def sap_pairs(matrix) -> tuple:
+    return tuple(enumerate(_sap_solve(np.asarray(matrix, dtype=float))[0].tolist()))
+
+
 class TestRefinementEarlyExit:
     """`_lexicographic_pairs` returns the incumbent at once when every real
-    row has one tight column; the tight adjacency is built only otherwise."""
-
-    @staticmethod
-    def solve_counting_adjacency(monkeypatch, matrix):
-        calls = []
-
-        def counted(mask):
-            calls.append(mask.shape)
-            return adjacency(mask)
-
-        adjacency = assignment._adjacency
-        monkeypatch.setattr(assignment, "_adjacency", counted)
-        return hungarian(matrix), len(calls)
+    row has one tight column, before the owner digraph is built; the search
+    state is built only for a row that must search."""
 
     @staticmethod
     def one_tight_column_per_row(rng, nr, nc):
@@ -235,8 +250,8 @@ class TestRefinementEarlyExit:
         rng = np.random.default_rng(21)
         for _ in range(10):
             matrix, own = self.one_tight_column_per_row(rng, *shape)
-            a, built = self.solve_counting_adjacency(monkeypatch, matrix)
-            assert built == 0
+            a, movable, built = solve_observed(monkeypatch, matrix)
+            assert movable is None and built == 0
             assert a.pairs == tuple(enumerate(own.tolist()))
             assert a.pairs == scipy_lexicographic_pairs(matrix)
             if shape[0] <= BRUTE_FORCE_MAX_ROWS and shape[1] <= BRUTE_FORCE_MAX_COLS:
@@ -248,11 +263,15 @@ class TestRefinementEarlyExit:
         nr, nc = shape
         for _ in range(10):
             # a zero row is tight on every column with v == 0: its own and
-            # each free column, of which there is at least one
+            # each free column, of which there is at least one, so the cycle
+            # zero row -> D -> zero row keeps the certificate from firing
             matrix = rng.integers(0, 4, shape).astype(float)
-            matrix[rng.integers(nr)] = 0.0
-            a, built = self.solve_counting_adjacency(monkeypatch, matrix)
-            assert built == 2
+            zero = rng.integers(nr)
+            matrix[zero] = 0.0
+            a, movable, built = solve_observed(monkeypatch, matrix)
+            assert movable is not None and movable[zero]
+            # the column adjacency is built once, and whenever a row moved
+            assert built <= 1 and (built == 1 or a.pairs == sap_pairs(matrix))
             assert a.pairs == scipy_lexicographic_pairs(matrix)
             if nr <= BRUTE_FORCE_MAX_ROWS and nc <= BRUTE_FORCE_MAX_COLS:
                 assert agree(a, brute_force_assign(matrix))
@@ -260,7 +279,8 @@ class TestRefinementEarlyExit:
     @pytest.mark.parametrize("tied", [False, True], ids=["unique", "tied"])
     def test_adjacency_only_for_ties(self, monkeypatch, tied):
         # a corpus-sized matrix whose warm start matches every row; the tied
-        # variant gives row 0 a second minimum in a free column
+        # variant gives row 0 a second minimum in a free column, a cycle
+        # row 0 -> D -> row 0, but row 0 already holds the smaller column
         matrix = np.array([[0.1, 0.9, 0.8, 0.7, 0.9, 0.6],
                            [0.8, 0.2, 0.9, 0.9, 0.7, 0.8],
                            [0.9, 0.8, 0.3, 0.9, 0.9, 0.7],
@@ -268,15 +288,94 @@ class TestRefinementEarlyExit:
         if tied:
             matrix[0, 5] = 0.1
 
-        def refuse(mask):
-            raise AssertionError("adjacency built")
-
-        monkeypatch.setattr(assignment, "_adjacency", refuse)
+        a, movable, built = solve_observed(monkeypatch, matrix)
+        assert a.pairs == ((0, 0), (1, 1), (2, 2), (3, 3))
+        assert built == 0
         if tied:
-            with pytest.raises(AssertionError, match="adjacency built"):
-                hungarian(matrix)
+            assert movable.tolist() == [True, False, False, False]
         else:
-            assert hungarian(matrix).pairs == ((0, 0), (1, 1), (2, 2), (3, 3))
+            assert movable is None
+
+
+class TestUniquenessCertificate:
+    """`_movable_rows`: with no cycle in the owner digraph the incumbent is
+    the only optimum and is returned with no search state built; a cycle
+    among real rows, or one through D alone, lets the search run."""
+
+    @pytest.mark.parametrize("matrix", [
+        [[0, 0], [1, 0]],                      # row 0 -> row 1, no way back
+        [[0.1, 0.1], [0.3, 0.1]],
+        [[0, 0, 1], [1, 0, 1]],                # D -> both rows, nothing into D
+        [[0.0, 0.0, 0.1], [0.1, 0.0, 0.1]],
+    ], ids=["integers", "floats", "integers-free-column", "floats-free-column"])
+    def test_fires_on_small_unique_optima(self, monkeypatch, matrix):
+        matrix = np.array(matrix, dtype=float)
+        a, movable, built = solve_observed(monkeypatch, matrix)
+        assert movable is not None and not movable.any() and built == 0
+        assert a.pairs == sap_pairs(matrix)
+        assert agree(a, brute_force_assign(matrix))
+
+    @pytest.mark.parametrize("matrix", [
+        lambda: np.random.default_rng(0).uniform(0, 1, (100, 120)),
+        lambda: np.random.default_rng(2).uniform(0, 10, (300, 300)),
+        lambda: np.random.default_rng(3).integers(0, 10**6, (30, 40)).astype(float),
+    ], ids=["floats-100x120", "floats-300x300", "wide-integers-30x40"])
+    def test_fires_on_large_unique_optima(self, monkeypatch, matrix):
+        m = matrix()
+        a, movable, built = solve_observed(monkeypatch, m)
+        # more than one tight edge in some row, yet no cycle
+        assert movable is not None and not movable.any() and built == 0
+        assert a.pairs == sap_pairs(m)
+        if (m == np.round(m)).all():
+            assert a.pairs == scipy_lexicographic_pairs(m)
+
+    def test_declines_on_a_cycle_among_real_rows(self, monkeypatch):
+        # square, so there is no D: rows 0, 1 and 2 can rotate their columns
+        matrix = np.array([[1, 2, 2], [0, 0, 2], [3, 2, 3]], dtype=float)
+        assert sap_pairs(matrix) == ((0, 2), (1, 0), (2, 1))
+        a, movable, built = solve_observed(monkeypatch, matrix)
+        assert movable.tolist() == [True, True, True] and built == 1
+        assert a.pairs == ((0, 0), (1, 1), (2, 2)) and a.total_cost == 4.0
+        assert a.pairs == scipy_lexicographic_pairs(matrix)
+        assert agree(a, brute_force_assign(matrix))
+
+    def test_declines_on_a_cycle_only_through_the_dummies(self, monkeypatch):
+        # row 0 is tight on the free column 0 (row 0 -> D), the dummies on
+        # row 1's column 2 (D -> row 1), and row 1 on row 0's column 1; among
+        # the real rows alone there is no cycle
+        matrix = np.array([[2, 1, 3], [3, 0, 1]], dtype=float)
+        assert sap_pairs(matrix) == ((0, 1), (1, 2))
+        col4row, u, v = _sap_solve(matrix)
+        tight = assignment._tight_edges(matrix, TestWarmStartTightEdges.tau_of(matrix),
+                                        col4row, u, v)
+        assert tight[:, col4row].tolist() == [[True, False], [True, True]]   # row 1 -> row 0
+        a, movable, built = solve_observed(monkeypatch, matrix)
+        assert movable.tolist() == [True, True] and built == 1
+        assert a.pairs == ((0, 0), (1, 1)) and a.total_cost == 2.0
+        assert a.pairs == scipy_lexicographic_pairs(matrix)
+        assert agree(a, brute_force_assign(matrix))
+
+    def test_rows_off_every_cycle_keep_their_columns(self, monkeypatch):
+        # row 0 is tight on column 0, held by row 1, but reaches no cycle:
+        # it is skipped, while rows 2 and 3 swap columns 1 and 2
+        matrix = np.array([[0, 1, 2, 0, 2], [0, 3, 2, 1, 2],
+                           [2, 0, 1, 0, 1], [1, 0, 1, 3, 1]], dtype=float)
+        assert sap_pairs(matrix) == ((0, 3), (1, 0), (2, 2), (3, 1))
+        a, movable, built = solve_observed(monkeypatch, matrix)
+        assert movable.tolist() == [False, False, True, True] and built == 1
+        assert a.pairs == ((0, 3), (1, 0), (2, 1), (3, 2))
+        assert a.pairs == scipy_lexicographic_pairs(matrix)
+        assert agree(a, brute_force_assign(matrix))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 30).flatmap(lambda nr: st.tuples(st.just(nr), st.integers(nr, 40)))
+       .flatmap(lambda shape: st.sampled_from([(0, 2), (0, 10**6)]).flatmap(
+           lambda bounds: arrays(np.int64, shape, elements=st.integers(*bounds)))))
+def test_lexicographic_rule_on_integer_matrices(matrix):
+    # entries from 0..2 tie heavily; from 0..10**6 the optimum is mostly unique
+    matrix = matrix.astype(np.float64)
+    assert hungarian(matrix).pairs == scipy_lexicographic_pairs(matrix)
 
 
 class TestWarmStartTightEdges:
@@ -346,15 +445,18 @@ class TestWarmStartTightEdges:
             assert col4row[row] == 5 and tight[row, 0]
             assert (v[5] >= -tau) == (side <= 0)
 
-        a, built = TestRefinementEarlyExit.solve_counting_adjacency(monkeypatch, matrix)
+        a, movable, built = solve_observed(monkeypatch, matrix)
         assert a.pairs == pairs and a.total_cost == total
         assert agree(a, brute_force_assign(matrix))
         # the one non-integer entry is 2**-41 off an integer sum, so the
         # oracle's equality tests stay exact
         assert a.pairs == scipy_lexicographic_pairs(matrix)
         if name == "warm":
-            # only a runner-up within tau gives a row a second tight edge
-            assert built == (2 if side <= 0 else 0)
+            # only a runner-up within tau gives a row a second tight edge: a
+            # cycle row 0 -> D -> row 0, and a search that finds the cheaper
+            # pairs' refinement one tau dearer, which `hungarian` then refuses
+            assert (movable is not None) == (side <= 0)
+            assert built == (1 if side <= 0 else 0)
 
     def test_equals_the_full_formula(self):
         rng = np.random.default_rng(31)

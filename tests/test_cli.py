@@ -1,7 +1,10 @@
 import contextlib
 import hashlib
 import json
+import os
 import signal
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -812,3 +815,36 @@ class TestThreadCount:
         assert main(argv) == 1
         assert capsys.readouterr().err == reason
         assert list(tmp_path.glob("out*")) == []
+
+
+class TestUtf8Files:
+    """Every file is read and written as UTF-8 (RFC 8259), whatever the
+    locale: no subcommand leaves the encoding to the locale default."""
+
+    def test_no_subcommand_uses_the_locale_encoding(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
+        env.pop("PYTHONWARNINGS", None)
+        corpus = tmp_path / "c.json"
+        for argv in (["gen", str(CONFIG_DIR / "small.json"), "--out", str(corpus)],
+                     ["assign", str(corpus), "--out-prefix", str(tmp_path / "a")],
+                     ["eval", str(corpus), "--out-prefix", str(tmp_path / "m")],
+                     ["enhance", "--demo", str(CONFIG_DIR / "enhance.json"),
+                      "--out", str(tmp_path / "e.json")]):
+            result = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                                     "-W", "error::EncodingWarning", "-m", "tcovis.cli", *argv],
+                                    env=env, capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+
+    def test_non_ascii_text_under_an_ascii_locale(self, tmp_path):
+        # the C locale with its UTF-8 coercion and mode switched off makes
+        # the locale encoding ASCII; the reader and the writer keep UTF-8
+        env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"), LC_ALL="C",
+                   PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        source, copy = tmp_path / "in.json", tmp_path / "out.json"
+        source.write_bytes('{"caf\u00e9": "\u00fc"}'.encode("utf-8"))
+        script = ("import json, sys; from tcovis.model import read_json, write_file; "
+                  "write_file(sys.argv[2], [json.dumps(read_json(sys.argv[1]), ensure_ascii=False)])")
+        result = subprocess.run([sys.executable, "-c", script, str(source), str(copy)],
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert copy.read_bytes() == source.read_bytes()
