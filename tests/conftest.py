@@ -25,9 +25,10 @@ def decode_calls(monkeypatch):
 
 @pytest.fixture
 def benchmark_config(tmp_path, monkeypatch):
-    """A function that writes the run config of a perfbench workload, at a
-    given config seed, to a file and returns its path. perfbench/workloads.py
-    is loaded from its file, read-only."""
+    """A function that writes the run config of a perfbench workload (its
+    enhance config with `enhance=True`), at a given config seed, to a file
+    and returns its path. perfbench/workloads.py is loaded from its file,
+    read-only."""
     monkeypatch.syspath_prepend(str(PERFBENCH_DIR))     # workloads imports oracle
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   PERFBENCH_DIR / "workloads.py")
@@ -35,9 +36,10 @@ def benchmark_config(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)    # for its dataclasses
     spec.loader.exec_module(workloads)
 
-    def write(workload: str, seed: int) -> Path:
-        path = tmp_path / f"{workload}-{seed}.json"
-        path.write_text(json.dumps(dict(workloads.WORKLOADS[workload].run_config, seed=seed)))
+    def write(workload: str, seed: int, enhance: bool = False) -> Path:
+        kind = "enhance_config" if enhance else "run_config"
+        path = tmp_path / f"{workload}-{kind}-{seed}.json"
+        path.write_text(json.dumps(dict(getattr(workloads.WORKLOADS[workload], kind), seed=seed)))
         return path
 
     return write

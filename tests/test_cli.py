@@ -686,6 +686,18 @@ class TestEnhance:
         assert capsys.readouterr().out.split("sha256=")[1].strip() == (
             "a6b177d62f84c1b76923b89fecbb5e657bc9058484a96561880f7eb4e6f13133")
 
+    # six slots over six frames (swap-corpus) and 40 slots at C=64 (crowded-clips)
+    # are met by no config in configs/
+    @pytest.mark.parametrize("workload, digest", [
+        ("swap-corpus", "4f8614f3d9a7c134a689da21ca672c4ab2fe9cb6683be0f323a1c9639182f0b6"),
+        ("crowded-clips", "c33f22138c1221e0518207458df2735c6292afef6911dbd8a64ea88567599fda"),
+    ])
+    def test_golden_digest_at_the_benchmark_specs(self, tmp_path, capsys, benchmark_config,
+                                                  workload, digest):
+        config = benchmark_config(workload, 5, enhance=True)
+        assert main(["enhance", "--demo", str(config), "--out", str(tmp_path / "trace.json")]) == 0
+        assert capsys.readouterr().out.split("sha256=")[1].strip() == digest
+
     def test_trace_matches_library_composition(self, tmp_path):
         out = tmp_path / "trace.json"
         assert main(["enhance", "--demo", str(CONFIG_DIR / "enhance.json"),
