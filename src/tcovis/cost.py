@@ -227,9 +227,14 @@ def overall_loss(gt_tracks, pred_tracks, assignment: Assignment,
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows: 1/(1+e) for z >= 0, e/(1+e) below
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    """1/(1+e) for z >= 0 and e/(1+e) below, with e = exp(-|z|), which never overflows.
+    An integer z is taken as float64. e takes one buffer, negated and exponentiated in
+    place, and the quotient overwrites the numerator. A 0-d z gives a numpy float."""
+    e = np.abs(z, dtype=np.float64, out=np.empty(np.shape(z)))
+    np.exp(np.negative(e, out=e), out=e)
+    p = np.maximum(e, z >= 0)      # e <= 1: 1 where z >= 0, else e (NaN stays NaN)
+    e += 1.0
+    return np.divide(p, e, out=p if p.ndim else None)
 
 
 def mask_loss_grad(gt_masks, pred_logits, weights: LossWeights) -> np.ndarray:

@@ -126,8 +126,8 @@ class EvalReport:
 
 def _slot_digest(pred) -> bytes:
     digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(pred.class_probs).tobytes())
-    digest.update(np.ascontiguousarray(pred.mask_probs).tobytes())
+    digest.update(np.ascontiguousarray(pred.class_probs))
+    digest.update(np.ascontiguousarray(pred.mask_probs))
     return digest.digest()
 
 
@@ -136,7 +136,7 @@ def _clip_digest(clip, slot_keys) -> bytes:
     digest = hashlib.sha256()
     for gt in clip.gt:
         digest.update(int(gt.class_id).to_bytes(4, "little", signed=True))
-        digest.update(np.ascontiguousarray(gt.masks, dtype=np.uint8).tobytes())
+        digest.update(np.ascontiguousarray(gt.masks, dtype=np.uint8))
     for key in sorted(slot_keys):
         digest.update(key)
     return digest.digest()

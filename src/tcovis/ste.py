@@ -58,15 +58,16 @@ def _declare(*shape, fill=None, layers=None):
     return field(metadata={"shape": shape, "fill": fill, "layers": layers})
 
 
-def _freeze_fields(block, dims=None, where: str = "") -> dict:
-    """Store each declared field of a parameter block, nested blocks included, as a
-    read-only float64 copy of its declared shape; each symbol binds in `dims`, to a
-    (size >= 1, field name) pair, where first met. Another shape or a non-finite entry
-    raises ValueError, which names the fields that bound the symbols it breaks."""
+def _freeze_fields(block, dims=None, where: str = "", nested: bool = False) -> dict:
+    """Store each declared field of a parameter block as a read-only float64 copy of its
+    declared shape; each symbol binds in `dims`, to a (size >= 1, field name) pair, where
+    first met. A nested block's arrays, frozen by its own constructor, bind and meet the
+    symbols uncopied. Another shape or a non-finite entry raises ValueError, which names
+    the fields that bound the symbols it breaks."""
     dims = {} if dims is None else dims
 
     def checked(name, decl, values):
-        value = _frozen(values, np.float64)
+        value = values if nested else _frozen(values, np.float64)
         for sym, n in zip(decl, value.shape):
             if sym not in dims and n >= 1:
                 dims.update({sym: (n, name), "2C": (2 * n, name)} if sym == "C" else
@@ -79,14 +80,14 @@ def _freeze_fields(block, dims=None, where: str = "") -> dict:
             if bound:
                 shown += f" ({', '.join(bound)})"
             raise ValueError(f"{name} must be {shown}, got {value.shape}")
-        if not np.isfinite(value).all():
+        if not nested and not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
         return value
 
     for f in fields(block):
         value, name, meta = getattr(block, f.name), where + f.name, f.metadata
         if is_dataclass(value):
-            _freeze_fields(value, dims, name + ".")
+            _freeze_fields(value, dims, name + ".", nested=True)
         elif meta.get("layers"):
             if len(value) != meta["layers"]:
                 raise ValueError(f"{name} must have exactly {meta['layers']} layers")
@@ -155,9 +156,13 @@ class RefDecoderParams:
 
 
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LN_EPS) * scale + shift
+    """Bit for bit `(x - mean) / np.sqrt(var + LN_EPS) * scale + shift`, with `np.mean` and
+    `np.var` over the last axis of float `x`, through the reductions that they run inside
+    their wrappers."""
+    n = x.shape[-1]
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(np.square(centred), axis=-1, keepdims=True) / n
+    return centred / np.sqrt(var + LN_EPS) * scale + shift
 
 
 def _attend(q_in: np.ndarray, k_in: np.ndarray, v_in: np.ndarray,
@@ -177,9 +182,10 @@ def _attend(q_in: np.ndarray, k_in: np.ndarray, v_in: np.ndarray,
     q = split(q_in @ params.w_q)
     k = split(k_in @ params.w_k)
     v = split(v_in @ params.w_v)
-    scores = q @ k.transpose(0, 2, 1) / np.sqrt(dim)
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
+    scores = q @ k.transpose(0, 2, 1)
+    scores /= np.sqrt(dim)
+    scores -= scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores, out=scores)
     weights /= weights.sum(axis=-1, keepdims=True)
     context = weights @ v
     merged = context.transpose(1, 0, 2).reshape(q_in.shape[0], c)

@@ -569,6 +569,15 @@ def test_sigmoid_matches_the_two_branch_formula():
     expected[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
     assert _sigmoid(z).tobytes() == expected.tobytes()
     assert _sigmoid(z)[1, 249:251].tolist() == [1.0, 0.0]    # z = 800 and -800
+    # type and bits as the plain expression gives them: a 0-d input (synth's
+    # background value) returns a numpy float; integers and NaN pass through
+    for z in (np.array(-12.0), np.array(3), np.array(-0.0), np.array(np.nan), np.array([-3, 0, 2, 40]),
+              np.array([[0.0, -0.0, 800.0], [-800.0, np.nan, 1.0]])):
+        e = np.exp(-np.abs(z))
+        expected = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        got = _sigmoid(z)
+        assert type(got) is type(expected) and np.asarray(got).dtype == np.float64
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
 class TestLossWeights:

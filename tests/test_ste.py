@@ -6,7 +6,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from tcovis import ste as ste_module
 from tcovis.model import Clip, ClipSpec, Corpus, dump_json, validate
 from tcovis.ste import (LN_EPS, AttentionParams, FeedForwardParams, MhcaParams,
                         RefDecoderParams, cross_attention_update,
@@ -101,6 +104,49 @@ def naive_propagate(queries, frame_queries, params):
         m = np.maximum(m @ w + b, 0.0)
     w, b = params.mask_head[-1]
     return protos, probs, m @ w + b
+
+
+def numpy_layer_norm(x, scale, shift):
+    return (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + LN_EPS) * scale + shift
+
+
+def param_arrays(block):
+    """Every array of a parameter block, nested blocks and layers included."""
+    for f in dataclasses.fields(block):
+        value = getattr(block, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from param_arrays(value)
+        elif isinstance(value, tuple):
+            yield from (array for layer in value for array in layer)
+        elif isinstance(value, np.ndarray):
+            yield value
+
+
+# -- layer norm ----------------------------------------------------------------
+
+class TestLayerNorm:
+    """Bit for bit numpy's mean and var form, on both sides of numpy's pairwise
+    summation blocks (8 and 128 elements)."""
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 127, 128, 129, 257])
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 4)], ids=["1d", "2d", "3d"])
+    def test_bit_equal_to_mean_and_var(self, lead, width):
+        rng = np.random.default_rng(width)
+        x = rng.normal(3.0, 2.0, (*lead, width))
+        scale, shift = rng.normal(size=width), rng.normal(size=width)
+        out = layer_norm(x, scale, shift)
+        assert out.shape == x.shape
+        assert out.tobytes() == numpy_layer_norm(x, scale, shift).tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_bit_equal_on_drawn_rows(self, data):
+        lead = data.draw(st.lists(st.integers(1, 4), max_size=2))
+        width = data.draw(st.integers(1, 260))
+        floats = st.floats(-1e6, 1e6)
+        x = data.draw(arrays(np.float64, (*lead, width), elements=floats))
+        scale, shift = (data.draw(arrays(np.float64, width, elements=floats)) for _ in range(2))
+        assert layer_norm(x, scale, shift).tobytes() == numpy_layer_norm(x, scale, shift).tobytes()
 
 
 # -- spatial matting and pooling ---------------------------------------------
@@ -610,6 +656,39 @@ class TestParams:
         else:
             node[path[-1]] = value
         with pytest.raises(ValueError, match=message):
+            params_from_dict(doc)
+
+    def test_each_array_is_frozen_once(self, monkeypatch):
+        # each array is copied by the block that declares it, and the enclosing
+        # block keeps that very array
+        made, real = [], ste_module._frozen
+        monkeypatch.setattr(ste_module, "_frozen",
+                            lambda values, dtype=None: made.append(real(values, dtype)) or made[-1])
+        held = list(param_arrays(decoder()))
+        assert len(made) == len(held) == 25
+        assert all(any(array is m for m in made) for array in held)
+
+    def test_enclosing_block_keeps_a_nested_block_as_it_is(self):
+        d = decoder()
+        encoder = AttentionParams(**vars(d.encoder))
+        w_q = encoder.w_q
+        outer = RefDecoderParams(**dict(vars(d), encoder=encoder))
+        assert outer.encoder is encoder and outer.encoder.w_q is w_q
+
+    def test_nested_blocks_must_agree_on_c(self):
+        narrow = init_ref_decoder_params(8, 3, HEADS, 0)
+        with pytest.raises(ValueError, match=r"^ffn\.w1 must be \(16, 32\) \(C=16 from encoder\.w_q, "
+                                             r"2C=32 from encoder\.w_q\), got \(8, 16\)$"):
+            RefDecoderParams(**dict(vars(decoder()), ffn=narrow.ffn))
+
+    def test_nested_entries_must_be_finite(self):
+        d = decoder()
+        with pytest.raises(ValueError, match="^w_v must be finite$"):
+            RefDecoderParams(**dict(vars(d), encoder=AttentionParams(
+                **dict(vars(d.encoder), w_v=np.full((C, C), np.nan)))))
+        doc = params_to_dict(d)
+        doc["ref_decoder"]["decoder"]["w_o"]["data"][5] = float("inf")
+        with pytest.raises(ValueError, match="^w_o must be finite$"):
             params_from_dict(doc)
 
     def test_feed_forward_must_be_finite(self):
