@@ -23,7 +23,6 @@ import hashlib
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -307,13 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser = cache(build_parser)     # one parser per process; parsing leaves no state in it
-
-
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code, on the parser built at the first call."""
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -228,9 +228,12 @@ def overall_loss(gt_tracks, pred_tracks, assignment: Assignment,
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1/(1+e) for z >= 0 and e/(1+e) below, with e = exp(-|z|), which never overflows.
-    An integer z is taken as float64. e takes one buffer, negated and exponentiated in
-    place, and the quotient overwrites the numerator. A 0-d z gives a numpy float."""
-    e = np.abs(z, dtype=np.float64, out=np.empty(np.shape(z)))
+    e and the result have the dtype of `np.exp(z)`: a float z's own, float64 for int64.
+    e takes one buffer, negated and exponentiated in place, and the quotient overwrites
+    the numerator. A 0-d z gives a numpy float."""
+    z = np.asarray(z)
+    dtype = np.result_type(z.dtype, np.float16)       # the output type of np.exp(z)
+    e = np.abs(z, dtype=dtype, out=np.empty(z.shape, dtype))
     np.exp(np.negative(e, out=e), out=e)
     p = np.maximum(e, z >= 0)      # e <= 1: 1 where z >= 0, else e (NaN stays NaN)
     e += 1.0

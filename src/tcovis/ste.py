@@ -58,16 +58,15 @@ def _declare(*shape, fill=None, layers=None):
     return field(metadata={"shape": shape, "fill": fill, "layers": layers})
 
 
-def _freeze_fields(block, dims=None, where: str = "", nested: bool = False) -> dict:
-    """Store each declared field of a parameter block as a read-only float64 copy of its
-    declared shape; each symbol binds in `dims`, to a (size >= 1, field name) pair, where
-    first met. A nested block's arrays, frozen by its own constructor, bind and meet the
-    symbols uncopied. Another shape or a non-finite entry raises ValueError, which names
-    the fields that bound the symbols it breaks."""
+def _freeze_fields(block, dims=None, where: str = "") -> dict:
+    """Store each declared field of a parameter block, nested blocks included, as a
+    read-only float64 copy of its declared shape; each symbol binds in `dims`, to a
+    (size >= 1, field name) pair, where first met. Another shape or a non-finite entry
+    raises ValueError, which names the fields that bound the symbols it breaks."""
     dims = {} if dims is None else dims
 
     def checked(name, decl, values):
-        value = values if nested else _frozen(values, np.float64)
+        value = _frozen(values, np.float64)
         for sym, n in zip(decl, value.shape):
             if sym not in dims and n >= 1:
                 dims.update({sym: (n, name), "2C": (2 * n, name)} if sym == "C" else
@@ -80,14 +79,14 @@ def _freeze_fields(block, dims=None, where: str = "", nested: bool = False) -> d
             if bound:
                 shown += f" ({', '.join(bound)})"
             raise ValueError(f"{name} must be {shown}, got {value.shape}")
-        if not nested and not np.isfinite(value).all():
+        if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
         return value
 
     for f in fields(block):
         value, name, meta = getattr(block, f.name), where + f.name, f.metadata
         if is_dataclass(value):
-            _freeze_fields(value, dims, name + ".", nested=True)
+            _freeze_fields(value, dims, name + ".")
         elif meta.get("layers"):
             if len(value) != meta["layers"]:
                 raise ValueError(f"{name} must have exactly {meta['layers']} layers")

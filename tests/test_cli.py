@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tcovis import ste, synth
-from tcovis.cli import _load_run_config, build_parser, main
+from tcovis.cli import _load_run_config, main
 from tcovis.model import load_corpus, save_corpus, validate
 from tcovis.rng import stream
 
@@ -827,35 +827,6 @@ class TestThreadCount:
         assert main(argv) == 1
         assert capsys.readouterr().err == reason
         assert list(tmp_path.glob("out*")) == []
-
-
-class TestParserReuse:
-    """`main` builds its parser once; a call after a usage error gives the
-    bytes and exit codes that a fresh process gives."""
-
-    def test_build_parser_returns_a_new_parser(self):
-        assert build_parser() is not build_parser()
-
-    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
-        def argvs(tag):
-            return [["bench"],
-                    ["gen", str(CONFIG_DIR / "small.json"), "--out", str(tmp_path / f"{tag}-c.json")],
-                    ["enhance", "--demo", str(CONFIG_DIR / "enhance.json"),
-                     "--out", str(tmp_path / f"{tag}-e.json")],
-                    ["gen", str(CONFIG_DIR / "small.json")]]
-
-        here = []
-        for argv in argvs("here"):
-            code = main(argv)
-            here.append((code, *capsys.readouterr()))
-        assert [code for code, _, _ in here] == [2, 0, 0, 2]
-        env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
-        fresh = [subprocess.run([sys.executable, "-m", "tcovis.cli", *argv], env=env,
-                                capture_output=True, text=True, timeout=300)
-                 for argv in argvs("fresh")]
-        assert here == [(r.returncode, r.stdout, r.stderr) for r in fresh]
-        for name in ("c.json", "e.json"):
-            assert (tmp_path / f"here-{name}").read_bytes() == (tmp_path / f"fresh-{name}").read_bytes()
 
 
 class TestUtf8Files:

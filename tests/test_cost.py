@@ -569,14 +569,16 @@ def test_sigmoid_matches_the_two_branch_formula():
     expected[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
     assert _sigmoid(z).tobytes() == expected.tobytes()
     assert _sigmoid(z)[1, 249:251].tolist() == [1.0, 0.0]    # z = 800 and -800
-    # type and bits as the plain expression gives them: a 0-d input (synth's
-    # background value) returns a numpy float; integers and NaN pass through
+    # type, dtype and bits as the plain expression gives them: a 0-d input
+    # (synth's background value) returns a numpy float; integers and NaN pass
+    # through, and float32 and float16 inputs stay in their own precision
+    mixed = np.array([[0.0, -0.0, 800.0], [-800.0, np.nan, 1.0], [-3.7, 2.2, -60.0]])
     for z in (np.array(-12.0), np.array(3), np.array(-0.0), np.array(np.nan), np.array([-3, 0, 2, 40]),
-              np.array([[0.0, -0.0, 800.0], [-800.0, np.nan, 1.0]])):
+              mixed, mixed.astype(np.float32), np.array(-12.0, np.float32), mixed.astype(np.float16)):
         e = np.exp(-np.abs(z))
         expected = np.where(z >= 0, 1.0, e) / (1.0 + e)
         got = _sigmoid(z)
-        assert type(got) is type(expected) and np.asarray(got).dtype == np.float64
+        assert type(got) is type(expected) and np.asarray(got).dtype == np.asarray(expected).dtype
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tcovis import ste as ste_module
 from tcovis.model import Clip, ClipSpec, Corpus, dump_json, validate
 from tcovis.ste import (LN_EPS, AttentionParams, FeedForwardParams, MhcaParams,
                         RefDecoderParams, cross_attention_update,
@@ -108,18 +107,6 @@ def naive_propagate(queries, frame_queries, params):
 
 def numpy_layer_norm(x, scale, shift):
     return (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + LN_EPS) * scale + shift
-
-
-def param_arrays(block):
-    """Every array of a parameter block, nested blocks and layers included."""
-    for f in dataclasses.fields(block):
-        value = getattr(block, f.name)
-        if dataclasses.is_dataclass(value):
-            yield from param_arrays(value)
-        elif isinstance(value, tuple):
-            yield from (array for layer in value for array in layer)
-        elif isinstance(value, np.ndarray):
-            yield value
 
 
 # -- layer norm ----------------------------------------------------------------
@@ -657,23 +644,6 @@ class TestParams:
             node[path[-1]] = value
         with pytest.raises(ValueError, match=message):
             params_from_dict(doc)
-
-    def test_each_array_is_frozen_once(self, monkeypatch):
-        # each array is copied by the block that declares it, and the enclosing
-        # block keeps that very array
-        made, real = [], ste_module._frozen
-        monkeypatch.setattr(ste_module, "_frozen",
-                            lambda values, dtype=None: made.append(real(values, dtype)) or made[-1])
-        held = list(param_arrays(decoder()))
-        assert len(made) == len(held) == 25
-        assert all(any(array is m for m in made) for array in held)
-
-    def test_enclosing_block_keeps_a_nested_block_as_it_is(self):
-        d = decoder()
-        encoder = AttentionParams(**vars(d.encoder))
-        w_q = encoder.w_q
-        outer = RefDecoderParams(**dict(vars(d), encoder=encoder))
-        assert outer.encoder is encoder and outer.encoder.w_q is w_q
 
     def test_nested_blocks_must_agree_on_c(self):
         narrow = init_ref_decoder_params(8, 3, HEADS, 0)
