@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tcovis import ste, synth
-from tcovis.cli import _load_run_config, main
+from tcovis.cli import _demo_inputs, _load_demo_config, _load_run_config, main
 from tcovis.model import load_corpus, save_corpus, validate
 from tcovis.rng import stream
 
@@ -617,6 +617,17 @@ class TestOutputPaths:
         assert capsys.readouterr().err.startswith(f"error: {cfg} is not valid JSON: ")
 
 
+def enhance_tracks(config):
+    """The plain and the STE tracks of the clip that `enhance` runs on the demo
+    config at `config`."""
+    cfg = _load_demo_config(config)
+    decoder, mhca, queries, frames = _demo_inputs(cfg)
+    plain, _ = ste.run_clip(queries, frames, decoder)
+    enhanced, _ = ste.run_clip(queries, frames, decoder, ste_params=mhca,
+                               threshold=cfg["threshold"])
+    return plain, enhanced
+
+
 class TestEnhance:
     def test_single_frame_traces_match(self, tmp_path):
         doc = json.loads((CONFIG_DIR / "enhance.json").read_text())
@@ -697,6 +708,26 @@ class TestEnhance:
         config = benchmark_config(workload, 5, enhance=True)
         assert main(["enhance", "--demo", str(config), "--out", str(tmp_path / "trace.json")]) == 0
         assert capsys.readouterr().out.split("sha256=")[1].strip() == digest
+
+    # sha256 over each track's class_probs then mask_probs bytes, slot by slot,
+    # for the plain and the STE run of `enhance` on the same inputs
+    @pytest.mark.parametrize("workload, plain_digest, ste_digest", [
+        ("enhance.json", "e9d274e0330eaddac9d67b2db5d54894ddad2da942a6a5faf852cc8e49ceeba2",
+         "351ccd6e89c27150d0137ece37d6b0430b0bd2dbd30127db6d87f20bc5dd7b2b"),
+        ("swap-corpus", "359c4139e5df9ddc8f7ab22fd5e765d582fac8dc02a386b3e66ff9ffb438f25e",
+         "01f2d483e8b07e68f27cf6e033f910c986e45581229c6c801cffa718cf3eb0e3"),
+        ("crowded-clips", "529def1de2711aae693b81db93c618447fb58a9650c32f0184010f9198f79c54",
+         "25095410facff26b1c834c0546d8eb383c156150daf131a4a1aee92071c07d97"),
+    ])
+    def test_golden_track_digests(self, benchmark_config, workload, plain_digest, ste_digest):
+        config = (CONFIG_DIR / workload if workload.endswith(".json")
+                  else benchmark_config(workload, 5, enhance=True))
+        for tracks, digest in zip(enhance_tracks(config), (plain_digest, ste_digest)):
+            h = hashlib.sha256()
+            for track in tracks:
+                h.update(track.class_probs.tobytes())
+                h.update(track.mask_probs.tobytes())
+            assert h.hexdigest() == digest
 
     def test_trace_matches_library_composition(self, tmp_path):
         out = tmp_path / "trace.json"
