@@ -17,7 +17,7 @@ except ImportError:
 
 import numpy as np
 
-from tcovis import (cross_attention_update, init_mhca_params,
+from tcovis import (clip_tracks, cross_attention_update, init_mhca_params,
                     init_ref_decoder_params, masked_average_pool, propagate,
                     run_clip, segment_frame, spatial_matting)
 from tcovis.rng import stream
@@ -57,8 +57,8 @@ drift = np.linalg.norm(updated - protos, axis=1)
 print(f"  query drift per slot: {np.round(drift, 3)}")
 
 print("\nfull clip, enhancement on vs off:")
-plain, _ = run_clip(queries, frames, decoder)
-enhanced, _ = run_clip(queries, frames, decoder, ste_params=mhca)
+plain = clip_tracks(run_clip(queries, frames, decoder), frames, decoder)
+enhanced = clip_tracks(run_clip(queries, frames, decoder, ste_params=mhca), frames, decoder)
 for k in range(N_SLOTS):
     gap = np.abs(plain[k].mask_probs - enhanced[k].mask_probs).max()
     print(f"  slot {k}: max |mask difference| over the clip = {gap:.4f}")

@@ -14,7 +14,7 @@ from .evaluation import (AuditRow, EvalReport, audit_assignments, compute_ap,
 from .model import (Assignment, Clip, ClipSpec, Corpus, GroundTruthTrack,
                     PredictionTrack, Violation, decode_mask_rle,
                     encode_mask_rle, load_corpus, save_corpus, validate)
-from .ste import (MhcaParams, RefDecoderParams, SpatialFeature,
+from .ste import (MhcaParams, RefDecoderParams, SpatialFeature, clip_tracks,
                   cross_attention_update, init_mhca_params,
                   init_ref_decoder_params, load_params, masked_average_pool,
                   propagate, run_clip, save_params, segment_frame,
@@ -30,7 +30,7 @@ __all__ = [
     "NoiseConfig", "PredictionTrack", "RefDecoderParams", "SceneConfig",
     "SpatialFeature", "Violation", "assignment_total_global_cost",
     "audit_assignments", "average_class_prob", "bce_cost", "brute_force_assign",
-    "build_global_cost_matrix", "ce_cost", "compute_ap",
+    "build_global_cost_matrix", "ce_cost", "clip_tracks", "compute_ap",
     "cross_attention_update", "decode_mask_rle", "dice_cost",
     "encode_mask_rle", "frame_matching_cost", "generate_clip",
     "generate_corpus", "global_instance_assignment", "global_matching_cost",

@@ -227,9 +227,9 @@ def _cmd_enhance(args) -> int:
     cfg = _load_demo_config(args.demo)
     _threads(args)      # one clip: the count is checked, not used
     decoder, mhca, queries, frames = _demo_inputs(cfg)
-    _, plain_trace = ste.run_clip(queries, frames, decoder)
-    _, ste_trace = ste.run_clip(queries, frames, decoder, ste_params=mhca,
-                                threshold=cfg["threshold"])
+    plain_trace = ste.run_clip(queries, frames, decoder)
+    ste_trace = ste.run_clip(queries, frames, decoder, ste_params=mhca,
+                             threshold=cfg["threshold"])
     doc = {"spec": cfg["spec"].to_dict(), "seed": cfg["seed"],
            "n_heads": cfg["n_heads"], "n_fq": cfg["n_fq"],
            "threshold": cfg["threshold"],

@@ -30,6 +30,7 @@ exactly nonnegative, including at perfect predictions. ``EPS_LOG`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,9 @@ DICE_SMOOTH = 1.0
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Nonnegative weights for the class / bce / dice cost terms."""
+    """Nonnegative weights for the class / bce / dice cost terms, small enough
+    that the largest cost they can price, (lambda_cls + lambda_bce) *
+    -log(EPS_LOG) + lambda_dice, is a finite float64."""
 
     lambda_cls: float = 2.0
     lambda_bce: float = 5.0
@@ -54,6 +57,11 @@ class LossWeights:
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
             object.__setattr__(self, name, value)
+        if not math.isfinite((self.lambda_cls + self.lambda_bce) * -math.log(EPS_LOG)
+                             + self.lambda_dice):
+            raise ValueError(f"loss weights lambda_cls={self.lambda_cls}, lambda_bce="
+                             f"{self.lambda_bce}, lambda_dice={self.lambda_dice} are too large: "
+                             f"their largest cost is not a finite float64")
 
 
 def _neg_log(x: np.ndarray) -> np.ndarray:

@@ -15,8 +15,10 @@ to both the query and the key of slot k (shared positional identity);
 values carry no positional term. Without enhancement parameters,
 next-frame queries are the prototypes themselves. Each step has one
 return shape: `propagate` (prototypes, class_probs, mask_embeddings,
-weights), `cross_attention_update` (updated, weights), `run_clip`
-(tracks, trace). `LN_EPS` and `model.MASK_BINARIZE` are constants.
+weights), `cross_attention_update` (updated, weights), `run_clip` (trace),
+`clip_tracks` (tracks). `run_clip` segments only the frames whose masks
+feed an enhancement update; `clip_tracks` segments every frame of a traced
+clip. `LN_EPS` and `model.MASK_BINARIZE` are constants.
 
 No training happens here: parameters are plain float64 arrays, seeded for
 reproducibility.
@@ -261,13 +263,17 @@ def propagate(queries: np.ndarray, frame_queries: np.ndarray,
     expl = np.exp(logits)
     class_probs = expl / expl.sum(axis=-1, keepdims=True)
 
+    weights = {"encoder_weights": enc_w, "decoder_weights": dec_w}
+    return prototypes, class_probs, _mask_head(prototypes, params), weights
+
+
+def _mask_head(prototypes: np.ndarray, params: RefDecoderParams) -> np.ndarray:
+    """The mask embeddings of `prototypes`: two ReLU layers, then a linear one."""
     m = prototypes
     for w, b in params.mask_head[:-1]:
         m = np.maximum(m @ w + b, 0.0)
     w, b = params.mask_head[-1]
-    mask_embeddings = m @ w + b
-    weights = {"encoder_weights": enc_w, "decoder_weights": dec_w}
-    return prototypes, class_probs, mask_embeddings, weights
+    return m @ w + b
 
 
 def segment_frame(mask_embeddings: np.ndarray, pixel_embeddings: np.ndarray) -> np.ndarray:
@@ -281,30 +287,26 @@ def segment_frame(mask_embeddings: np.ndarray, pixel_embeddings: np.ndarray) -> 
 
 
 def run_clip(initial_queries: np.ndarray, frames, params: RefDecoderParams,
-             ste_params: MhcaParams | None = None, threshold: float = MASK_BINARIZE):
-    """Run the online loop over a clip.
+             ste_params: MhcaParams | None = None, threshold: float = MASK_BINARIZE) -> list:
+    """Run the online loop over a clip and return its trace.
 
     `frames` is a sequence of (frame_queries, pixel_embeddings) pairs.
-    Per frame: propagate, segment, record. Between frames the queries for
-    t+1 are the prototypes, or with `ste_params` given, the cross-attention
-    update of the prototypes against the (N_v, C) matrix of pooled spatial
-    vectors. Returns (tracks, trace): N_v PredictionTracks and one trace
+    Per frame: propagate, record. Between frames the queries for t+1 are the
+    prototypes, or with `ste_params` given, the cross-attention update of the
+    prototypes against the (N_v, C) matrix of spatial vectors pooled under
+    frame t's masks; only those frames are segmented. The trace holds one
     entry per frame; with `ste_params`, each entry but the last also holds
-    the spatial matrix that the update consumed.
+    the spatial matrix that the update consumed. `clip_tracks` turns a trace
+    into the clip's tracks.
     """
     if len(frames) == 0:
         raise ValueError("need at least one frame")
     _check_threshold(threshold)
 
     queries = np.asarray(initial_queries, dtype=np.float64)
-    n_slots = queries.shape[0]
-    all_probs, all_masks, trace = [], [], []
-
+    trace = []
     for t, (frame_queries, pixels) in enumerate(frames):
         protos, class_probs, mask_emb, step = propagate(queries, frame_queries, params)
-        masks = segment_frame(mask_emb, pixels)
-        all_probs.append(class_probs)
-        all_masks.append(masks)
         entry = {"prototypes": protos, "class_probs": class_probs,
                  "encoder_row_sums": step["encoder_weights"].sum(axis=-1),
                  "decoder_row_sums": step["decoder_weights"].sum(axis=-1)}
@@ -314,7 +316,7 @@ def run_clip(initial_queries: np.ndarray, frames, params: RefDecoderParams,
             if ste_params is not None:
                 pooled = [masked_average_pool(spatial_matting(pixels, mask, threshold),
                                               mask >= threshold)
-                          for mask in masks]
+                          for mask in segment_frame(mask_emb, pixels)]
                 spatial = np.stack([f.vector for f in pooled])
                 queries, ste_w = cross_attention_update(protos, spatial, ste_params)
                 entry["spatial_features"] = spatial
@@ -322,12 +324,18 @@ def run_clip(initial_queries: np.ndarray, frames, params: RefDecoderParams,
                 entry["ste_row_sums"] = ste_w.sum(axis=-1)
             else:
                 queries = protos
+    return trace
 
-    probs = np.stack(all_probs)   # (T, N_v, K+1)
-    masks = np.stack(all_masks)   # (T, N_v, h, w)
-    tracks = [PredictionTrack(class_probs=probs[:, k], mask_probs=masks[:, k])
-              for k in range(n_slots)]
-    return tracks, trace
+
+def clip_tracks(trace, frames, params: RefDecoderParams) -> list:
+    """The N_v PredictionTracks of the clip that `run_clip` traced over `frames`
+    with `params`: each frame's traced class probabilities, and the masks that
+    the mask head of its traced prototypes segments."""
+    probs = np.stack([entry["class_probs"] for entry in trace])    # (T, N_v, K+1)
+    masks = np.stack([segment_frame(_mask_head(entry["prototypes"], params), pixels)
+                      for entry, (_, pixels) in zip(trace, frames, strict=True)])
+    return [PredictionTrack(class_probs=probs[:, k], mask_probs=masks[:, k])
+            for k in range(probs.shape[1])]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from tcovis.cost import LossWeights, bce_cost, dice_cost, mask_loss_grad
 from tcovis.evaluation import audit_assignments, compute_ap
 from tcovis.model import (Clip, ClipSpec, Corpus, GroundTruthTrack,
                           PredictionTrack)
-from tcovis.ste import (cross_attention_update, init_mhca_params,
+from tcovis.ste import (clip_tracks, cross_attention_update, init_mhca_params,
                         init_ref_decoder_params, masked_average_pool, run_clip,
                         segment_frame, MhcaParams)
 from tcovis.synth import NoiseConfig, SceneConfig, generate_corpus
@@ -173,8 +173,8 @@ def test_criterion_4_ste_invariants():
     mhca = init_mhca_params(slots, C, heads, seed=4999)
     queries = rng.normal(size=(slots, C))
     frames = [(rng.normal(size=(6, C)), rng.normal(size=(C, 8, 8)))]
-    plain, _ = run_clip(queries, frames, decoder)
-    enhanced, _ = run_clip(queries, frames, decoder, ste_params=mhca)
+    plain = clip_tracks(run_clip(queries, frames, decoder), frames, decoder)
+    enhanced = clip_tracks(run_clip(queries, frames, decoder, ste_params=mhca), frames, decoder)
     for a, b in zip(plain, enhanced):
         assert np.array_equal(a.class_probs, b.class_probs)
         assert np.array_equal(a.mask_probs, b.mask_probs)

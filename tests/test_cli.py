@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -548,6 +549,41 @@ class TestErrorBoundary:
             main(["gen", str(write_config(tmp_path, clips=2)), "--out", str(tmp_path / "x.json")])
 
 
+class TestHugeLossWeights:
+    """Weights whose largest cost overflows float64 are refused where they are
+    named, before any cost is priced: exit 1 with one `error:` line, even when
+    every RuntimeWarning is an error."""
+
+    @pytest.mark.parametrize("command", ["assign", "eval"])
+    def test_overflowing_weights_exit_one_without_a_warning(self, tmp_path, command):
+        corpus = gen_corpus(tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
+        env.pop("PYTHONWARNINGS", None)
+        result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                                 "tcovis.cli", command, str(corpus), "--weights", "1e308",
+                                 "1e308", "1e308", "--out-prefix", str(tmp_path / "w")],
+                                env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 1
+        assert result.stderr == ("error: loss weights lambda_cls=1e+308, lambda_bce=1e+308, "
+                                 "lambda_dice=1e+308 are too large: their largest cost is not "
+                                 "a finite float64\n")
+        assert result.stdout == ""
+        assert list(tmp_path.glob("w*")) == []
+
+    @pytest.mark.parametrize("command", ["assign", "eval"])
+    def test_finite_weights_past_the_entry_limit_reach_the_solver(self, tmp_path, capsys,
+                                                                  command):
+        # the largest cost of 1e306 is finite, but swap.json's costs pass the
+        # solver's bound on entries
+        corpus = gen_corpus(tmp_path, "swap.json", clips=16)
+        capsys.readouterr()
+        assert main([command, str(corpus), "--weights", "1e306", "0", "0",
+                     "--out-prefix", str(tmp_path / "w")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cost matrix entries must be at most float64 max / "
+                              "(4 * (cols + 1)) = ") and err.count("\n") == 1
+
+
 class TestOutputPaths:
     """Every output goes through `model.write_file`: a missing directory is
     made, and an input or output path that cannot be used exits 1 with
@@ -622,10 +658,10 @@ def enhance_tracks(config):
     config at `config`."""
     cfg = _load_demo_config(config)
     decoder, mhca, queries, frames = _demo_inputs(cfg)
-    plain, _ = ste.run_clip(queries, frames, decoder)
-    enhanced, _ = ste.run_clip(queries, frames, decoder, ste_params=mhca,
-                               threshold=cfg["threshold"])
-    return plain, enhanced
+    plain = ste.run_clip(queries, frames, decoder)
+    enhanced = ste.run_clip(queries, frames, decoder, ste_params=mhca,
+                            threshold=cfg["threshold"])
+    return ste.clip_tracks(plain, frames, decoder), ste.clip_tracks(enhanced, frames, decoder)
 
 
 class TestEnhance:
@@ -747,7 +783,7 @@ class TestEnhance:
         frames = [(rng.normal(size=(cfg["n_fq"], spec["C"])),
                    rng.normal(size=(spec["C"], h, w)))
                   for _ in range(spec["T"])]
-        _, lib_trace = ste.run_clip(queries, frames, decoder, ste_params=mhca)
+        lib_trace = ste.run_clip(queries, frames, decoder, ste_params=mhca)
         assert len(trace["ste"]) == len(lib_trace)
         for entry, lib in zip(trace["ste"], lib_trace):
             assert np.array_equal(np.array(entry["prototypes"]), lib["prototypes"])
@@ -765,6 +801,53 @@ class TestEnhance:
             for entry in trace[variant]:
                 assert np.allclose(entry["encoder_row_sums"], 1.0, atol=1e-9)
                 assert np.allclose(entry["decoder_row_sums"], 1.0, atol=1e-9)
+
+
+class TestEnhanceWork:
+    """An `enhance` call segments a frame only where the enhancement update reads
+    its masks: frames 0..T-2 of the STE run, and no frame of the plain run."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in ("segment_frame", "spatial_matting"):
+            def counted(*args, _name=name, _fn=getattr(ste, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(ste, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("workload", ["enhance.json", "swap-corpus", "crowded-clips"])
+    def test_one_call_segments_t_minus_one_frames(self, tmp_path, capsys, benchmark_config,
+                                                  calls, workload):
+        config = (CONFIG_DIR / workload if workload.endswith(".json")
+                  else benchmark_config(workload, 5, enhance=True))
+        spec = json.loads(config.read_text())["spec"]
+        for call in (1, 2):
+            assert main(["enhance", "--demo", str(config), "--out", str(tmp_path / "t.json")]) == 0
+            assert calls == {"segment_frame": call * (spec["T"] - 1),
+                             "spatial_matting": call * spec["N_v"] * (spec["T"] - 1)}
+        assert capsys.readouterr().out.startswith(f"frames={spec['T']} ")
+
+    def test_plain_run_segments_no_frame(self, calls):
+        cfg = _load_demo_config(CONFIG_DIR / "enhance.json")
+        decoder, _, queries, frames = _demo_inputs(cfg)
+        assert len(ste.run_clip(queries, frames, decoder)) == len(frames)
+        assert calls == {}
+
+    def test_one_frame_call_segments_nothing(self, tmp_path, capsys, calls):
+        doc = json.loads((CONFIG_DIR / "enhance.json").read_text())
+        doc["spec"]["T"] = 1
+        cfg = tmp_path / "demo.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["enhance", "--demo", str(cfg), "--out", str(tmp_path / "t.json")]) == 0
+        assert calls == {}
+        # the threshold is still checked although no frame uses it
+        cfg.write_text(json.dumps(dict(doc, threshold=7)))
+        out = tmp_path / "bad.json"
+        assert main(["enhance", "--demo", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: threshold must be in (0, 1), got 7.0\n"
+        assert not out.exists()
 
 
 class TestEval:

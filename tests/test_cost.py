@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -593,3 +594,26 @@ class TestLossWeights:
     def test_rejects_bad_weights(self, bad):
         with pytest.raises(ValueError):
             LossWeights(**bad)
+
+    @pytest.mark.parametrize("weights", [(1e308, 1e308, 1e308), (6.6e306, 0.0, 0.0),
+                                         (0.0, 6.6e306, 0.0), (3.3e306, 3.3e306, 0.0),
+                                         (6.5e306, 0.0, 1e307)])
+    def test_refuses_weights_whose_largest_cost_overflows(self, weights):
+        # the largest cost is (lambda_cls + lambda_bce) * -log(EPS_LOG) + lambda_dice
+        with pytest.raises(ValueError, match=r"^loss weights lambda_cls=.* are too large: "
+                                             r"their largest cost is not a finite float64$"):
+            LossWeights(*weights)
+
+    @pytest.mark.parametrize("weights", [(6.5e306, 0.0, 0.0), (0.0, 0.0, 1.79e308),
+                                         (1e306, 1e306, 1e306)])
+    def test_weights_with_a_finite_largest_cost_price_it_without_a_warning(self, weights):
+        # a probability of 0 and a mask of 0 against a full ground truth: every
+        # term at its largest
+        w = LossWeights(*weights)
+        gt = GroundTruthTrack(class_id=0, masks=np.ones((2, 3, 3), np.uint8))
+        pred = PredictionTrack(class_probs=np.tile([0.0, 1.0], (2, 1)),
+                               mask_probs=np.zeros((2, 3, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cost = global_matching_cost(gt, pred, w)
+        assert np.isfinite(cost)

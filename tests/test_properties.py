@@ -32,7 +32,7 @@ from tcovis.synth import NoiseConfig, SceneConfig, build_clip, generate_corpus
 from tcovis.model import (Clip, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
                           _float_array, _rle_records, corpus_to_dict, decode_mask_rle,
                           dump_json, encode_mask_rle, load_corpus, save_corpus, validate)
-from tcovis.ste import (init_mhca_params, init_ref_decoder_params, params_from_dict,
+from tcovis.ste import (clip_tracks, init_mhca_params, init_ref_decoder_params, params_from_dict,
                         params_to_dict, run_clip)
 
 
@@ -509,8 +509,9 @@ def test_reshaped_bundle_array_is_refused_by_name_or_runs(case):
     rng = np.random.default_rng(0)
     frames = [(rng.normal(size=(2, BUNDLE_C)), rng.normal(size=(BUNDLE_C, 3, 3)))
               for _ in range(2)]
-    tracks, _ = run_clip(rng.normal(size=(BUNDLE_SLOTS, BUNDLE_C)), frames, decoder,
-                         ste_params=mhca)
+    trace = run_clip(rng.normal(size=(BUNDLE_SLOTS, BUNDLE_C)), frames, decoder,
+                     ste_params=mhca)
+    tracks = clip_tracks(trace, frames, decoder)
     assert all(np.isfinite(t.class_probs).all() and np.isfinite(t.mask_probs).all()
                for t in tracks)
 

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from tcovis.model import Clip, ClipSpec, Corpus, dump_json, validate
 from tcovis.ste import (LN_EPS, AttentionParams, FeedForwardParams, MhcaParams,
-                        RefDecoderParams, cross_attention_update,
+                        RefDecoderParams, clip_tracks, cross_attention_update,
                         init_mhca_params, init_ref_decoder_params, layer_norm,
                         load_params, masked_average_pool, params_from_dict,
                         params_to_dict, propagate, run_clip, save_params,
@@ -381,8 +381,9 @@ class TestRunClip:
         rng = np.random.default_rng(14)
         q = rng.normal(size=(N_SLOTS, C))
         frames = demo_frames(rng, T=1)
-        plain, _ = run_clip(q, frames, decoder())
-        enhanced, _ = run_clip(q, frames, decoder(), ste_params=mhca())
+        params = decoder()
+        plain = clip_tracks(run_clip(q, frames, params), frames, params)
+        enhanced = clip_tracks(run_clip(q, frames, params, ste_params=mhca()), frames, params)
         for a, b in zip(plain, enhanced):
             assert np.array_equal(a.class_probs, b.class_probs)
             assert np.array_equal(a.mask_probs, b.mask_probs)
@@ -392,7 +393,7 @@ class TestRunClip:
         q = rng.normal(size=(N_SLOTS, C))
         frames = demo_frames(rng, T=2)
         params = decoder(seed=16)
-        tracks, _ = run_clip(q, frames, params)
+        tracks = clip_tracks(run_clip(q, frames, params), frames, params)
         protos, _, _, _ = propagate(q, frames[0][0], params)
         _, probs1, emb1, _ = propagate(protos, frames[1][0], params)
         assert np.array_equal(tracks[0].class_probs[1], probs1[0])
@@ -405,7 +406,7 @@ class TestRunClip:
         frames = demo_frames(rng, T=3)
         params = decoder(seed=18)
         enh = mhca(seed=19)
-        tracks, _ = run_clip(q0, frames, params, ste_params=enh)
+        tracks = clip_tracks(run_clip(q0, frames, params, ste_params=enh), frames, params)
 
         queries = q0
         for t in range(3):
@@ -422,12 +423,21 @@ class TestRunClip:
                 queries, _ = cross_attention_update(
                     protos, np.stack([f.vector for f in feats]), enh)
 
+    def test_tracks_need_one_trace_entry_per_frame(self):
+        rng = np.random.default_rng(28)
+        frames = demo_frames(rng, T=3)
+        params = decoder()
+        trace = run_clip(rng.normal(size=(N_SLOTS, C)), frames, params)
+        with pytest.raises(ValueError, match="zip"):
+            clip_tracks(trace, frames[:2], params)
+
     def test_outputs_satisfy_model_invariants(self):
         spec = ClipSpec(T=3, H=32, W=32, S=4, K=3, N_v=N_SLOTS, C=C)
         rng = np.random.default_rng(20)
         q = rng.normal(size=(N_SLOTS, C))
         frames = demo_frames(rng, T=3, h=spec.h, w=spec.w)
-        tracks, _ = run_clip(q, frames, decoder(), ste_params=mhca())
+        params = decoder()
+        tracks = clip_tracks(run_clip(q, frames, params, ste_params=mhca()), frames, params)
         gt = np.zeros((3, spec.h, spec.w), np.uint8)
         gt[0, 0, 0] = 1
         from tcovis.model import GroundTruthTrack
@@ -439,7 +449,9 @@ class TestRunClip:
             rng = np.random.default_rng(21)
             q = rng.normal(size=(N_SLOTS, C))
             frames = demo_frames(rng, T=3)
-            tracks, _ = run_clip(q, frames, decoder(seed=22), ste_params=mhca(seed=23))
+            params = decoder(seed=22)
+            tracks = clip_tracks(run_clip(q, frames, params, ste_params=mhca(seed=23)), frames,
+                                 params)
             return np.concatenate([t.mask_probs.ravel() for t in tracks])
 
         serial = [once(i) for i in range(2)]
@@ -452,7 +464,7 @@ class TestRunClip:
         rng = np.random.default_rng(24)
         q = rng.normal(size=(N_SLOTS, C))
         frames = demo_frames(rng, T=3)
-        _, trace = run_clip(q, frames, decoder(), ste_params=mhca())
+        trace = run_clip(q, frames, decoder(), ste_params=mhca())
         for entry in trace:
             assert np.allclose(entry["encoder_row_sums"], 1.0, atol=1e-9)
             assert np.allclose(entry["decoder_row_sums"], 1.0, atol=1e-9)
@@ -467,7 +479,7 @@ class TestRunClip:
         q = rng.normal(size=(N_SLOTS, C))
         frames = demo_frames(rng, T=4)
         params, enh = decoder(seed=26), mhca(seed=27)
-        _, trace = run_clip(q, frames, params, ste_params=enh)
+        trace = run_clip(q, frames, params, ste_params=enh)
         for t in range(len(frames) - 1):
             updated, weights = cross_attention_update(
                 trace[t]["prototypes"], trace[t]["spatial_features"], enh)
