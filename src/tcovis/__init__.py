@@ -16,9 +16,8 @@ from .model import (Assignment, Clip, ClipSpec, Corpus, GroundTruthTrack,
                     encode_mask_rle, load_corpus, save_corpus, validate)
 from .ste import (MhcaParams, RefDecoderParams, SpatialFeature, clip_tracks,
                   cross_attention_update, init_mhca_params,
-                  init_ref_decoder_params, load_params, masked_average_pool,
-                  propagate, run_clip, save_params, segment_frame,
-                  spatial_matting)
+                  init_ref_decoder_params, masked_average_pool, propagate,
+                  run_clip, segment_frame, spatial_matting)
 from .synth import (NoiseConfig, SceneConfig, generate_clip, generate_corpus,
                     simulate_predictions)
 
@@ -35,9 +34,8 @@ __all__ = [
     "encode_mask_rle", "frame_matching_cost", "generate_clip",
     "generate_corpus", "global_instance_assignment", "global_matching_cost",
     "hungarian", "init_mhca_params", "init_ref_decoder_params", "load_corpus",
-    "load_params", "locpro_assignment", "mask_loss_grad",
-    "masked_average_pool", "overall_loss", "predicted_label",
-    "prediction_score", "propagate", "run_clip", "save_corpus", "save_params",
-    "segment_frame", "simulate_predictions", "spatial_matting", "validate",
-    "video_iou",
+    "locpro_assignment", "mask_loss_grad", "masked_average_pool",
+    "overall_loss", "predicted_label", "prediction_score", "propagate",
+    "run_clip", "save_corpus", "segment_frame", "simulate_predictions",
+    "spatial_matting", "validate", "video_iou",
 ]

@@ -57,11 +57,17 @@ class LossWeights:
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
             object.__setattr__(self, name, value)
-        if not math.isfinite((self.lambda_cls + self.lambda_bce) * -math.log(EPS_LOG)
-                             + self.lambda_dice):
-            raise ValueError(f"loss weights lambda_cls={self.lambda_cls}, lambda_bce="
-                             f"{self.lambda_bce}, lambda_dice={self.lambda_dice} are too large: "
-                             f"their largest cost is not a finite float64")
+        _finite(self, (self.lambda_cls + self.lambda_bce) * -math.log(EPS_LOG) + self.lambda_dice,
+                "their largest cost")
+
+
+def _finite(weights: LossWeights, value: float, what: str) -> float:
+    """`value`, which is `what` under `weights`; ValueError naming them if it is not finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"loss weights lambda_cls={weights.lambda_cls}, lambda_bce="
+                         f"{weights.lambda_bce}, lambda_dice={weights.lambda_dice} are too large: "
+                         f"{what} is not a finite float64")
+    return value
 
 
 def _neg_log(x: np.ndarray) -> np.ndarray:
@@ -231,7 +237,7 @@ def overall_loss(gt_tracks, pred_tracks, assignment: Assignment,
             probs = average_class_prob(pred_tracks[s])
             no_object = probs.shape[-1] - 1
             total += weights.lambda_cls * ce_cost(no_object, probs)
-    return float(total)
+    return _finite(weights, float(total), "their overall loss")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -256,7 +262,13 @@ def mask_loss_grad(gt_masks, pred_logits, weights: LossWeights) -> np.ndarray:
       + weights.lambda_dice * dice_cost(y, sigmoid(z))``
     including the log clamping, so the result matches central finite
     differences of those implementations.
+
+    For a ground truth in [0, 1], no step exceeds ``lambda_bce * (1 / EPS_LOG) +
+    2 * lambda_dice`` (the BCE derivative is at most ``1 / EPS_LOG`` a cell, the
+    dice one at most 2); weights that make it infinite raise ValueError up front.
     """
+    _finite(weights, weights.lambda_bce * (1.0 / EPS_LOG) + 2.0 * weights.lambda_dice,
+            "their mask-loss gradient bound")
     y = np.asarray(gt_masks, dtype=np.float64)
     z = np.asarray(pred_logits, dtype=np.float64)
     if y.shape != z.shape:

@@ -781,7 +781,7 @@ class _FloatMemo(dict):
 
 def read_json(path):
     """Decode the JSON file at `path`, as UTF-8 whatever the locale: every
-    file tcovis reads (configs, corpora, parameter bundles) goes through here.
+    file tcovis reads (configs and corpora) goes through here.
 
     The text is decoded with ``json.loads(text, parse_float=memo.__getitem__)``
     over a fresh memo per call, so each distinct float text is parsed once

@@ -3,7 +3,7 @@
 Every random draw in the library flows from a single master seed in [0, 2**64).
 Substreams are derived by hashing string labels (and optional integer
 indices) into a ``numpy.random.SeedSequence`` that keys a Philox
-counter-based generator, so corpora and parameter bundles are exactly
+counter-based generator, so corpora and seeded parameters are exactly
 reproducible across runs, platforms, and any degree of parallelism.
 """
 

@@ -33,8 +33,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .cost import _sigmoid
-from .model import (MASK_BINARIZE, PredictionTrack, _checked_section, _field, _float_array,
-                    _frozen, _integer, _need, dump_json, field_names, read_json, write_file)
+from .model import MASK_BINARIZE, PredictionTrack, _frozen, _integer
 from .rng import stream
 
 LN_EPS = 1e-5
@@ -114,6 +113,7 @@ class AttentionParams:
     ln_shift: np.ndarray = _declare("C", fill=np.zeros)
 
     def __post_init__(self):
+        object.__setattr__(self, "n_heads", _integer("n_heads", self.n_heads))
         c = _freeze_fields(self)["C"][0]
         if self.n_heads < 1 or c % self.n_heads != 0:
             raise ValueError(f"n_heads={self.n_heads} must divide C={c}")
@@ -338,10 +338,6 @@ def clip_tracks(trace, frames, params: RefDecoderParams) -> list:
             for k in range(probs.shape[1])]
 
 
-# ---------------------------------------------------------------------------
-# Seeded initialization and JSON serialization of parameter bundles.
-# ---------------------------------------------------------------------------
-
 def _drawn(kind, meta, rng, dims: dict, n_heads: int):
     """A `kind` value drawn on `rng` from its declaration `meta`: a block field by field in
     order, an array uniform in [-1/sqrt(C), 1/sqrt(C)] unless it declares a fill."""
@@ -370,64 +366,3 @@ def init_ref_decoder_params(c: int, n_classes: int, n_heads: int, seed: int) -> 
     dims, hints = {"C": c, "2C": 2 * c, "K+1": n_classes + 1}, _type_hints(RefDecoderParams)
     return RefDecoderParams(**{f.name: _drawn(hints[f.name], f.metadata, stream(seed, f.name),
                                               dims, n_heads) for f in fields(RefDecoderParams)})
-
-
-def _to_json(value):
-    """A parameter bundle's JSON form, read off the dataclass fields: a
-    block becomes its fields, `n_heads` an int, the mask head a list of
-    {w, b} layers, and an array a {shape, data} object."""
-    if is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return [{"w": _to_json(w), "b": _to_json(b)} for w, b in value]
-    if isinstance(value, np.ndarray):
-        return {"shape": list(value.shape), "data": value.ravel(order="C").tolist()}
-    return value
-
-
-def _from_json(kind, doc, name: str):
-    """The inverse of `_to_json` for the field `name` annotated `kind`; a
-    block takes each field's kind from its type hints. A wrong container, an
-    unknown or missing field, a negative or non-integer `shape` entry, or
-    `data` not a flat list of numbers filling the shape raises ValueError
-    naming it."""
-    if is_dataclass(kind):
-        _checked_section(name, doc, set(field_names(kind)))
-        return kind(**{f.name: _from_json(_type_hints(kind)[f.name], _field(doc, f.name, name),
-                                          f.name) for f in fields(kind)})
-    if kind is tuple:
-        where = [f"{name}[{i}]" for i in range(len(_need(doc, list, name)))]
-        return tuple(tuple(_from_json(np.ndarray, _field(_checked_section(at, rec, {"w", "b"}),
-                                                         k, at), f"{at}.{k}")
-                           for k in ("w", "b")) for at, rec in zip(where, doc))
-    if kind is int:
-        return _integer(name, doc)
-    _checked_section(name, doc, {"shape", "data"})
-    shape = [_integer(f"{name} shape", n)
-             for n in _need(_field(doc, "shape", name), list, f"{name} shape")]
-    if min(shape, default=0) < 0:
-        raise ValueError(f"{name} shape must not be negative, got {shape}")
-    data = _need(_field(doc, "data", name), list, f"{name} data")
-    return _float_array([([data], name, shape)])[0]
-
-
-def params_to_dict(decoder: RefDecoderParams, mhca: MhcaParams | None = None) -> dict:
-    doc = {"ref_decoder": _to_json(decoder)}
-    if mhca is not None:
-        doc["mhca"] = _to_json(mhca)
-    return doc
-
-
-def params_from_dict(doc: dict):
-    _checked_section("parameter bundle", doc, {"ref_decoder", "mhca"})
-    decoder = _from_json(RefDecoderParams, _field(doc, "ref_decoder", "parameter bundle"),
-                         "ref_decoder")
-    return decoder, _from_json(MhcaParams, doc["mhca"], "mhca") if "mhca" in doc else None
-
-
-def save_params(path, decoder: RefDecoderParams, mhca: MhcaParams | None = None) -> None:
-    write_file(path, [dump_json(params_to_dict(decoder, mhca))])
-
-
-def load_params(path):
-    return params_from_dict(read_json(path))

@@ -504,6 +504,22 @@ class TestOverallLoss:
             overall_loss(gts, preds, Assignment(pairs=[(0, 0)], total_cost=0.0),
                          LossWeights())
 
+    def test_refuses_weights_whose_total_overflows(self):
+        # each term is finite (1.796e308), but their sum is not
+        w = LossWeights(6.5e306, 0.0, 0.0)
+        gt = GroundTruthTrack(class_id=0, masks=np.ones((2, 3, 3), np.uint8))
+        matched = PredictionTrack(class_probs=np.tile([0.0, 1.0], (2, 1)),
+                                  mask_probs=np.ones((2, 3, 3)))
+        unmatched = PredictionTrack(class_probs=np.tile([1.0, 0.0], (2, 1)),
+                                    mask_probs=np.zeros((2, 3, 3)))
+        assert math.isfinite(global_matching_cost(gt, matched, w))
+        assert math.isfinite(w.lambda_cls * ce_cost(1, [1.0, 0.0]))
+        with pytest.raises(ValueError, match=r"^loss weights lambda_cls=6\.5e\+306, lambda_bce=0\.0, "
+                                             r"lambda_dice=0\.0 are too large: their overall loss "
+                                             r"is not a finite float64$"):
+            overall_loss([gt], [matched, unmatched, unmatched],
+                         Assignment(pairs=[(0, 0)], total_cost=0.0), w)
+
 
 # -- gradients ---------------------------------------------------------------
 
@@ -557,6 +573,40 @@ class TestMaskLossGrad:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="differ"):
             mask_loss_grad(np.zeros((2, 2)), np.zeros((2, 3)), LossWeights())
+
+    # the largest lambda_bce with lambda_bce * (1 / EPS) finite, and the largest
+    # lambda_dice with 2 * lambda_dice finite
+    BCE_EDGE, DICE_EDGE = 1.7976931348623155e+296, np.finfo(np.float64).max / 2
+
+    def test_edges_are_the_largest_finite_bounds(self):
+        for edge, factor in ((self.BCE_EDGE, 1.0 / EPS), (self.DICE_EDGE, 2.0)):
+            assert math.isfinite(edge * factor)
+            assert not math.isfinite(math.nextafter(edge, math.inf) * factor)
+
+    @pytest.mark.parametrize("weights", [(0.0, 1e300, 0.0),
+                                         (0.0, math.nextafter(BCE_EDGE, math.inf), 0.0),
+                                         (0.0, 0.0, math.nextafter(DICE_EDGE, math.inf)),
+                                         (0.0, BCE_EDGE, BCE_EDGE)])
+    def test_refuses_weights_whose_gradient_bound_overflows(self, weights):
+        # refused before any array work: on clamped logits that overflowed, and on
+        # shapes that would raise otherwise; the last weights pass each edge alone
+        for logits in (np.full((3, 3), -40.0), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match=r"^loss weights lambda_cls=.* are too large: their "
+                                                 r"mask-loss gradient bound is not a finite float64$"):
+                mask_loss_grad(np.ones((3, 3)), logits, LossWeights(*weights))
+
+    @pytest.mark.parametrize("weights", [(0.0, BCE_EDGE, 0.0), (0.0, 0.0, DICE_EDGE)])
+    def test_weights_just_inside_the_bound_give_a_finite_gradient(self, weights):
+        # saturated, clamped and central logits against both labels, one cell and nine
+        z = np.array([-800.0, -40.0, -27.0, 0.0, 27.0, 40.0, 800.0])
+        for n in (1, 3):
+            for label in (0.0, 1.0):
+                for logit in z:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        grad = mask_loss_grad(np.full((n, n), label), np.full((n, n), logit),
+                                              LossWeights(*weights))
+                    assert np.isfinite(grad).all()
 
 
 def test_sigmoid_matches_the_two_branch_formula():

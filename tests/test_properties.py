@@ -1,6 +1,6 @@
 """Property tests drawn by hypothesis: the assignment solver, the two
 supervision strategies, the corpus writer and loader, the RLE codec, the
-AP envelope and its invariances, the parameter-bundle loader, and the
+AP envelope and its invariances, the parameter constructors, and the
 CLI's handling of malformed config files.
 
 Solver entries are mostly small integers, so every total is an exact sum
@@ -11,6 +11,7 @@ tolerance.
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import tempfile
@@ -32,8 +33,7 @@ from tcovis.synth import NoiseConfig, SceneConfig, build_clip, generate_corpus
 from tcovis.model import (Clip, ClipSpec, Corpus, GroundTruthTrack, PredictionTrack,
                           _float_array, _rle_records, corpus_to_dict, decode_mask_rle,
                           dump_json, encode_mask_rle, load_corpus, save_corpus, validate)
-from tcovis.ste import (clip_tracks, init_mhca_params, init_ref_decoder_params, params_from_dict,
-                        params_to_dict, run_clip)
+from tcovis.ste import clip_tracks, init_mhca_params, init_ref_decoder_params, run_clip
 
 
 def matrix_shapes(max_rows, max_cols):
@@ -358,6 +358,12 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
     | st.sampled_from((float("inf"), float("-inf"), float("nan"), 10**30, 10**400,
@@ -465,17 +471,37 @@ def test_fields_packed_together_read_one_by_one(fields):
         assert not got.flags.writeable
 
 
-# -- parameter bundles ---------------------------------------------------------
+# -- seeded parameters -----------------------------------------------------------
 
-BUNDLE_C, BUNDLE_SLOTS = 4, 3
-BUNDLE_DOC = json.loads(dump_json(params_to_dict(
-    init_ref_decoder_params(BUNDLE_C, 2, 2, 0), init_mhca_params(BUNDLE_SLOTS, BUNDLE_C, 2, 0))))
+PARAM_C, PARAM_SLOTS = 4, 3
+PARAMS = {"ref_decoder": init_ref_decoder_params(PARAM_C, 2, 2, 0),
+          "mhca": init_mhca_params(PARAM_SLOTS, PARAM_C, 2, 0)}
 
 
-def _node(doc, path):
-    for key in path:
-        doc = doc[key]
-    return doc
+def _arrays(node, path):
+    """(path, array) for every array of a parameter block; a path is field names, then a
+    mask-head layer index and "w" or "b"."""
+    if dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from _arrays(getattr(node, f.name), path + (f.name,))
+    elif isinstance(node, tuple):
+        for i, layer in enumerate(node):
+            for key, array in zip("wb", layer):
+                yield path + (i, key), array
+    elif isinstance(node, np.ndarray):
+        yield path, node
+
+
+def _rebuilt(node, path, array):
+    """`node` with the array at `path` set to `array`; each enclosing block is rebuilt
+    with `dataclasses.replace`, so its constructor checks the result."""
+    if not path:
+        return array
+    key, *rest = path
+    if dataclasses.is_dataclass(node):
+        return dataclasses.replace(node, **{key: _rebuilt(getattr(node, key), rest, array)})
+    key = "wb".index(key) if isinstance(key, str) else key
+    return tuple(_rebuilt(item, rest, array) if i == key else item for i, item in enumerate(node))
 
 
 def _reshapes(count):
@@ -485,31 +511,31 @@ def _reshapes(count):
             + [(a, b, count // (a * b)) for a in divisors for b in divisors if count % (a * b) == 0])
 
 
-BUNDLE_ARRAYS = [path for path in _paths(BUNDLE_DOC)
-                 if isinstance(_node(BUNDLE_DOC, path), dict) and "shape" in _node(BUNDLE_DOC, path)]
+PARAM_ARRAYS = {(root,) + path: array for root, params in PARAMS.items()
+                for path, array in _arrays(params, ())}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @example((("ref_decoder", "encoder", "w_q"), (16,)))
 @example((("ref_decoder", "ffn", "w1"), (8, 4)))
-@example((("mhca", "e_pos"), (BUNDLE_C, BUNDLE_SLOTS)))
-@given(st.sampled_from(BUNDLE_ARRAYS).flatmap(lambda path: st.tuples(
-    st.just(path), st.sampled_from(_reshapes(len(_node(BUNDLE_DOC, path)["data"]))))))
-def test_reshaped_bundle_array_is_refused_by_name_or_runs(case):
-    # a reshape keeps the entries in order; only the declared shape may load
+@example((("mhca", "e_pos"), (PARAM_C, PARAM_SLOTS)))
+@given(st.sampled_from(sorted(PARAM_ARRAYS, key=str)).flatmap(lambda path: st.tuples(
+    st.just(path), st.sampled_from(_reshapes(PARAM_ARRAYS[path].size)))))
+def test_reshaped_parameter_array_is_refused_by_name_or_runs(case):
+    # a reshape keeps the entries in order; only the declared shape may construct
     path, shape = case
-    doc = copy.deepcopy(BUNDLE_DOC)
-    _node(doc, path)["shape"] = list(shape)
     name = f"mask_head[{path[-2]}].{path[-1]}" if "mask_head" in path else path[-1]
+    params = dict(PARAMS)
     try:
-        decoder, mhca = params_from_dict(doc)
+        params[path[0]] = _rebuilt(params[path[0]], path[1:], PARAM_ARRAYS[path].reshape(shape))
     except ValueError as exc:
         assert name in str(exc)
         return
+    decoder, mhca = params["ref_decoder"], params["mhca"]
     rng = np.random.default_rng(0)
-    frames = [(rng.normal(size=(2, BUNDLE_C)), rng.normal(size=(BUNDLE_C, 3, 3)))
+    frames = [(rng.normal(size=(2, PARAM_C)), rng.normal(size=(PARAM_C, 3, 3)))
               for _ in range(2)]
-    trace = run_clip(rng.normal(size=(BUNDLE_SLOTS, BUNDLE_C)), frames, decoder,
+    trace = run_clip(rng.normal(size=(PARAM_SLOTS, PARAM_C)), frames, decoder,
                      ste_params=mhca)
     tracks = clip_tracks(trace, frames, decoder)
     assert all(np.isfinite(t.class_probs).all() and np.isfinite(t.mask_probs).all()
