@@ -535,10 +535,14 @@ class TestParams:
         assert np.abs(params.classifier).max() <= bound
 
     def test_golden_draw_digest(self):
-        # the raw bytes of every seeded array of both initialisers, in field order
+        # the raw bytes of every seeded array of both initialisers, in field order; the
+        # constructors hold each as a read-only float64 array
         digest = hashlib.sha256()
-        for params in (decoder(seed=0), mhca(seed=0)):
-            for array in arrays_of(params):
+        for params, count in ((decoder(seed=0), 25), (mhca(seed=0), 7)):
+            drawn = list(arrays_of(params))
+            assert len(drawn) == count
+            for array in drawn:
+                assert array.dtype == np.float64 and not array.flags.writeable
                 digest.update(array.tobytes())
         assert digest.hexdigest() == (
             "ab9c9bb9705609491476b56579f864a2150418019a063737a985d075d4a233e3")
