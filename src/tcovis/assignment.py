@@ -2,11 +2,15 @@
 
 ``hungarian`` solves the rectangular linear assignment problem with a
 dense shortest-augmenting-path solver that maintains dual potentials.
-Rows with distinct argmins are solved from their row minima alone. Any
-other matrix starts as Jonker & Volgenant's LAPJV does: column reduction
-(square matrices only), each row taking its first free column at its
-reduced minimum, reduction transfer and two augmenting row reduction
-passes. Only the rows still unmatched run a Dijkstra search. Free
+It first tries a certificate: when the row argmins are distinct and each
+row has one entry within tau of its minimum, the duals u = row minima,
+v = 0 prove the row-minimum assignment the only optimum, and it is
+returned without a solve. Rows with distinct argmins but a tie within tau
+are solved from their row minima alone. Any other matrix starts as Jonker
+& Volgenant's LAPJV does: column reduction (square matrices only), each
+row taking its first free column at its reduced minimum, reduction
+transfer and two augmenting row reduction passes. Only the rows still
+unmatched run a Dijkstra search. Free
 columns end with v == 0. The solver then refines ties so the returned
 pair list is the lexicographically smallest one among all optimal
 assignments: zero-cost dummy rows square the problem, and each row in
@@ -38,7 +42,7 @@ from .model import Assignment
 
 BRUTE_FORCE_MAX_ROWS = 8
 BRUTE_FORCE_MAX_COLS = 10
-# tight-edge tolerance per unit of scale and row, in `_lexicographic_pairs`
+# tight-edge tolerance per unit of scale and row, in `_tau`
 _TAU_FACTOR = 64.0 * np.finfo(np.float64).eps
 # bound on the largest |entry| times (cols + 1), in `_as_cost_matrix`
 _ENTRY_LIMIT = float(np.finfo(np.float64).max) / 4.0
@@ -65,6 +69,11 @@ def _as_cost_matrix(matrix):
         raise ValueError(f"cost matrix entries must be at most float64 max / (4 * (cols + 1)) "
                          f"= {_ENTRY_LIMIT / (nc + 1):.6g} in magnitude, got {abs_max:.6g}")
     return a, abs_max
+
+
+def _tau(abs_max: float, nr: int) -> float:
+    """The tight-edge tolerance of an `nr`-row matrix whose largest |entry| is `abs_max`."""
+    return _TAU_FACTOR * max(1.0, abs_max) * max(nr, 4)
 
 
 def _lapjv_start(cost: np.ndarray, u: np.ndarray, first: np.ndarray):
@@ -276,7 +285,7 @@ def _lexicographic_pairs(cost: np.ndarray, abs_max: float, col4row: np.ndarray,
     search starts at the first that does not; it skips rows that cannot move.
     """
     nr, nc = cost.shape
-    tau = _TAU_FACTOR * max(1.0, abs_max) * max(nr, 4)
+    tau = _tau(abs_max, nr)
 
     tight = _tight_edges(cost, tau, col4row, u, v)
     incumbent = tuple(enumerate(col4row.tolist()))
@@ -334,12 +343,25 @@ def hungarian(cost_matrix) -> Assignment:
     """Minimum-cost injective assignment of rows to columns.
 
     Ties between equally cheap assignments are broken in favor of the
-    lexicographically smallest pair list. The SAP solution gives way to
-    the tie refinement unless it is strictly cheaper in `_pairs_total`.
+    lexicographically smallest pair list. The row-minimum assignment is
+    returned at once when its argmins are distinct and the duals u = row
+    minima, v = 0 leave exactly nr tight edges: it is then the only optimum,
+    the pair list every later step would return. Otherwise the SAP solution
+    gives way to the tie refinement unless it is strictly cheaper in
+    `_pairs_total`.
     """
     cost, abs_max = _as_cost_matrix(cost_matrix)
-    if cost.shape[0] == 0:
+    nr, nc = cost.shape
+    if nr == 0:
         return Assignment._of((), 0.0)
+
+    first = cost.argmin(axis=1)
+    cols = first.tolist()
+    if len(set(cols)) == nr:
+        tight = _tight_edges(cost, _tau(abs_max, nr), first, cost.min(axis=1), np.zeros(nc))
+        if np.count_nonzero(tight) == nr:
+            pairs = tuple(enumerate(cols))
+            return Assignment._of(pairs, _pairs_total(cost, pairs))
 
     col4row, u, v = _sap_solve(cost)
     refined = _lexicographic_pairs(cost, abs_max, col4row, u, v)

@@ -19,11 +19,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
@@ -56,6 +53,8 @@ def _threads(args, config_default: int = 1) -> int:
 def _pool_map(fn, items, threads: int) -> list:
     if threads <= 1:
         return [fn(item) for item in items]
+    # imported here: it pulls in `logging`, several ms of every process start
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -103,10 +102,6 @@ def _load_run_config(path) -> dict:
             "threads": _integer("threads", doc.get("threads", 1))}
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -124,8 +119,8 @@ def _cmd_gen(args) -> int:
     violations = validate(corpus)
     if violations:
         raise ValueError(f"generated corpus failed validation: {violations[0]}")
-    save_corpus(corpus, args.out)
-    print(f"clips={cfg['clips']} sha256={_sha256(args.out)}")
+    digest = save_corpus(corpus, args.out)
+    print(f"clips={cfg['clips']} sha256={digest}")
     return 0
 
 
@@ -178,7 +173,7 @@ def _cmd_assign(args) -> int:
             "mean_agreement": float(np.mean([r["agreement"] for r in rows])) if rows else 1.0,
             "mean_delta": float(np.mean([r["delta"] for r in rows])) if rows else 0.0,
         }
-    write_file(f"{args.out_prefix}.json", [dump_json(doc)])
+    digest = write_file(f"{args.out_prefix}.json", [dump_json(doc)])
     # CSV columns are row keys; a strategy's column `<name>_cost` holds its cost
     strategies = ("gia", "locpro") if both else (args.strategy,)
     columns = ["clip", *strategies, *(("agreement", "delta") if both else ())]
@@ -186,8 +181,7 @@ def _cmd_assign(args) -> int:
     lines += [",".join(repr(row[c]["cost"] if c in strategies else row[c]) for c in columns)
               for row in rows]
     write_file(f"{args.out_prefix}.csv", ["\n".join(lines) + "\n"])
-    print(f"clips={len(rows)} strategy={args.strategy} "
-          f"sha256={_sha256(args.out_prefix + '.json')}")
+    print(f"clips={len(rows)} strategy={args.strategy} sha256={digest}")
     return 0
 
 
@@ -234,8 +228,8 @@ def _cmd_enhance(args) -> int:
            "n_heads": cfg["n_heads"], "n_fq": cfg["n_fq"],
            "threshold": cfg["threshold"],
            "plain": _trace_to_json(plain_trace), "ste": _trace_to_json(ste_trace)}
-    write_file(args.out, [dump_json(doc)])
-    print(f"frames={cfg['spec'].T} sha256={_sha256(args.out)}")
+    digest = write_file(args.out, [dump_json(doc)])
+    print(f"frames={cfg['spec'].T} sha256={digest}")
     return 0
 
 
@@ -253,10 +247,9 @@ def _cmd_eval(args) -> int:
                                          corpus.clips[ci].pred, weights),
         range(len(corpus.clips)), threads)
     full = dataclasses.replace(report, clip_audits=tuple(audits))
-    write_file(f"{args.out_prefix}.report.json", [dump_json(full.to_dict())])
+    digest = write_file(f"{args.out_prefix}.report.json", [dump_json(full.to_dict())])
     write_file(f"{args.out_prefix}.audit.csv", [evaluation.audits_to_csv(audits)])
-    print(f"AP={report.ap:.6f} AP50={report.ap50:.6f} AP75={report.ap75:.6f} "
-          f"sha256={_sha256(args.out_prefix + '.report.json')}")
+    print(f"AP={report.ap:.6f} AP50={report.ap50:.6f} AP75={report.ap75:.6f} sha256={digest}")
     return 0
 
 

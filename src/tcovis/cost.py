@@ -20,7 +20,8 @@ primitives. A non-binary ground truth raises instead of pricing a
 different cost. A matmul would sum in another order and move costs by a
 few ULPs, which can flip exactly tied pairs.
 ``global_matching_cost`` and ``frame_matching_cost`` are its 1x1 views;
-``ce_cost``, ``bce_cost`` and ``dice_cost`` stay the independent primitives.
+``ce_cost``, ``bce_cost`` and ``dice_cost`` stay the independent primitives;
+the last two take soft ground truths and refuse an entry outside [0, 1].
 
 All arithmetic is float64. Log arguments are clamped to [EPS_LOG, 1] so
 every cost is finite, and the BCE sum is clamped at 0 so every cost is
@@ -92,9 +93,20 @@ def ce_cost(gt_class: int, prob) -> float:
     return float(_neg_log(prob[gt_class]))
 
 
-def bce_cost(gt_masks, pred_masks) -> float:
-    """Binary cross entropy, averaged over every cell of the mask stack."""
+def _ground_truth(gt_masks) -> np.ndarray:
+    """`gt_masks` as float64; ValueError if an entry is outside [0, 1] or NaN."""
     y = np.asarray(gt_masks, dtype=np.float64)
+    outside = ~((y >= 0.0) & (y <= 1.0))
+    if outside.any():
+        raise ValueError(f"ground-truth mask entries must be in [0, 1], "
+                         f"got {float(y[outside][0])!r}")
+    return y
+
+
+def bce_cost(gt_masks, pred_masks) -> float:
+    """Binary cross entropy, averaged over every cell of the mask stack.
+    A ground truth with an entry outside [0, 1] raises ValueError."""
+    y = _ground_truth(gt_masks)
     p = np.asarray(pred_masks, dtype=np.float64)
     if y.shape != p.shape:
         raise ValueError(f"mask shapes differ: {y.shape} vs {p.shape}")
@@ -108,8 +120,9 @@ def bce_cost(gt_masks, pred_masks) -> float:
 
 
 def dice_cost(gt_masks, pred_masks) -> float:
-    """Soft dice loss over the whole stack: 1 - (2*overlap + d)/(mass + d)."""
-    y = np.asarray(gt_masks, dtype=np.float64)
+    """Soft dice loss over the whole stack: 1 - (2*overlap + d)/(mass + d).
+    A ground truth with an entry outside [0, 1] raises ValueError."""
+    y = _ground_truth(gt_masks)
     p = np.asarray(pred_masks, dtype=np.float64)
     if y.shape != p.shape:
         raise ValueError(f"mask shapes differ: {y.shape} vs {p.shape}")
@@ -263,13 +276,14 @@ def mask_loss_grad(gt_masks, pred_logits, weights: LossWeights) -> np.ndarray:
     including the log clamping, so the result matches central finite
     differences of those implementations.
 
-    For a ground truth in [0, 1], no step exceeds ``lambda_bce * (1 / EPS_LOG) +
-    2 * lambda_dice`` (the BCE derivative is at most ``1 / EPS_LOG`` a cell, the
-    dice one at most 2); weights that make it infinite raise ValueError up front.
+    A ground truth outside [0, 1] raises ValueError. Within it, no step
+    exceeds ``lambda_bce * (1 / EPS_LOG) + 2 * lambda_dice`` (the BCE
+    derivative is at most ``1 / EPS_LOG`` a cell, the dice one at most 2);
+    weights that make it infinite raise ValueError up front.
     """
     _finite(weights, weights.lambda_bce * (1.0 / EPS_LOG) + 2.0 * weights.lambda_dice,
             "their mask-loss gradient bound")
-    y = np.asarray(gt_masks, dtype=np.float64)
+    y = _ground_truth(gt_masks)
     z = np.asarray(pred_logits, dtype=np.float64)
     if y.shape != z.shape:
         raise ValueError(f"shapes differ: {y.shape} vs {z.shape}")

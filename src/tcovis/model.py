@@ -16,6 +16,7 @@ disk may be malformed, and :func:`validate` reports violations as data.
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import math
 import numbers
@@ -707,34 +708,42 @@ def _pred_text(track: PredictionTrack) -> str:
             f'"mask_probs":{_float_rows(frames)}}}')
 
 
-def write_file(path, chunks) -> None:
+def write_file(path, chunks) -> str:
     """Write the text `chunks` to `path` as UTF-8, creating missing parent
-    directories. The chunks are streamed to a temporary file beside `path`
-    that replaces `path` only once the last chunk is written: on any
-    failure the temporary file is deleted and `path` is left as it was. A
-    directory, such as ".", raises IsADirectoryError naming only `path`."""
+    directories, and return the sha256 hex digest of the bytes written,
+    hashed chunk by chunk as they are written. The chunks are streamed to a
+    temporary file beside `path` that replaces `path` only once the last
+    chunk is written: on any failure the temporary file is deleted and
+    `path` is left as it was. A directory, such as ".", raises
+    IsADirectoryError naming only `path`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-    out = open(tmp, "x", encoding="utf-8")  # outside the try: a file this call did not make stays
+    digest = hashlib.sha256()
+    out = open(tmp, "xb")   # outside the try: a file this call did not make stays
     try:
         with out:
-            out.writelines(chunks)
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                out.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return digest.hexdigest()
 
 
-def save_corpus(corpus: Corpus, path) -> None:
+def save_corpus(corpus: Corpus, path) -> str:
     """Write ``dump_json(corpus_to_dict(corpus))`` to `path`, byte for
     byte, through :func:`write_file`, streamed clip by clip and track by
     track, keys in sorted order, so the whole document is never held in
-    memory. A corpus that cannot be encoded (a ground-truth mask that is
-    not binary) raises ValueError and leaves `path` as it was."""
-    write_file(path, _corpus_chunks(corpus))
+    memory; return the sha256 hex digest of the bytes written. A corpus
+    that cannot be encoded (a ground-truth mask that is not binary) raises
+    ValueError and leaves `path` as it was."""
+    return write_file(path, _corpus_chunks(corpus))
 
 
 def _corpus_chunks(corpus: Corpus):

@@ -1,19 +1,23 @@
 import hashlib
 import itertools
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tcovis import assignment
+from tcovis import assignment, synth
 from tcovis.assignment import (BRUTE_FORCE_MAX_COLS, BRUTE_FORCE_MAX_ROWS, _sap_solve,
                                assignment_total_global_cost,
                                brute_force_assign, build_global_cost_matrix,
                                global_instance_assignment, hungarian, locpro_assignment)
-from tcovis.cost import LossWeights, frame_matching_cost, global_matching_cost
+from tcovis.cli import _load_run_config
+from tcovis.cost import LossWeights, _pairs_total, frame_matching_cost, global_matching_cost
 from tcovis.model import Assignment, GroundTruthTrack, PredictionTrack
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def agree(a: Assignment, b: Assignment) -> bool:
@@ -365,6 +369,126 @@ class TestUniquenessCertificate:
         assert movable.tolist() == [False, False, True, True] and built == 1
         assert a.pairs == ((0, 3), (1, 0), (2, 1), (3, 2))
         assert a.pairs == scipy_lexicographic_pairs(matrix)
+        assert agree(a, brute_force_assign(matrix))
+
+
+def solved_past_the_certificate(matrix) -> tuple:
+    """(pairs, total) of the solve that runs when `hungarian`'s row-minimum
+    certificate declines: `_sap_solve`, `_lexicographic_pairs`, then the SAP
+    solution kept only when it is strictly cheaper in `_pairs_total`."""
+    cost, abs_max = assignment._as_cost_matrix(matrix)
+    col4row, u, v = _sap_solve(cost)
+    refined = assignment._lexicographic_pairs(cost, abs_max, col4row, u, v)
+    solved = tuple(enumerate(col4row.tolist()))
+    total = _pairs_total(cost, refined)
+    if refined == solved or total <= _pairs_total(cost, solved):
+        return refined, total
+    return solved, _pairs_total(cost, solved)
+
+
+def row_minima_certified(matrix) -> bool:
+    """The certificate's test, written out: distinct row argmins, and exactly
+    one entry per row within tau of its row minimum."""
+    cost = np.asarray(matrix, dtype=np.float64)
+    tau = TestWarmStartTightEdges.tau_of(cost)
+    return (len(set(cost.argmin(axis=1).tolist())) == cost.shape[0]
+            and np.count_nonzero(cost - cost.min(axis=1)[:, None] <= tau) == cost.shape[0])
+
+
+@st.composite
+def certificate_matrices(draw):
+    """Small floats, tenths or the integers 0..2, up to 6x8, with up to two
+    entries set one ULP above their row's minimum: ties within tau that are
+    not exact, where only the refinement's total decides the pair list."""
+    elements = draw(st.sampled_from([st.floats(0.0, 2.0), st.integers(0, 10).map(lambda k: k / 10),
+                                     st.integers(0, 2).map(float)]))
+    nr = draw(st.integers(1, 6))
+    matrix = draw(arrays(np.float64, (nr, draw(st.integers(nr, 8))), elements=elements))
+    for r, c in draw(st.lists(st.tuples(st.integers(0, nr - 1),
+                                        st.integers(0, matrix.shape[1] - 1)), max_size=2)):
+        matrix[r, c] = np.nextafter(matrix[r].min(), np.inf)
+    return matrix
+
+
+class TestRowMinimumCertificate:
+    """`hungarian` returns the row-minimum assignment before any solve when its
+    argmins are distinct and each row has one entry within tau of its minimum;
+    the pairs and total are those of the full solve, bit for bit."""
+
+    @staticmethod
+    def spy_sap(monkeypatch) -> list:
+        calls = []
+        real = assignment._sap_solve
+
+        def spy(cost):
+            calls.append(cost.shape)
+            return real(cost)
+
+        monkeypatch.setattr(assignment, "_sap_solve", spy)
+        return calls
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(certificate_matrices())
+    def test_equals_the_solve_it_skips(self, matrix):
+        a = hungarian(matrix)
+        pairs, total = solved_past_the_certificate(matrix)
+        assert a.pairs == pairs and a.total_cost.hex() == total.hex()
+
+    def test_the_property_meets_every_outcome(self):
+        # the property's strategy, drawn as often: the certificate accepts,
+        # declines, and declines on a tie within tau alone
+        outcomes = []
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(certificate_matrices())
+        def record(matrix):
+            exact_ties = np.count_nonzero(matrix == matrix.min(axis=1)[:, None])
+            distinct = len(set(matrix.argmin(axis=1).tolist())) == matrix.shape[0]
+            outcomes.append("accepts" if row_minima_certified(matrix) else
+                            "within-tau" if distinct and exact_ties == matrix.shape[0] else
+                            "declines")
+
+        record()
+        assert min(outcomes.count(k) for k in ("accepts", "within-tau", "declines")) >= 10
+
+    @pytest.mark.parametrize("config", ["small.json", "swap.json"])
+    def test_fires_on_every_corpus_matrix(self, monkeypatch, config):
+        cfg = _load_run_config(CONFIG_DIR / config)
+        corpus = synth.generate_corpus(cfg["scene"], cfg["noise"], cfg["clips"], cfg["seed"])
+        expected = [(global_instance_assignment(c.gt, c.pred, cfg["weights"]),
+                     locpro_assignment(c.gt, c.pred, cfg["weights"])) for c in corpus.clips]
+        sap_calls, solved = self.spy_sap(monkeypatch), []
+        real = assignment.hungarian
+
+        def counted(matrix):
+            solved.append(np.shape(matrix))
+            return real(matrix)
+
+        monkeypatch.setattr(assignment, "hungarian", counted)
+        for clip, (gia, locpro) in zip(corpus.clips, expected):
+            assert global_instance_assignment(clip.gt, clip.pred, cfg["weights"]) == gia
+            assert locpro_assignment(clip.gt, clip.pred, cfg["weights"]) == locpro
+        # one GIA matrix per clip and at least one locpro stage
+        assert len(solved) >= 2 * len(corpus.clips) and sap_calls == []
+
+    def test_declines_on_a_tie_within_tau(self, monkeypatch):
+        # row 0's minimum 1.0 has a runner-up one ULP above it in column 0.
+        # The refinement moves row 0 there, and its total 1 + 2**-52 + 2 rounds
+        # to 3.0, the row minima's own total, so the smaller pair list wins
+        matrix = np.array([[1.0 + 2.0 ** -52, 1.0, 5.0], [5.0, 5.0, 2.0]])
+        assert matrix.argmin(axis=1).tolist() == [1, 2]
+        sap_calls = self.spy_sap(monkeypatch)
+        a = hungarian(matrix)
+        assert sap_calls == [(2, 3)]
+        assert a.pairs == ((0, 0), (1, 2)) and a.total_cost == 3.0
+        assert agree(a, brute_force_assign(matrix))
+
+    def test_declines_on_a_shared_argmin(self, monkeypatch):
+        matrix = np.array([[0.1, 0.5, 0.9], [0.2, 0.7, 0.9]])
+        sap_calls = self.spy_sap(monkeypatch)
+        a = hungarian(matrix)
+        assert sap_calls == [(2, 3)]
+        assert a.pairs == ((0, 1), (1, 0)) and a.total_cost == 0.5 + 0.2
         assert agree(a, brute_force_assign(matrix))
 
 

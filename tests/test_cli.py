@@ -638,6 +638,17 @@ class TestOutputPaths:
             assert taken.is_dir() and list(tmp_path.iterdir()) == [taken]
             assert list(taken.iterdir()) == []
 
+    @pytest.mark.parametrize("command", list(OUTPUTS))
+    def test_printed_digest_is_the_written_files(self, tmp_path, capsys, command):
+        # the digest is taken while writing; it must hash the file's bytes
+        out = tmp_path / "out"
+        argv = self.argv(command, tmp_path, out)
+        capsys.readouterr()
+        assert main(argv) == 0
+        digest = capsys.readouterr().out.split("sha256=")[1].strip()
+        written = Path(f"{out}{self.OUTPUTS[command][0]}").read_bytes()
+        assert digest == hashlib.sha256(written).hexdigest()
+
     @pytest.mark.parametrize("command", ["gen", "enhance", "assign", "eval"])
     def test_input_that_is_a_directory_exits_one(self, tmp_path, capsys, command):
         argv = self.argv(command, tmp_path, tmp_path / "out")
@@ -911,6 +922,23 @@ class TestDeterminismAcrossThreads:
         monkeypatch.setenv("TCOVIS_THREADS", "2")
         assert main(["gen", str(cfg), "--out", str(tmp_path / "y.json"),
                      "--threads", "1"]) == 0
+
+
+def test_thread_pool_is_imported_only_for_more_than_one_thread(tmp_path):
+    # concurrent.futures pulls in logging, several ms of every process start
+    config = write_config(tmp_path, clips=2)
+    script = ("import sys; from tcovis.cli import main; "
+              "main(['gen', sys.argv[1], '--out', sys.argv[2], '--threads', sys.argv[3]]); "
+              "print('concurrent.futures' in sys.modules)")
+    seen = []
+    for threads in ("1", "2"):
+        result = subprocess.run([sys.executable, "-c", script, str(config),
+                                 str(tmp_path / f"c{threads}.json"), threads],
+                                capture_output=True, text=True, check=True,
+                                env=dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src")))
+        seen.append(result.stdout.splitlines()[-1])
+    assert seen == ["False", "True"]
+    assert (tmp_path / "c1.json").read_bytes() == (tmp_path / "c2.json").read_bytes()
 
 
 class TestThreadCount:

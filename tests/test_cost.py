@@ -186,6 +186,43 @@ class TestDiceCost:
             assert 0.0 <= dice_cost(y, p) <= 1.0
 
 
+class TestGroundTruthRange:
+    """`bce_cost`, `dice_cost` and `mask_loss_grad` take soft ground truths in
+    [0, 1] and refuse any other entry, NaN included, by name."""
+
+    @staticmethod
+    def calls(y, p):
+        return {"bce_cost": lambda: bce_cost(y, p), "dice_cost": lambda: dice_cost(y, p),
+                "mask_loss_grad": lambda: mask_loss_grad(y, np.full(np.shape(y), -40.0),
+                                                         LossWeights())}
+
+    @pytest.mark.parametrize("bad", [1e300, -3.0, math.nextafter(1.0, 2.0), -0.5e-300,
+                                     math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["bce_cost", "dice_cost", "mask_loss_grad"])
+    def test_entry_outside_the_unit_interval_is_refused(self, name, bad):
+        y = np.array([[0.0, 0.25], [1.0, bad]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^ground-truth mask entries must be in "
+                                                 r"\[0, 1\], got "):
+                self.calls(y, np.full(y.shape, 0.5))[name]()
+
+    def test_the_cases_that_misbehaved(self):
+        with pytest.raises(ValueError, match=r"got 1e\+300$"):
+            mask_loss_grad(np.full((1, 1), 1e300), np.full((1, 1), -40.0), LossWeights())
+        with pytest.raises(ValueError, match=r"got 1e\+300$"):
+            bce_cost(np.full((1, 1), 1e300), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match=r"got -3\.0$"):
+            dice_cost(np.full((1, 1), -3.0), np.full((1, 1), 0.5))
+
+    @pytest.mark.parametrize("name", ["bce_cost", "dice_cost", "mask_loss_grad"])
+    def test_soft_ground_truths_and_the_edges_are_taken(self, name):
+        y = np.array([[0.0, -0.0], [1.0, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(self.calls(y, np.full(y.shape, 0.5))[name]()).all()
+
+
 # -- composite costs ---------------------------------------------------------
 
 class TestFrameMatchingCost:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -471,8 +472,9 @@ class TestStreamingWriter:
             "pred-empty", "no-clips"])
     def test_bytes_equal_the_dict_dump(self, tmp_path, corpus):
         path = tmp_path / "corpus.json"
-        save_corpus(corpus, path)
+        digest = save_corpus(corpus, path)
         assert path.read_text() == dump_json(corpus_to_dict(corpus))
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_unusual_track_shapes_match(self, tmp_path):
         spec = small_spec()
@@ -507,6 +509,13 @@ class TestWriteFile:
         write_file(path, (part for part in ("x", "", "yz\n")))
         assert path.read_text() == "xyz\n"
         assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
+
+    def test_returns_the_sha256_of_the_bytes_written(self, tmp_path):
+        path = tmp_path / "out.txt"
+        chunks = ("caf\u00e9 ", "", "\u03c4\n", "x" * 70000)
+        digest = write_file(path, iter(chunks))
+        assert path.read_bytes() == "".join(chunks).encode("utf-8")
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "replace"])
     def test_failed_write_leaves_no_trace(self, tmp_path, existing):
