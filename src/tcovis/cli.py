@@ -8,18 +8,19 @@ Subcommands:
 
 Config files are JSON with a mandatory "version": 1 and are fail-closed:
 unknown fields are rejected by name. All randomness flows from a single
-seed; outputs are byte-identical for a fixed (config, seed) at any
-parallelism degree (flag --threads, overridden by TCOVIS_THREADS).
+seed, the config's "seed"; outputs are byte-identical for a fixed config at
+any parallelism degree (--threads, default 1). `assign` and `eval` take
+their loss weights from --weights alone.
 `main` is the one place a failure becomes an exit code: a ValueError (bad
 input), OSError (a file that cannot be used) or MemoryError prints
-`error: <message>` and exits 1; any other exception is a fault and propagates.
+`error: <message>` (its class name when the message is empty) and exits 1;
+any other exception is a fault and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 import numpy as np
@@ -33,21 +34,10 @@ from .model import (MASK_BINARIZE, ClipSpec, Corpus, _checked_section, _integer,
 from .rng import stream
 
 
-def _threads(args, config_default: int = 1) -> int:
-    # resolution order: TCOVIS_THREADS > --threads > config "threads" > 1
-    env = os.environ.get("TCOVIS_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"TCOVIS_THREADS must be an integer, got {env!r}") from None
-    elif args.threads is not None:
-        value = args.threads
-    else:
-        value = config_default
-    if value < 1:
-        raise ValueError(f"thread count must be >= 1, got {value}")
-    return value
+def _threads(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {args.threads}")
+    return args.threads
 
 
 def _pool_map(fn, items, threads: int) -> list:
@@ -88,18 +78,16 @@ def _config(path, name: str, known: set, required: set):
 
 
 def _load_run_config(path) -> dict:
-    doc, spec = _config(path, "config", known={"scene", "noise", "weights", "clips", "threads"},
+    doc, spec = _config(path, "config", known={"scene", "noise", "clips"},
                         required={"scene", "clips"})
     scene = synth.SceneConfig(spec=spec, **_record_section(
         "scene", doc["scene"], synth.SceneConfig, skip=("spec",)))
     noise = None
     if doc.get("noise") is not None:
         noise = synth.NoiseConfig(**_record_section("noise", doc["noise"], synth.NoiseConfig))
-    weights = LossWeights(**_record_section("weights", doc.get("weights", {}), LossWeights))
-    return {"spec": spec, "scene": scene, "noise": noise, "weights": weights,
+    return {"spec": spec, "scene": scene, "noise": noise,
             "clips": _positive_int("clips", doc["clips"]),
-            "seed": _integer("seed", doc["seed"]),
-            "threads": _integer("threads", doc.get("threads", 1))}
+            "seed": _integer("seed", doc["seed"])}
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +96,12 @@ def _load_run_config(path) -> dict:
 
 def _cmd_gen(args) -> int:
     cfg = _load_run_config(args.config)
-    seed = cfg["seed"] if args.seed is None else args.seed
-    threads = _threads(args, config_default=cfg["threads"])
+    threads = _threads(args)
     indices = list(range(cfg["clips"]))
     clips = _pool_map(
-        lambda i: synth.build_clip(cfg["scene"], cfg["noise"], seed, i),
+        lambda i: synth.build_clip(cfg["scene"], cfg["noise"], cfg["seed"], i),
         indices, threads)
-    corpus = Corpus(spec=cfg["spec"], clips=tuple(clips), seed=seed,
+    corpus = Corpus(spec=cfg["spec"], clips=tuple(clips), seed=cfg["seed"],
                     generator=synth.corpus_header(cfg["scene"], cfg["noise"], cfg["clips"]))
     violations = validate(corpus)
     if violations:
@@ -263,38 +250,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Temporal-association machinery for online video "
                     "instance segmentation, at desk scale.")
     sub = parser.add_subparsers(dest="command", required=True)
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1)
+    weights = argparse.ArgumentParser(add_help=False)
+    weights.add_argument("--weights", type=float, nargs=3, metavar=("CLS", "BCE", "DICE"),
+                         default=dataclasses.astuple(LossWeights()))
 
-    gen = sub.add_parser("gen", help="generate a corpus from a config file")
+    gen = sub.add_parser("gen", parents=[threads], help="generate a corpus from a config file")
     gen.add_argument("config", help="run config JSON")
     gen.add_argument("--out", required=True, help="corpus output path")
-    gen.add_argument("--seed", type=int, default=None, help="override config seed")
-    gen.add_argument("--threads", type=int, default=None)
     gen.set_defaults(func=_cmd_gen)
 
-    assign = sub.add_parser("assign", help="run assignment strategies over a corpus")
+    assign = sub.add_parser("assign", parents=[threads, weights],
+                            help="run assignment strategies over a corpus")
     assign.add_argument("corpus", help="corpus JSON with predictions")
     assign.add_argument("--strategy", choices=("gia", "locpro", "both"),
                         default="both")
-    assign.add_argument("--weights", type=float, nargs=3, metavar=("CLS", "BCE", "DICE"),
-                        default=dataclasses.astuple(LossWeights()))
     assign.add_argument("--out-prefix", required=True,
                         help="writes <prefix>.json and <prefix>.csv")
-    assign.add_argument("--threads", type=int, default=None)
     assign.set_defaults(func=_cmd_assign)
 
-    enhance = sub.add_parser("enhance", help="trace the enhancement forward pass")
+    enhance = sub.add_parser("enhance", parents=[threads],
+                             help="trace the enhancement forward pass")
     enhance.add_argument("--demo", required=True, help="demo config JSON")
     enhance.add_argument("--out", required=True, help="trace output path")
-    enhance.add_argument("--threads", type=int, default=None)
     enhance.set_defaults(func=_cmd_enhance)
 
-    ev = sub.add_parser("eval", help="compute AP/AR and the strategy audit")
+    ev = sub.add_parser("eval", parents=[threads, weights],
+                        help="compute AP/AR and the strategy audit")
     ev.add_argument("corpus", help="corpus JSON with predictions")
-    ev.add_argument("--weights", type=float, nargs=3, metavar=("CLS", "BCE", "DICE"),
-                    default=dataclasses.astuple(LossWeights()))
     ev.add_argument("--out-prefix", required=True,
                     help="writes <prefix>.report.json and <prefix>.audit.csv")
-    ev.add_argument("--threads", type=int, default=None)
     ev.set_defaults(func=_cmd_eval)
     return parser
 
@@ -308,7 +294,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a MemoryError often carries no message: name its class instead
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -455,8 +455,9 @@ class TestRowMinimumCertificate:
     def test_fires_on_every_corpus_matrix(self, monkeypatch, config):
         cfg = _load_run_config(CONFIG_DIR / config)
         corpus = synth.generate_corpus(cfg["scene"], cfg["noise"], cfg["clips"], cfg["seed"])
-        expected = [(global_instance_assignment(c.gt, c.pred, cfg["weights"]),
-                     locpro_assignment(c.gt, c.pred, cfg["weights"])) for c in corpus.clips]
+        weights = LossWeights()
+        expected = [(global_instance_assignment(c.gt, c.pred, weights),
+                     locpro_assignment(c.gt, c.pred, weights)) for c in corpus.clips]
         sap_calls, solved = self.spy_sap(monkeypatch), []
         real = assignment.hungarian
 
@@ -466,8 +467,8 @@ class TestRowMinimumCertificate:
 
         monkeypatch.setattr(assignment, "hungarian", counted)
         for clip, (gia, locpro) in zip(corpus.clips, expected):
-            assert global_instance_assignment(clip.gt, clip.pred, cfg["weights"]) == gia
-            assert locpro_assignment(clip.gt, clip.pred, cfg["weights"]) == locpro
+            assert global_instance_assignment(clip.gt, clip.pred, weights) == gia
+            assert locpro_assignment(clip.gt, clip.pred, weights) == locpro
         # one GIA matrix per clip and at least one locpro stage
         assert len(solved) >= 2 * len(corpus.clips) and sap_calls == []
 

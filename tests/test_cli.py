@@ -43,11 +43,6 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("TCOVIS_THREADS", raising=False)
-
-
 class TestGen:
     def test_generates_valid_corpus(self, tmp_path, capsys):
         cfg = write_config(tmp_path, clips=3)
@@ -100,20 +95,20 @@ class TestGen:
         assert main(["gen", str(config), "--out", str(tmp_path / "c.json")]) == 0
         assert capsys.readouterr().out.split("sha256=")[1].strip() == digest
 
-    def test_seed_flag_overrides_config(self, tmp_path):
-        cfg = write_config(tmp_path, clips=2)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        main(["gen", str(cfg), "--out", str(a)])
-        main(["gen", str(cfg), "--out", str(b), "--seed", "123"])
-        assert a.read_bytes() != b.read_bytes()
-        assert load_corpus(b).seed == 123
+    def test_seed_flag_is_refused(self, tmp_path, capsys):
+        # the seed comes from the config alone
+        out = tmp_path / "c.json"
+        assert main(["gen", str(write_config(tmp_path, clips=2)), "--out", str(out),
+                     "--seed", "5"]) == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_exits_one(self, tmp_path, capsys, seed):
         # folded to 64 bits, -1 and 2**64 would give the clips of 2**64 - 1 and 0
         out = tmp_path / "c.json"
-        assert main(["gen", str(write_config(tmp_path, clips=2)), "--out", str(out),
-                     "--seed", str(seed)]) == 1
+        assert main(["gen", str(write_config(tmp_path, clips=2, seed=seed)),
+                     "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
         assert not out.exists()
 
@@ -128,8 +123,8 @@ class TestGen:
 
     @pytest.mark.parametrize("section, name", [
         (None, "config"), ("spec", "spec"), ("scene", "scene"), ("noise", "noise"),
-        ("weights", "weights"), ("demo", "demo config"),
-    ], ids=["top-level", "spec", "scene", "noise", "weights", "demo-config"])
+        ("demo", "demo config"),
+    ], ids=["top-level", "spec", "scene", "noise", "demo-config"])
     def test_unknown_field_rejected(self, tmp_path, capsys, section, name):
         config = "enhance.json" if section == "demo" else "small.json"
         doc = json.loads((CONFIG_DIR / config).read_text())
@@ -145,6 +140,18 @@ class TestGen:
         err = capsys.readouterr().err
         assert "frobnicate" in err
         assert err == f"error: unknown field 'frobnicate' in {name}\n"
+        assert not out.exists()
+
+    # the thread count is --threads and the loss weights are --weights alone
+    @pytest.mark.parametrize("key, value", [
+        ("weights", {"lambda_cls": 2.0, "lambda_bce": 5.0, "lambda_dice": 5.0}),
+        ("threads", 1),
+    ], ids=["weights", "threads"])
+    def test_retired_field_rejected(self, tmp_path, capsys, key, value):
+        out = tmp_path / "x.json"
+        assert main(["gen", str(write_config(tmp_path, clips=2, **{key: value})),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: unknown field '{key}' in config\n"
         assert not out.exists()
 
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
@@ -168,14 +175,12 @@ class TestGen:
         ("seed", 7.0, "seed must be an integer, got 7.0"),
         ("version", True, "version must be an integer, got True"),
         ("version", 1.0, "version must be an integer, got 1.0"),
-        ("threads", True, "threads must be an integer, got True"),
         ("noise", {"swap_frame": 2.7}, "swap_frame must be an integer, got 2.7"),
         ("scene", {"size": [1.9, 2]}, "size must be an integer, got 1.9"),
         ("scene", {"n_objects": ["2", "3"]}, "n_objects must be an integer, got '2'"),
         ("scene", {"velocity": ["0.5", 1.0]}, "velocity must be a number, got '0.5'"),
         ("noise", {"mask_jitter": "0.1"}, "mask_jitter must be a number, got '0.1'"),
         ("noise", {"sharpness": True}, "sharpness must be a number, got True"),
-        ("weights", {"lambda_cls": "2"}, "lambda_cls must be a number, got '2'"),
         ("scene", {"allow_occlusion": "no"}, "allow_occlusion must be true or false, got 'no'"),
         ("scene", {"n_objects": [2, 3, 9]}, "n_objects must be a [lo, hi] pair, got [2, 3, 9]"),
         ("scene", {"n_objects": [2]}, "n_objects must be a [lo, hi] pair, got [2]"),
@@ -196,9 +201,9 @@ class TestGen:
         ("scene", {"n_objects": [6, 6], "size": [6, 6], "velocity": [0, 0.5],
                    "allow_occlusion": False}, "could not generate a valid scene in 256 attempts"),
     ], ids=["clips-float", "S-bool", "seed-float", "version-bool", "version-float",
-            "threads-bool", "swap_frame-float", "size-float", "n_objects-strings",
-            "velocity-string", "mask_jitter-string", "sharpness-bool", "lambda_cls-string",
-            "allow_occlusion-string", "n_objects-three", "n_objects-one", "size-empty", "velocity-infinite",
+            "swap_frame-float", "size-float", "n_objects-strings", "velocity-string",
+            "mask_jitter-string", "sharpness-bool", "allow_occlusion-string", "n_objects-three",
+            "n_objects-one", "size-empty", "velocity-infinite",
             "sharpness-infinite", "sharpness-beyond-float64", "shapes-int", "shapes-string",
             "H-beyond-int64", "no-room-to-move", "velocity-beyond-grid", "swap_frame-beyond-T",
             "early_swap-one-object", "scene-unsatisfiable"])
@@ -539,6 +544,16 @@ class TestErrorBoundary:
         assert main(["bench"]) == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_message_less_memory_error_names_its_class(self, tmp_path, monkeypatch, capsys):
+        # `list(range(2**62))` raises a MemoryError with an empty message
+        def fail(*args):
+            raise MemoryError()
+        monkeypatch.setattr(synth, "build_clip", fail)
+        out = tmp_path / "x.json"
+        assert main(["gen", str(write_config(tmp_path, clips=2)), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("exc", [TypeError, KeyError, IndexError, RuntimeError])
     def test_program_fault_propagates(self, tmp_path, monkeypatch, exc):
@@ -903,26 +918,6 @@ class TestDeterminismAcrossThreads:
         main(["gen", str(cfg), "--out", str(pooled), "--threads", threads])
         assert serial.read_bytes() == pooled.read_bytes()
 
-    def test_config_threads_used_when_flag_absent(self, tmp_path):
-        serial_cfg = write_config(tmp_path, "serial.json", clips=4, threads=1)
-        pooled_cfg = write_config(tmp_path, "pooled.json", clips=4, threads=4)
-        serial = tmp_path / "serial_out.json"
-        pooled = tmp_path / "pooled_out.json"
-        assert main(["gen", str(serial_cfg), "--out", str(serial)]) == 0
-        assert main(["gen", str(pooled_cfg), "--out", str(pooled)]) == 0
-        assert serial.read_bytes() == pooled.read_bytes()
-
-    def test_env_var_overrides_flag(self, tmp_path, monkeypatch, capsys):
-        cfg = write_config(tmp_path, clips=2)
-        monkeypatch.setenv("TCOVIS_THREADS", "not-a-number")
-        code = main(["gen", str(cfg), "--out", str(tmp_path / "x.json"),
-                     "--threads", "1"])
-        assert code == 1
-        assert "TCOVIS_THREADS" in capsys.readouterr().err
-        monkeypatch.setenv("TCOVIS_THREADS", "2")
-        assert main(["gen", str(cfg), "--out", str(tmp_path / "y.json"),
-                     "--threads", "1"]) == 0
-
 
 def test_thread_pool_is_imported_only_for_more_than_one_thread(tmp_path):
     # concurrent.futures pulls in logging, several ms of every process start
@@ -941,29 +936,73 @@ def test_thread_pool_is_imported_only_for_more_than_one_thread(tmp_path):
     assert (tmp_path / "c1.json").read_bytes() == (tmp_path / "c2.json").read_bytes()
 
 
+class TestEveryConfigKeyIsRead:
+    """A config key with more than one valid value changes the output when it
+    changes: no key is checked and then ignored. `version` has one valid value."""
+
+    # `gen` reads the run config small.json, `enhance` the demo config enhance.json
+    CHANGES = {"small.json": {"spec": {"T": 5}, "scene": {"n_objects": [1, 3]},
+                              "noise": {"mask_jitter": 0.05}, "clips": 3, "seed": 8},
+               "enhance.json": {"spec": {"T": 2}, "seed": 12, "n_heads": 2, "n_fq": 3,
+                                "threshold": 0.4}}
+
+    def test_every_key_has_a_change(self):
+        for config, changes in self.CHANGES.items():
+            assert set(json.loads((CONFIG_DIR / config).read_text())) - {"version"} == set(changes)
+
+    @pytest.mark.parametrize("config, key", [(config, key) for config, changes in CHANGES.items()
+                                             for key in sorted(changes)])
+    def test_changing_the_key_changes_the_digest(self, tmp_path, capsys, config, key):
+        doc = json.loads((CONFIG_DIR / config).read_text())
+        if config == "small.json":
+            doc["clips"] = 2
+        changed = json.loads(json.dumps(doc))
+        value = self.CHANGES[config][key]
+        if isinstance(value, dict):
+            changed[key].update(value)
+        else:
+            changed[key] = value
+        digests = []
+        for i, variant in enumerate((doc, changed)):
+            cfg, out = tmp_path / f"cfg{i}.json", tmp_path / f"out{i}.json"
+            cfg.write_text(json.dumps(variant))
+            command = (["gen", str(cfg)] if config == "small.json" else
+                       ["enhance", "--demo", str(cfg)])
+            capsys.readouterr()
+            assert main(command + ["--out", str(out)]) == 0
+            digests.append(capsys.readouterr().out.split("sha256=")[1])
+        assert digests[0] != digests[1]
+
+
 class TestThreadCount:
     @pytest.mark.parametrize("command", ["gen", "assign", "eval", "enhance"])
-    @pytest.mark.parametrize("flag, env, reason", [
-        ("0", None, "error: thread count must be >= 1, got 0\n"),
-        (None, "abc", "error: TCOVIS_THREADS must be an integer, got 'abc'\n"),
-    ], ids=["flag-zero", "env-not-an-integer"])
-    def test_bad_thread_count_exits_one(self, tmp_path, monkeypatch, capsys,
-                                        command, flag, env, reason):
-        out = tmp_path / "out"
-        if command == "gen":
-            argv = ["gen", str(write_config(tmp_path, clips=2)), "--out", str(out)]
-        elif command == "enhance":
-            argv = ["enhance", "--demo", str(CONFIG_DIR / "enhance.json"), "--out", str(out)]
-        else:
-            argv = [command, str(gen_corpus(tmp_path, clips=2)), "--out-prefix", str(out)]
-        if flag is not None:
-            argv += ["--threads", flag]
-        if env is not None:
-            monkeypatch.setenv("TCOVIS_THREADS", env)
+    @pytest.mark.parametrize("flag, reason", [
+        ("0", "error: thread count must be >= 1, got 0\n"),
+        ("-3", "error: thread count must be >= 1, got -3\n"),
+    ], ids=["flag-zero", "flag-negative"])
+    def test_bad_thread_count_exits_one(self, tmp_path, capsys, command, flag, reason):
+        argv = TestOutputPaths.argv(command, tmp_path, tmp_path / "out") + ["--threads", flag]
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err == reason
         assert list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize("command", ["gen", "assign", "eval", "enhance"])
+    def test_env_var_changes_nothing(self, tmp_path, monkeypatch, capsys, command):
+        # the retired override of --threads, named in two parts so that a search
+        # for the name finds no code that reads it
+        name = "TCOVIS_" + "THREADS"
+        monkeypatch.delenv(name, raising=False)
+        outputs = []
+        for env in (None, "abc"):
+            if env is not None:
+                monkeypatch.setenv(name, env)
+            argv = TestOutputPaths.argv(command, tmp_path, tmp_path / f"out-{env}")
+            capsys.readouterr()
+            assert main(argv) == 0
+            outputs.append((capsys.readouterr().out,
+                            sorted(p.read_bytes() for p in tmp_path.glob(f"out-{env}*"))))
+        assert outputs[0] == outputs[1]
 
 
 class TestUtf8Files:

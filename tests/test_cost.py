@@ -682,6 +682,10 @@ class TestLossWeights:
         with pytest.raises(ValueError):
             LossWeights(**bad)
 
+    def test_names_a_weight_that_is_not_a_number(self):
+        with pytest.raises(ValueError, match=r"^lambda_cls must be a number, got '2'$"):
+            LossWeights(lambda_cls="2")
+
     @pytest.mark.parametrize("weights", [(1e308, 1e308, 1e308), (6.6e306, 0.0, 0.0),
                                          (0.0, 6.6e306, 0.0), (3.3e306, 3.3e306, 0.0),
                                          (6.5e306, 0.0, 1e307)])

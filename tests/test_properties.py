@@ -548,8 +548,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 RUN_DOC = dict(json.loads((CONFIG_DIR / "swap.json").read_text()), clips=1)
 DEMO_DOC = json.loads((CONFIG_DIR / "enhance.json").read_text())
 DELETE = object()   # a mutation that deletes the node
-# Every integer is <= 64 or >= 2**63: a valid grid stays <= 64 cells a side, nothing
-# large is allocated, and a large `threads` never meets a large `clips`.
+# Every integer is <= 64 or >= 2**63: a valid grid stays <= 64 cells a side and nothing
+# large is allocated. No config sizes the thread pool: that is the --threads flag.
 CONFIG_VALUES = ("s", True, None, [], {}, [[1]], -1, 0, 1, 2, 3, 7, 64, 1.5, float("nan"),
                  float("inf"), 2**63, 2**70, DELETE)
 
